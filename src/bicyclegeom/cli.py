@@ -20,12 +20,12 @@ import numpy as np
 from .dynamics import (
     BicyclePair,
     Branch,
+    _transform,
     bianchi_fourth_polygon,
     correspondence_check,
     frame_length,
     propagate,
     recut,
-    transform,
 )
 from .errors import EllipticMonodromy, GeometryError, ZeroArea
 from .families import (
@@ -155,15 +155,11 @@ def cmd_transform(args) -> int:
     else:
         branch = Branch.REPELLING if args.branch == "repelling" else Branch.ATTRACTING
         try:
-            w = transform(v, length, branch, tol)
+            w, klass, fd, defect = _transform(v, length, branch, tol)
         except EllipticMonodromy:
             _err(f"monodromy is elliptic at L={length}: {_elliptic_hint(v, tol)}")
             return 2
-        mob = polygon_monodromy(v, length, tol)
-        dirs = fixed_directions(mob, tol)
-        fd = dirs[0] if branch is Branch.ATTRACTING else dirs[-1]
-        defect = propagate(v, w.vertex(0), tol).closure_defect
-        print(f"monodromy class: {classify(mob, tol).value}")
+        print(f"monodromy class: {klass.value}")
         print(f"branch eigenvalue: {fd.derivative:.12g}")
         print(f"closure defect: {defect:.6e}")
     if args.output:
@@ -508,12 +504,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PolygonFileError as exc:
-        _err(str(exc))
-        return 2
-    except EllipticMonodromy as exc:
-        _err(str(exc))
-        return 2
     except (GeometryError, ValueError) as exc:
         _err(str(exc))
         return 2

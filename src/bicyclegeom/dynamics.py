@@ -19,17 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosureFailure, DegenerateMonodromy, DimensionMismatch, EllipticMonodromy
+from .errors import ClosureFailure, DegenerateLine, DegenerateMonodromy, DimensionMismatch, EllipticMonodromy
 from .geometry import (
     DEFAULT_TOL,
     Polygon,
     Tolerance,
+    _reflect,
     as_vec,
-    bicycle_step,
     check_same_dim,
     perp_bisector_reflect,
 )
-from .monodromy import MonodromyClass, classify, fixed_directions, polygon_monodromy
+from .monodromy import FixedDirection, MonodromyClass, classify, fixed_directions, polygon_monodromy
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,14 @@ def propagate(v: Polygon, w1, tol: Tolerance = DEFAULT_TOL) -> PropagationResult
     w1 = as_vec(w1)
     if w1.shape[0] != v.dim:
         raise DimensionMismatch("seed point dimension does not match the polygon")
-    pts = [w1]
-    k = len(v)
-    for i in range(k):
-        pts.append(bicycle_step(v.vertex(i), v.vertex(i + 1), pts[-1], tol))
-    trace = np.array(pts)
+    if np.linalg.norm(w1 - v.vertex(0)) <= tol.eps_geom * max(1.0, np.linalg.norm(v.vertex(0))):
+        raise DegenerateLine("zero-length frame segment v1 w1")
+    sides = v.sides()
+    ahead = np.roll(v.vertices, -1, axis=0)
+    trace = np.empty((len(v) + 1, v.dim))
+    trace[0] = w1
+    for i in range(len(v)):
+        trace[i + 1] = _reflect(trace[i] + sides[i], trace[i], ahead[i], tol)
     return PropagationResult(points=trace, closure_defect=float(np.linalg.norm(trace[-1] - trace[0])))
 
 
@@ -62,15 +65,11 @@ class Branch(enum.Enum):
     REPELLING = "repelling"
 
 
-def transform(
-    v: Polygon, length: float, branch: Branch = Branch.ATTRACTING, tol: Tolerance = DEFAULT_TOL
-) -> Polygon:
-    """The closed bicycle transformation T_L of a plane polygon.
-
-    Seeds the propagation from the chosen fixed direction of the monodromy;
-    requires the monodromy to be hyperbolic or parabolic (elliptic has no
-    real fixed direction, so no closed companion exists).
-    """
+def _transform(
+    v: Polygon, length: float, branch: Branch, tol: Tolerance
+) -> tuple[Polygon, MonodromyClass, FixedDirection, float]:
+    """transform, also returning the monodromy class, the branch's fixed
+    direction and the closure defect it computed on the way."""
     if v.dim != 2:
         raise DimensionMismatch("the closed transformation is defined for plane polygons")
     mob = polygon_monodromy(v, length, tol)
@@ -89,7 +88,19 @@ def transform(
         raise ClosureFailure(
             f"fixed-direction propagation did not close: defect {res.closure_defect:.3e}"
         )
-    return res.closed_polygon(name=v.name)
+    return res.closed_polygon(name=v.name), klass, fd, res.closure_defect
+
+
+def transform(
+    v: Polygon, length: float, branch: Branch = Branch.ATTRACTING, tol: Tolerance = DEFAULT_TOL
+) -> Polygon:
+    """The closed bicycle transformation T_L of a plane polygon.
+
+    Seeds the propagation from the chosen fixed direction of the monodromy;
+    requires the monodromy to be hyperbolic or parabolic (elliptic has no
+    real fixed direction, so no closed companion exists).
+    """
+    return _transform(v, length, branch, tol)[0]
 
 
 def correspondence_check(v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -104,17 +115,18 @@ def correspondence_check(v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL) -
         return False
     gaps = np.linalg.norm(v.vertices - w.vertices, axis=1)
     seg = float(gaps.mean())
-    if seg <= 0.0 or np.abs(gaps - seg).max() > tol.eps_geom * max(seg, 1.0):
+    if np.abs(gaps - seg).max() > tol.eps_geom * max(seg, 1.0):
+        return False
+    if np.any(gaps <= tol.eps_geom * np.maximum(1.0, np.linalg.norm(v.vertices, axis=1))):
         return False
     scale = max(seg, float(v.side_lengths().max()))
-    for i in range(len(v)):
-        try:
-            expected = bicycle_step(v.vertex(i), v.vertex(i + 1), w.vertex(i), tol)
-        except Exception:
-            return False
-        if np.linalg.norm(w.vertex(i + 1) - expected) > tol.eps_geom * scale:
-            return False
-    return True
+    ahead = np.roll(v.vertices, -1, axis=0)
+    try:
+        expected = _reflect(w.vertices + v.sides(), w.vertices, ahead, tol)
+    except DegenerateLine:
+        return False
+    misfit = np.linalg.norm(np.roll(w.vertices, -1, axis=0) - expected, axis=1)
+    return bool(misfit.max() <= tol.eps_geom * scale)
 
 
 def frame_length(v: Polygon, w: Polygon) -> float:

@@ -121,6 +121,22 @@ class Polygon:
         return f"<Polygon{label} k={len(self)} dim={self.dim}>"
 
 
+def _reflect(p: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Reflection kernel on validated float arrays whose rows broadcast:
+    reflect each p in the line through its a and b.
+
+    Checks only the axis, which propagated data can collapse.
+    """
+    d = b - a
+    length = np.sqrt((d * d).sum(-1, keepdims=True))
+    reach = np.sqrt(np.maximum((a * a).sum(-1, keepdims=True), (b * b).sum(-1, keepdims=True)))
+    if (length <= tol.eps_geom * np.maximum(reach, 1.0)).any():
+        raise DegenerateLine("reflection axis through coincident points")
+    d = d / length
+    foot = a + d * ((p - a) * d).sum(-1, keepdims=True)
+    return 2.0 * foot - p
+
+
 def reflect_in_line(p, a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Reflect point p in the line through a and b.
 
@@ -129,13 +145,7 @@ def reflect_in_line(p, a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     p, a, b = as_vec(p), as_vec(a), as_vec(b)
     check_same_dim(p, a, b)
-    d = b - a
-    length = np.linalg.norm(d)
-    if length <= tol.eps_geom * max(np.linalg.norm(a), np.linalg.norm(b), 1.0):
-        raise DegenerateLine("reflection axis through coincident points")
-    d = d / length
-    foot = a + d * np.dot(p - a, d)
-    return 2.0 * foot - p
+    return _reflect(p, a, b, tol)
 
 
 def perp_bisector_reflect(p, a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -164,11 +174,9 @@ def bicycle_step(v1, v2, w1, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     v1, v2, w1 = as_vec(v1), as_vec(v2), as_vec(w1)
     check_same_dim(v1, v2, w1)
-    seg = np.linalg.norm(w1 - v1)
-    if seg <= tol.eps_geom * max(1.0, np.linalg.norm(v1)):
+    if np.linalg.norm(w1 - v1) <= tol.eps_geom * max(1.0, np.linalg.norm(v1)):
         raise DegenerateLine("zero-length frame segment v1 w1")
-    u = w1 + (v2 - v1)
-    return reflect_in_line(u, w1, v2, tol)
+    return _reflect(w1 + (v2 - v1), w1, v2, tol)
 
 
 def is_darboux_butterfly(q, tol: Tolerance = DEFAULT_TOL) -> bool:

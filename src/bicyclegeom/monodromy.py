@@ -3,10 +3,10 @@
 In the plane, carrying a frame segment of length ell along one polygon side
 acts on the circle of frame directions as a fractional-linear map.  With the
 chart x = tan(alpha/2) (stereographic projection from (-1, 0), alpha measured
-counterclockwise from +x), a side of length a and direction phi acts as the
-2x2 matrix
+counterclockwise from +x), a side vector (dx, dy) = a (cos phi, sin phi) of
+length a and direction phi acts as the 2x2 matrix
 
-    [[ell + a cos phi, -a sin phi], [-a sin phi, ell - a cos phi]],
+    [[ell + dx, -dy], [-dy, ell - dx]],
 
 with determinant ell^2 - a^2.  The whole-polygon monodromy is the product of
 these over the sides, later sides multiplying on the left.  In dimension n
@@ -71,20 +71,11 @@ class Mobius2:
     def __matmul__(self, other: "Mobius2") -> "Mobius2":
         return Mobius2(self.m @ other.m)
 
-    def normalized(self) -> np.ndarray:
-        """Divide out scale by the largest-magnitude entry (which becomes 1)."""
-        flat = self.m.ravel()
-        pivot = flat[np.argmax(np.abs(flat))]
-        return self.m / pivot
-
     def proj_distance(self, other: "Mobius2") -> float:
         """Frobenius distance between unit-normalized representatives, min over sign."""
         a = self.m / np.linalg.norm(self.m)
         b = other.m / np.linalg.norm(other.m)
         return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
-
-    def proj_equal(self, other: "Mobius2", tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.proj_distance(other) <= tol.eps_geom
 
     def is_identity(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         s = float(np.abs(self.m).max())
@@ -121,14 +112,17 @@ def edge_mobius(ell: float, a: float, phi: float) -> Mobius2:
     return Mobius2([[ell + a * c, -a * s], [-a * s, ell - a * c]])
 
 
+def _side_matrices(v: Polygon, ell: float) -> np.ndarray:
+    """Side matrices [[ell + dx, -dy], [-dy, ell - dx]], one per side."""
+    dx, dy = v.sides().T
+    return np.stack([ell + dx, -dy, -dy, ell - dx], axis=-1).reshape(-1, 2, 2)
+
+
 def _monodromy_matrix(v: Polygon, ell: float) -> np.ndarray:
     """Raw side-matrix product, without degeneracy checks."""
     m = np.eye(2)
-    for (dx, dy) in v.sides():
-        a = math.hypot(dx, dy)
-        phi = math.atan2(dy, dx)
-        c, s = math.cos(phi), math.sin(phi)
-        m = np.array([[ell + a * c, -a * s], [-a * s, ell - a * c]]) @ m
+    for side in _side_matrices(v, ell):
+        m = side @ m
     return m
 
 
@@ -268,18 +262,12 @@ def trace_polynomial(v: Polygon) -> TracePoly:
     """
     if v.dim != 2:
         raise DimensionMismatch("the trace polynomial needs a 2D polygon")
-    coeffs = [np.eye(2)]
-    for (dx, dy) in v.sides():
-        a = math.hypot(dx, dy)
-        phi = math.atan2(dy, dx)
-        c, s = math.cos(phi), math.sin(phi)
-        step = a * np.array([[c, -s], [-s, -c]])
-        new = [coeffs[0]]
-        for j in range(1, len(coeffs)):
-            new.append(coeffs[j] + step @ coeffs[j - 1])
-        new.append(step @ coeffs[-1])
-        coeffs = new
-    return TracePoly([0.5 * (cm[0, 0] + cm[1, 1]) for cm in coeffs])
+    # side matrix = ell I + S_j; c[i] collects the ell^(k-i) terms of the product
+    c = np.zeros((len(v) + 1, 2, 2))
+    c[0] = np.eye(2)
+    for j, step in enumerate(_side_matrices(v, 0.0)):
+        c[1 : j + 2] += step @ c[: j + 1]
+    return TracePoly(0.5 * (c[:, 0, 0] + c[:, 1, 1]))
 
 
 def direction_step(u, x, a: float, ell: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

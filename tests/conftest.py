@@ -61,6 +61,18 @@ def random_cyclic_convex(rng, k=None):
     return bg.Polygon(pts)
 
 
+def circle_polygon(rng, k, noise=0.0):
+    """k-gon on the circle of diameter 1 about the origin, angles jittered;
+    noise > 0 scales each vertex radius by a factor in [1 - noise, 1 + noise]."""
+    angs = 2.0 * math.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k
+    rad = 0.5 * (1.0 + noise * rng.uniform(-1.0, 1.0, k))
+    return bg.Polygon(rad[:, None] * np.stack([np.cos(angs), np.sin(angs)], axis=1))
+
+
+# (k, radial noise, L) far above desk scale; smaller L underflows at k = 2000
+LARGE_CIRCLES = [(k, noise, L) for k in (200, 2000) for noise in (0.0, 0.02) for L in (0.9, 0.95)]
+
+
 def random_concentric(rng, k2=None, r1=None, r2=None):
     """2k-gon alternating between two concentric circles, ordered by angle."""
     k2 = k2 or 2 * int(rng.integers(2, 5))

@@ -3,15 +3,17 @@ determinism."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import bicyclegeom as bg
+from bicyclegeom import dynamics
 from bicyclegeom.cli import main
 from bicyclegeom.fileio import load_polygon, save_polygon
 
-from conftest import random_butterfly, random_polygon
+from conftest import circle_polygon, random_butterfly, random_polygon
 
 
 @pytest.fixture
@@ -75,6 +77,36 @@ class TestTransformCommand:
     def test_generic_seed_fails_closure(self, square_file, capsys):
         code = main(["transform", square_file, "--ell", "1.2", "--seed-angle", "10.0"])
         assert code == 1
+
+    @pytest.mark.parametrize("branch", ["attracting", "repelling"])
+    def test_report_matches_library_from_one_propagation(
+        self, tmp_path, rng, capsys, monkeypatch, branch
+    ):
+        v = circle_polygon(rng, 200, noise=0.02)
+        path = tmp_path / "v.json"
+        save_polygon(path, v)
+        L = 0.95
+        mob = bg.polygon_monodromy(v, L)
+        dirs = bg.fixed_directions(mob)
+        fd = dirs[0] if branch == "attracting" else dirs[-1]
+        seed = v.vertex(0) + L * np.array([math.cos(fd.angle), math.sin(fd.angle)])
+        defect = bg.propagate(v, seed).closure_defect
+        calls = []
+        real = dynamics.propagate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):  # count calls through every binding
+            if name.startswith("bicyclegeom") and getattr(module, "propagate", None) is real:
+                monkeypatch.setattr(module, "propagate", counted)
+        assert main(["transform", str(path), "--ell", str(L), "--branch", branch]) == 0
+        out = capsys.readouterr().out
+        assert f"monodromy class: {bg.classify(mob).value}\n" in out
+        assert f"branch eigenvalue: {fd.derivative:.12g}\n" in out
+        assert f"closure defect: {defect:.6e}\n" in out
+        assert len(calls) == 1
 
 
 class TestInvariantsCommand:

@@ -9,6 +9,8 @@ import pytest
 import bicyclegeom as bg
 
 from conftest import (
+    LARGE_CIRCLES,
+    circle_polygon,
     congruent,
     hyperbolic_length,
     random_butterfly,
@@ -67,6 +69,19 @@ class TestPropagate:
         for slope in slopes:
             assert abs(slope - want) < 2e-3 * want
 
+    @pytest.mark.parametrize("k, noise, L", LARGE_CIRCLES)
+    def test_large_matches_reflection_loop(self, rng, k, noise, L):
+        """From each branch's seed, the trace agrees with the bisector
+        reflection W_{i+1} = reflection of V_i in the bisector of V_{i+1} W_i."""
+        v = circle_polygon(rng, k, noise)
+        dirs = bg.fixed_directions(bg.polygon_monodromy(v, L))
+        for fd in (dirs[0], dirs[-1]):
+            want = [v.vertex(0) + L * np.array([math.cos(fd.angle), math.sin(fd.angle)])]
+            for i in range(k):
+                want.append(bg.perp_bisector_reflect(v.vertex(i), v.vertex(i + 1), want[-1]))
+            got = bg.propagate(v, want[0]).points
+            assert np.abs(got - np.array(want)).max() <= 1e-11
+
 
 class TestTransform:
     def test_equilateral_triangle_is_rotation(self):
@@ -118,6 +133,20 @@ class TestCorrespondenceCheck:
         v, _center, _r1, _r2 = random_concentric(rng, k2=6)
         w = bg.concentric_transform(v, rng.uniform(0, 2 * math.pi))
         assert bg.correspondence_check(v, w)
+
+    @pytest.mark.parametrize("k", (200, 2000))
+    @pytest.mark.parametrize("L", (0.9, 0.95))
+    def test_large_rotation_pair(self, rng, k, L):
+        v = circle_polygon(rng, k)
+        w = bg.rotation_transform(v, L)
+        assert bg.correspondence_check(v, w)
+        # a translate by L keeps every |V_i W_i| = L but is the parallelogram branch
+        assert not bg.correspondence_check(v, v.translated((0.6 * L, 0.8 * L)))
+        # turning one W_j about V_j keeps |V_j W_j| = L but breaks two trapezoids
+        j = k // 2
+        turn = np.array([[math.cos(1e-6), -math.sin(1e-6)], [math.sin(1e-6), math.cos(1e-6)]])
+        moved = w.with_vertex(j, v.vertex(j) + turn @ (w.vertex(j) - v.vertex(j)))
+        assert not bg.correspondence_check(v, moved)
 
     def test_mismatched_counts_fail(self, rng):
         v = random_polygon(rng, k=4)

@@ -8,7 +8,14 @@ import pytest
 
 import bicyclegeom as bg
 
-from conftest import lambda_grid, random_butterfly, random_cyclic_convex, random_polygon
+from conftest import (
+    LARGE_CIRCLES,
+    circle_polygon,
+    lambda_grid,
+    random_butterfly,
+    random_cyclic_convex,
+    random_polygon,
+)
 
 SQUARE = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -106,6 +113,14 @@ class TestPolygonMonodromy:
                 other = bg.polygon_monodromy(v.rolled(shift), ell).trace_sq_over_det()
                 assert abs(other - base) <= 1e-9 * abs(base)
 
+    @pytest.mark.parametrize("k, noise, L", LARGE_CIRCLES)
+    def test_large_product_matches_edge_mobius(self, rng, k, noise, L):
+        v = circle_polygon(rng, k, noise)
+        prod = bg.Mobius2(np.eye(2))
+        for a, phi in zip(v.side_lengths(), v.side_directions()):
+            prod = bg.edge_mobius(L, a, phi) @ prod
+        assert bg.polygon_monodromy(v, L).proj_distance(prod) <= 1e-12
+
 
 class TestClassify:
     def test_square_regimes(self):
@@ -175,10 +190,12 @@ class TestTracePolynomial:
         assert abs(poly.coeffs[4] - want) < 1e-9 * max(1.0, abs(want))
 
     def test_matches_half_trace(self, rng):
-        for _ in range(30):
-            v = random_polygon(rng)
+        cases = [(v, lambda_grid(v, n=8)) for v in (random_polygon(rng) for _ in range(30))]
+        # 200-gons; lengths past the diameter keep |Tr/2| >= 1, where the bound is relative
+        cases += [(circle_polygon(rng, 200, noise), (0.95, 1.05, 1.2)) for noise in (0.0, 0.02)]
+        for v, lengths in cases:
             poly = bg.trace_polynomial(v)
-            for ell in lambda_grid(v, n=8):
+            for ell in lengths:
                 m = bg.polygon_monodromy(v, ell)
                 half_tr = 0.5 * m.trace
                 assert abs(poly(ell) - half_tr) <= 1e-9 * max(1.0, abs(half_tr))
