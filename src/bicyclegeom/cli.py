@@ -47,9 +47,9 @@ from .invariants import (
 )
 from .monodromy import (
     MonodromyClass,
+    _fixed_directions,
     classification_scan,
     classify,
-    fixed_directions,
     polygon_monodromy,
     refine_class_boundaries,
     trace_polynomial,
@@ -78,6 +78,14 @@ def _write_or_print(text: str, output: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _save_or_print(v: Polygon, output: str | None) -> None:
+    if output:
+        save_polygon(output, v)
+        print(f"wrote {output}")
+    else:
+        print(json.dumps({"dim": v.dim, "vertices": v.vertices.tolist()}))
 
 
 def _val(x, tol: Tolerance):
@@ -162,11 +170,7 @@ def cmd_transform(args) -> int:
         print(f"monodromy class: {klass.value}")
         print(f"branch eigenvalue: {fd.derivative:.12g}")
         print(f"closure defect: {defect:.6e}")
-    if args.output:
-        save_polygon(args.output, w)
-        print(f"wrote {args.output}")
-    else:
-        print(json.dumps({"dim": w.dim, "vertices": w.vertices.tolist()}))
+    _save_or_print(w, args.output)
     return 0
 
 
@@ -197,9 +201,8 @@ def _polygon_report(v: Polygon, tol: Tolerance, ell: float | None) -> dict:
             rep["monodromy_class_at_L"] = klass.value
             rep["trace_sq_over_det_at_L"] = _val(mob.trace_sq_over_det(), tol)
             if klass in (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC):
-                rep["eigenvalues_at_L"] = _val(
-                    [fd.derivative for fd in fixed_directions(mob, tol)], tol
-                )
+                derivs = [fd.derivative for fd in _fixed_directions(mob, klass)]
+                rep["eigenvalues_at_L"] = _val(derivs, tol)
     return rep
 
 
@@ -319,8 +322,9 @@ def cmd_svg(args) -> int:
     if args.ell is not None:
         v = polys[0]
         mob = polygon_monodromy(v, args.ell, tol)
-        if classify(mob, tol) in (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC):
-            for fd in fixed_directions(mob, tol):
+        klass = classify(mob, tol)
+        if klass in (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC):
+            for fd in _fixed_directions(mob, klass):
                 fig.arrow(v.vertex(0), fd.angle, args.ell, color=PALETTE[2])
     _write_or_print(fig.render(), args.output)
     return 0
@@ -342,11 +346,7 @@ def cmd_ngon(args) -> int:
         return 1
     print("verdict: PASS")
     if not args.verify and not args.verify_only:
-        if args.output:
-            save_polygon(args.output, v)
-            print(f"wrote {args.output}")
-        else:
-            print(json.dumps({"dim": v.dim, "vertices": v.vertices.tolist()}))
+        _save_or_print(v, args.output)
     return 0
 
 
@@ -354,11 +354,7 @@ def cmd_recut(args) -> int:
     v = load_polygon(args.input)
     for i in args.index:
         v = recut(v, i)
-    if args.output:
-        save_polygon(args.output, v)
-        print(f"wrote {args.output}")
-    else:
-        print(json.dumps({"dim": v.dim, "vertices": v.vertices.tolist()}))
+    _save_or_print(v, args.output)
     return 0
 
 
@@ -413,11 +409,7 @@ def cmd_bianchi(args) -> int:
     t = bianchi_fourth_polygon(v, w, s, tol)
     ok = correspondence_check(s, t, tol) and correspondence_check(w, t, tol)
     print(f"correspondence S~T and W~T: {'PASS' if ok else 'FAIL'}")
-    if args.output:
-        save_polygon(args.output, t)
-        print(f"wrote {args.output}")
-    else:
-        print(json.dumps({"dim": t.dim, "vertices": t.vertices.tolist()}))
+    _save_or_print(t, args.output)
     return 0 if ok else 1
 
 

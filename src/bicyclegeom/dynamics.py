@@ -29,7 +29,7 @@ from .geometry import (
     check_same_dim,
     perp_bisector_reflect,
 )
-from .monodromy import FixedDirection, MonodromyClass, classify, fixed_directions, polygon_monodromy
+from .monodromy import FixedDirection, MonodromyClass, _fixed_directions, classify, polygon_monodromy
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def _transform(
         raise DegenerateMonodromy(
             "identity monodromy: every seed closes; propagate from an explicit seed instead"
         )
-    dirs = fixed_directions(mob, tol)
+    dirs = _fixed_directions(mob, klass)
     fd = dirs[0] if branch is Branch.ATTRACTING else dirs[-1]
     seed = v.vertex(0) + length * np.array([math.cos(fd.angle), math.sin(fd.angle)])
     res = propagate(v, seed, tol)

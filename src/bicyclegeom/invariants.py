@@ -284,19 +284,12 @@ def eigenvalue_products(
     if track is None:
         track = rear_track(pair, tol)
     v, w = pair.v, pair.w
-    k = len(v)
-    num = den = 1.0
-    for i in range(k):
-        num *= float(np.linalg.norm(w.vertex(i) - v.vertex(i - 1)))
-        den *= float(np.linalg.norm(w.vertex(i - 1) - v.vertex(i)))
-    lambda_vw = num / den
-    half = 0.5 * pair.length
-    num = den = 1.0
-    for circle in track.circles:
-        f_plus = abs(1.0 + half * circle.curvature)
-        f_minus = abs(1.0 - half * circle.curvature)
-        if min(f_plus, f_minus) <= tol.eps_geom:
-            raise PoleOnChain("a chain radius equals the half frame length")
-        num *= f_minus
-        den *= f_plus
-    return lambda_vw, num / den
+    # products of k factors over- and underflow past k ~ 100: sum logs instead
+    diag_in = np.linalg.norm(w.vertices - np.roll(v.vertices, 1, axis=0), axis=1)
+    diag_out = np.linalg.norm(np.roll(w.vertices, 1, axis=0) - v.vertices, axis=1)
+    lambda_vw = math.exp(math.fsum(np.log(diag_in / diag_out)))
+    half_curv = 0.5 * pair.length * np.array([circle.curvature for circle in track.circles])
+    f_plus, f_minus = np.abs(1.0 + half_curv), np.abs(1.0 - half_curv)
+    if min(f_plus.min(), f_minus.min()) <= tol.eps_geom:
+        raise PoleOnChain("a chain radius equals the half frame length")
+    return lambda_vw, math.exp(math.fsum(np.log(f_minus / f_plus)))

@@ -112,18 +112,33 @@ def edge_mobius(ell: float, a: float, phi: float) -> Mobius2:
     return Mobius2([[ell + a * c, -a * s], [-a * s, ell - a * c]])
 
 
-def _side_matrices(v: Polygon, ell: float) -> np.ndarray:
-    """Side matrices [[ell + dx, -dy], [-dy, ell - dx]], one per side."""
+def _side_matrices(v: Polygon, ells: np.ndarray) -> np.ndarray:
+    """Side matrices [[ell + dx, -dy], [-dy, ell - dx]], shape (lengths, sides, 2, 2)."""
     dx, dy = v.sides().T
-    return np.stack([ell + dx, -dy, -dy, ell - dx], axis=-1).reshape(-1, 2, 2)
+    ell = ells[:, None]
+    out = np.empty((len(ells), len(dx), 2, 2))
+    out[..., 0, 0] = ell + dx
+    out[..., 0, 1] = out[..., 1, 0] = -dy
+    out[..., 1, 1] = ell - dx
+    return out
 
 
-def _monodromy_matrix(v: Polygon, ell: float) -> np.ndarray:
-    """Raw side-matrix product, without degeneracy checks."""
+def _monodromy_matrix(v: Polygon, ells: np.ndarray) -> np.ndarray:
+    """Raw side-matrix products (lengths, 2, 2), unchecked: a loop over the
+    sides, later sides on the left, vectorized over the lengths."""
+    if len(ells) > 1 and len(ells) * len(v) > 1 << 16:  # bound the side stack's memory
+        half = len(ells) // 2
+        return np.concatenate([_monodromy_matrix(v, ells[:half]), _monodromy_matrix(v, ells[half:])])
     m = np.eye(2)
-    for side in _side_matrices(v, ell):
+    for side in _side_matrices(v, ells).swapaxes(0, 1):
         m = side @ m
     return m
+
+
+def _pole_hits(v: Polygon, ells: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """(lengths x sides) mask of |ell - a| <= eps_geom max(ell, a)."""
+    a, ell = v.side_lengths(), ells[:, None]
+    return np.abs(ell - a) <= tol.eps_geom * np.maximum(ell, a)
 
 
 def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> Mobius2:
@@ -137,23 +152,23 @@ def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> M
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
     if ell <= 0.0:
         raise ValueError("length parameter must be positive")
-    for a in v.side_lengths():
-        if abs(ell - a) <= tol.eps_geom * max(ell, a):
-            raise DegenerateMonodromy(f"length parameter {ell} coincides with a side length")
-    return Mobius2(_monodromy_matrix(v, ell))
+    ells = np.array([ell], dtype=float)
+    if _pole_hits(v, ells, tol).any():
+        raise DegenerateMonodromy(f"length parameter {ell} coincides with a side length")
+    return Mobius2(_monodromy_matrix(v, ells)[0])
 
 
-def _disc_terms(m: np.ndarray) -> tuple[float, float]:
-    """Discriminant Tr^2 - 4 det in the cancellation-free form
-    (m00 - m11)^2 + 4 m01 m10, together with the scale of its two terms.
+def _disc_terms(m: np.ndarray):
+    """Discriminant Tr^2 - 4 det of a (2, 2) matrix or a stack (S, 2, 2) in the
+    cancellation-free form (m00 - m11)^2 + 4 m01 m10, then its two terms.
 
     The naive Tr^2 - 4 det loses all significant digits on near-scalar
     matrices (large length parameters), where the two expressions differ by
     eight-plus digits of cancellation.
     """
-    d = float(m[0, 0] - m[1, 1])
-    c = 4.0 * float(m[0, 1] * m[1, 0])
-    return d * d + c, max(d * d, abs(c))
+    diff = m[..., 0, 0] - m[..., 1, 1]
+    cross = 4.0 * (m[..., 0, 1] * m[..., 1, 0])
+    return diff * diff + cross, diff * diff, cross
 
 
 def classify(m: Mobius2, tol: Tolerance = DEFAULT_TOL) -> MonodromyClass:
@@ -169,8 +184,8 @@ def classify(m: Mobius2, tol: Tolerance = DEFAULT_TOL) -> MonodromyClass:
     det = m.det
     if abs(det) <= (tol.eps_geom * s) * s:
         return MonodromyClass.DEGENERATE
-    disc, scale = _disc_terms(m.m)
-    band = tol.eps_class * scale
+    disc, square, cross = _disc_terms(m.m)
+    band = tol.eps_class * max(square, abs(cross))
     if disc > band:
         return MonodromyClass.HYPERBOLIC
     if disc < -band:
@@ -202,7 +217,11 @@ def fixed_directions(m: Mobius2, tol: Tolerance = DEFAULT_TOL):
     parabolic one entry; identity returns the ALL_DIRECTIONS marker and
     elliptic raises NoRealFixedPoint.
     """
-    klass = classify(m, tol)
+    return _fixed_directions(m, classify(m, tol))
+
+
+def _fixed_directions(m: Mobius2, klass: MonodromyClass):
+    """fixed_directions of m, given its class as classify computed it."""
     if klass is MonodromyClass.IDENTITY:
         return ALL_DIRECTIONS
     if klass is MonodromyClass.ELLIPTIC:
@@ -210,11 +229,10 @@ def fixed_directions(m: Mobius2, tol: Tolerance = DEFAULT_TOL):
     if klass is MonodromyClass.DEGENERATE:
         raise DegenerateMonodromy("singular monodromy has no well-defined fixed directions")
     tr, det = m.trace, m.det
-    disc, _scale = _disc_terms(m.m)
     if klass is MonodromyClass.PARABOLIC:
         eigs = [tr / 2.0]
     else:
-        root = math.sqrt(disc)
+        root = math.sqrt(_disc_terms(m.m)[0])
         eigs = [(tr + root) / 2.0, (tr - root) / 2.0]
     out = []
     for lam in eigs:
@@ -265,7 +283,7 @@ def trace_polynomial(v: Polygon) -> TracePoly:
     # side matrix = ell I + S_j; c[i] collects the ell^(k-i) terms of the product
     c = np.zeros((len(v) + 1, 2, 2))
     c[0] = np.eye(2)
-    for j, step in enumerate(_side_matrices(v, 0.0)):
+    for j, step in enumerate(_side_matrices(v, np.zeros(1))[0]):
         c[1 : j + 2] += step @ c[: j + 1]
     return TracePoly(0.5 * (c[:, 0, 0] + c[:, 1, 1]))
 
@@ -471,19 +489,20 @@ def classification_scan(
     """
     if steps < 2 or lmin <= 0 or lmax <= lmin:
         raise ValueError("need lmax > lmin > 0 and steps >= 2")
-    sides = v.side_lengths()
+    if v.dim != 2:
+        raise DimensionMismatch("plane monodromy needs a 2D polygon")
     spacing = (lmax - lmin) / (steps - 1)
+    ells = np.linspace(lmin, lmax, steps)
+    hits = _pole_hits(v, ells, tol)
+    nudge = np.maximum(1e-9 * v.side_lengths()[hits.argmax(axis=1)], 1e-6 * spacing)
+    ells = np.where(hits.any(axis=1), ells + nudge, ells)
     out = []
-    for ell in np.linspace(lmin, lmax, steps):
-        ell = float(ell)
-        for a in sides:
-            if abs(ell - a) <= tol.eps_geom * max(ell, a):
-                ell += max(1e-9 * a, 1e-6 * spacing)
-        mob = polygon_monodromy(v, ell, tol)
+    for ell, row in zip(ells.tolist(), _monodromy_matrix(v, ells)):
+        mob = Mobius2(row)
         klass = classify(mob, tol)
         derivs = None
         if klass in (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC):
-            derivs = tuple(fd.derivative for fd in fixed_directions(mob, tol))
+            derivs = tuple(fd.derivative for fd in _fixed_directions(mob, klass))
         out.append(ScanPoint(ell=ell, klass=klass, invariant=mob.trace_sq_over_det(), derivatives=derivs))
     return out
 
@@ -491,7 +510,7 @@ def classification_scan(
 def discriminant(v: Polygon, ell: float) -> float:
     """Tr^2 - 4 det of the monodromy matrix, as a smooth function of ell
     (cancellation-free form, stable enough for boundary bisection)."""
-    return _disc_terms(_monodromy_matrix(v, ell))[0]
+    return float(_disc_terms(_monodromy_matrix(v, np.array([ell], dtype=float))[0])[0])
 
 
 def refine_class_boundaries(
@@ -501,26 +520,22 @@ def refine_class_boundaries(
 
     Returns the length parameters of the parabolic boundaries to within xtol.
     """
+    if steps < 2 or lmin <= 0 or lmax <= lmin or not xtol > 0:
+        raise ValueError("need lmax > lmin > 0, steps >= 2 and xtol > 0")
     grid = np.linspace(lmin, lmax, steps)
-    vals = [discriminant(v, float(z)) for z in grid]
-    roots = []
-    for i in range(len(grid) - 1):
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo, fhi = vals[i], vals[i + 1]
-        if flo == 0.0:
-            roots.append(lo)
-            continue
-        if flo * fhi >= 0.0:
-            continue
-        while hi - lo > xtol:
-            mid = 0.5 * (lo + hi)
-            fmid = discriminant(v, mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        roots.append(0.5 * (lo + hi))
-    return roots
+    vals = _disc_terms(_monodromy_matrix(v, grid))[0]
+    start = (vals[:-1] == 0.0) | ~(vals[:-1] * vals[1:] >= 0.0)
+    lo, hi, flo = grid[:-1][start], grid[1:][start], vals[:-1][start]
+    hi[flo == 0.0] = lo[flo == 0.0]
+    live = np.flatnonzero(hi - lo > xtol)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        fmid = _disc_terms(_monodromy_matrix(v, mid))[0]
+        zero, left = fmid == 0.0, flo[live] * fmid < 0.0
+        # a bracket one ulp wide cannot be split; it is done
+        stuck = (mid == lo[live]) | (mid == hi[live])
+        lo[live] = np.where(left, lo[live], mid)
+        hi[live] = np.where(left | zero, mid, hi[live])
+        flo[live] = np.where(left, flo[live], fmid)
+        live = live[~(zero | stuck) & (hi[live] - lo[live] > xtol)]
+    return (0.5 * (lo + hi)).tolist()

@@ -13,8 +13,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "extra",
-    [["--workload", "transform", "--trace", "1"], ["--workload", "cli"]],
-    ids=["transform-traced", "cli"],
+    [
+        ["--workload", "transform", "--trace", "1"],
+        ["--workload", "cli"],
+        # the only workload that drives the length scan and the bisection through the tracer
+        ["--workload", "cli", "--trace", "1"],
+    ],
+    ids=["transform-traced", "cli", "cli-traced"],
 )
 def test_bench_smoke_run(extra):
     cmd = [sys.executable, "bench/run.py", *extra, "--seed", "1", "--seconds", "1", "--smoke"]

@@ -15,6 +15,8 @@ from bicyclegeom.fileio import load_polygon, save_polygon
 
 from conftest import circle_polygon, random_butterfly, random_polygon
 
+SQUARE = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+
 
 @pytest.fixture
 def square_file(tmp_path):
@@ -279,3 +281,49 @@ class TestToleranceEnv:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["tolerance"] == 1e-6
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Matrices passed to classify, counted through every bicyclegeom binding."""
+    calls = []
+    real = bg.classify
+
+    def counted(m, *args, **kwargs):
+        calls.append(m)
+        return real(m, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bicyclegeom") and getattr(module, "classify", None) is real:
+            monkeypatch.setattr(module, "classify", counted)
+    return calls
+
+
+class TestClassifyOncePerMonodromy:
+    """Each monodromy is classified once; its fixed directions reuse that class."""
+
+    @pytest.mark.parametrize("branch", list(bg.Branch))
+    def test_transform(self, classify_calls, branch):
+        bg.transform(SQUARE, 1.2, branch)
+        assert len(classify_calls) == 1
+
+    def test_classification_scan(self, classify_calls):
+        points = bg.classification_scan(SQUARE, 0.2, 3.0, 40)
+        assert any(p.klass is bg.MonodromyClass.HYPERBOLIC for p in points)
+        assert len(classify_calls) == 40
+
+    @pytest.mark.parametrize(
+        "argv, monodromies",
+        [
+            (["transform", "{sq}", "--ell", "1.2"], 1),
+            (["invariants", "{sq}", "--ell", "1.2"], 1),
+            (["invariants", "{sq}", "{sq}", "--ell", "1.2", "--json"], 2),
+            (["scan", "{sq}", "--grid", "0.2:3.0:40"], 40),
+            (["svg", "{sq}", "--ell", "1.2", "-o", "{out}"], 1),
+        ],
+        ids=["transform", "invariants", "invariants-two", "scan", "svg"],
+    )
+    def test_cli(self, square_file, tmp_path, classify_calls, capsys, argv, monodromies):
+        out = str(tmp_path / "out.svg")
+        assert main([a.format(sq=square_file, out=out) for a in argv]) == 0
+        assert len(classify_calls) == monodromies

@@ -8,6 +8,8 @@ import pytest
 import bicyclegeom as bg
 
 from conftest import (
+    LARGE_CIRCLES,
+    circle_polygon,
     hyperbolic_length,
     propagated_pair_3d,
     random_concentric,
@@ -245,6 +247,16 @@ class TestEigenvalueProducts:
         pair = bg.BicyclePair(v, w)
         lam_vw, lam_chain = bg.eigenvalue_products(pair)
         assert abs(lam_vw - lam_chain) < 1e-8 * lam_vw
+
+    @pytest.mark.parametrize("k, noise, L", LARGE_CIRCLES)
+    def test_large_circles_finite_and_exact(self, rng, k, noise, L):
+        v = circle_polygon(rng, k, noise)
+        w = bg.transform(v, L)  # attracting branch
+        lam_vw, lam_chain = bg.eigenvalue_products(bg.BicyclePair(v, w))
+        want = abs(bg.fixed_directions(bg.polygon_monodromy(v, L))[0].derivative)
+        for lam in (lam_vw, lam_chain):
+            assert math.isfinite(lam)
+            assert abs(lam - want) <= 1e-12 * want
 
     def test_pole_on_chain(self, rng):
         v, w, L = random_hyperbolic_pair(rng)

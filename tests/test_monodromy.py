@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bicyclegeom as bg
+from bicyclegeom import monodromy
 
 from conftest import (
     LARGE_CIRCLES,
@@ -18,6 +19,7 @@ from conftest import (
 )
 
 SQUARE = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+TRIANGLE_345 = bg.Polygon([(0, 0), (3, 0), (3, 4)])  # sides 3, 4, 5
 
 
 class TestEdgeMobius:
@@ -101,6 +103,11 @@ class TestPolygonMonodromy:
     def test_pole_at_side_length(self):
         with pytest.raises(bg.DegenerateMonodromy):
             bg.polygon_monodromy(SQUARE, 1.0)
+
+    @pytest.mark.parametrize("a", [3.0, 4.0, 5.0])
+    def test_pole_at_every_side_length(self, a):
+        with pytest.raises(bg.DegenerateMonodromy):
+            bg.polygon_monodromy(TRIANGLE_345, a * (1.0 + 1e-10))
 
     def test_start_vertex_invariance(self, rng):
         for _ in range(20):
@@ -370,3 +377,93 @@ class TestScan:
             )
             if abs(p.ell - math.sqrt(2)) > 1e-6:
                 assert p.klass is want
+
+    def test_scan_matches_scalar_path(self, rng):
+        cases = []
+        for _ in range(12):
+            v = random_polygon(rng, k=int(rng.integers(4, 30)))
+            cases.append((v, 0.1 * float(v.side_lengths().min()), 0.6 * v.perimeter(), 40))
+        # the k = 2000 grid spans two blocks of the batched product
+        cases += [(circle_polygon(rng, 200, noise=0.02), 0.5, 1.2, 30), (circle_polygon(rng, 2000), 0.9, 1.05, 40)]
+        for v, lmin, lmax, steps in cases:
+            for p in bg.classification_scan(v, lmin, lmax, steps):
+                mob = bg.polygon_monodromy(v, p.ell)
+                klass = bg.classify(mob)
+                derivs = None
+                if klass in (bg.MonodromyClass.HYPERBOLIC, bg.MonodromyClass.PARABOLIC):
+                    derivs = tuple(fd.derivative for fd in bg.fixed_directions(mob))
+                assert (p.klass, p.invariant, p.derivatives) == (klass, mob.trace_sq_over_det(), derivs)
+
+    def test_scan_nudges_grid_point_off_pole(self):
+        points = bg.classification_scan(SQUARE, 0.5, 1.5, 3)
+        assert [p.ell for p in points] == [0.5, 1.0 + 1e-6 * 0.5, 1.5]
+        points = bg.classification_scan(TRIANGLE_345, 2.0, 5.0, 4)
+        assert [p.ell for p in points] == [2.0, 3.0 + 1e-6, 4.0 + 1e-6, 5.0 + 1e-6]
+
+    def test_refine_matches_scalar_bisection(self, rng):
+        def bisect(v, lmin, lmax, steps, xtol=1e-10):
+            grid = np.linspace(lmin, lmax, steps)
+            vals = [bg.discriminant(v, float(z)) for z in grid]
+            roots = []
+            for i in range(steps - 1):
+                lo, hi, flo, fhi = float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1]
+                if flo == 0.0:
+                    roots.append(lo)
+                    continue
+                if flo * fhi >= 0.0:
+                    continue
+                while hi - lo > xtol:
+                    mid = 0.5 * (lo + hi)
+                    fmid = bg.discriminant(v, mid)
+                    if fmid == 0.0:
+                        lo = hi = mid
+                        break
+                    if flo * fmid < 0.0:
+                        hi = mid
+                    else:
+                        lo, flo = mid, fmid
+                roots.append(0.5 * (lo + hi))
+            return roots
+
+        cases = [(SQUARE, 0.2, 3.0, 64)]
+        for _ in range(12):
+            v = random_polygon(rng, k=int(rng.integers(4, 30)))
+            cases.append((v, 0.1 * float(v.side_lengths().min()), 0.6 * v.perimeter(), 48))
+        found = 0
+        for v, lmin, lmax, steps in cases:
+            roots = bg.refine_class_boundaries(v, lmin, lmax, steps=steps)
+            assert roots == bisect(v, lmin, lmax, steps)
+            found += len(roots)
+        assert found >= 12
+
+    def test_one_kernel_call_per_grid_and_bisection_round(self, monkeypatch):
+        sizes = []
+        real = monodromy._monodromy_matrix
+
+        def counted(v, ells):
+            sizes.append(len(ells))
+            return real(v, ells)
+
+        monkeypatch.setattr(monodromy, "_monodromy_matrix", counted)
+        bg.classification_scan(SQUARE, 0.2, 3.0, 40)
+        assert sizes == [40]
+        sizes.clear()
+        roots = bg.refine_class_boundaries(SQUARE, 0.2, 3.0, steps=40)
+        rounds = math.ceil(math.log2((2.8 / 39) / 1e-10))
+        assert sizes == [40] + [len(roots)] * rounds
+
+    def test_refine_stops_at_one_ulp(self):
+        # an xtol below the spacing of floats near the root cannot be met
+        roots = bg.refine_class_boundaries(SQUARE, 1.05, 2.2, xtol=1e-300)
+        assert len(roots) == 1 and abs(roots[0] - math.sqrt(2)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "lmin, lmax, steps, xtol",
+        [(0.0, 2.0, 64, 1e-10), (-1.0, 2.0, 64, 1e-10), (2.0, 2.0, 64, 1e-10), (2.0, 1.0, 64, 1e-10),
+         (1.0, 2.0, 1, 1e-10), (1.05, 2.2, 64, 0.0), (1.05, 2.2, 64, -1e-10)],
+        ids=["lmin-zero", "lmin-negative", "empty-range", "reversed-range", "one-step", "xtol-zero",
+             "xtol-negative"],
+    )
+    def test_refine_rejects_bad_arguments(self, lmin, lmax, steps, xtol):
+        with pytest.raises(ValueError):
+            bg.refine_class_boundaries(SQUARE, lmin, lmax, steps=steps, xtol=xtol)
