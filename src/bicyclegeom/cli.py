@@ -35,7 +35,7 @@ from .families import (
     ngon_construct,
     ngon_residuals,
 )
-from .fileio import PolygonFileError, load_polygon, save_polygon
+from .fileio import PolygonFileError, load_polygon, polygon_to_dict, save_polygon
 from .geometry import DEFAULT_TOL, Polygon, Tolerance
 from .invariants import (
     area_bivector,
@@ -85,7 +85,7 @@ def _save_or_print(v: Polygon, output: str | None) -> None:
         save_polygon(output, v)
         print(f"wrote {output}")
     else:
-        print(json.dumps({"dim": v.dim, "vertices": v.vertices.tolist()}))
+        print(json.dumps(polygon_to_dict(v)))
 
 
 def _val(x, tol: Tolerance):

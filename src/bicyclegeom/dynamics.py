@@ -21,12 +21,7 @@ import numpy as np
 
 from .errors import ClosureFailure, DegenerateLine, DegenerateMonodromy, DimensionMismatch, EllipticMonodromy
 from .geometry import (
-    DEFAULT_TOL,
-    Polygon,
-    Tolerance,
-    _reflect,
-    as_vec,
-    check_same_dim,
+    DEFAULT_TOL, Polygon, Tolerance, _bisector_reflect, _coincident, as_vec, check_same_dim,
     perp_bisector_reflect,
 )
 from .monodromy import FixedDirection, MonodromyClass, _fixed_directions, classify, polygon_monodromy
@@ -49,14 +44,17 @@ def propagate(v: Polygon, w1, tol: Tolerance = DEFAULT_TOL) -> PropagationResult
     w1 = as_vec(w1)
     if w1.shape[0] != v.dim:
         raise DimensionMismatch("seed point dimension does not match the polygon")
-    if np.linalg.norm(w1 - v.vertex(0)) <= tol.eps_geom * max(1.0, np.linalg.norm(v.vertex(0))):
+    if _coincident(v.vertex(0), w1, tol):
         raise DegenerateLine("zero-length frame segment v1 w1")
-    sides = v.sides()
     ahead = np.roll(v.vertices, -1, axis=0)
     trace = np.empty((len(v) + 1, v.dim))
     trace[0] = w1
-    for i in range(len(v)):
-        trace[i + 1] = _reflect(trace[i] + sides[i], trace[i], ahead[i], tol)
+    # unchecked steps; one check of all k bisectors follows the loop
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(len(v)):
+            trace[i + 1] = _bisector_reflect(v.vertices[i], ahead[i], trace[i])
+        if _coincident(ahead, trace[:-1], tol).any():
+            raise DegenerateLine("reflection axis through coincident points")
     return PropagationResult(points=trace, closure_defect=float(np.linalg.norm(trace[-1] - trace[0])))
 
 
@@ -117,14 +115,12 @@ def correspondence_check(v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL) -
     seg = float(gaps.mean())
     if np.abs(gaps - seg).max() > tol.eps_geom * max(seg, 1.0):
         return False
-    if np.any(gaps <= tol.eps_geom * np.maximum(1.0, np.linalg.norm(v.vertices, axis=1))):
+    ahead = np.roll(v.vertices, -1, axis=0)
+    # zero frames V_i W_i, or steps whose bisector of V_{i+1} W_i collapses
+    if _coincident(np.stack([v.vertices, ahead]), w.vertices, tol).any():
         return False
     scale = max(seg, float(v.side_lengths().max()))
-    ahead = np.roll(v.vertices, -1, axis=0)
-    try:
-        expected = _reflect(w.vertices + v.sides(), w.vertices, ahead, tol)
-    except DegenerateLine:
-        return False
+    expected = _bisector_reflect(v.vertices, ahead, w.vertices)
     misfit = np.linalg.norm(np.roll(w.vertices, -1, axis=0) - expected, axis=1)
     return bool(misfit.max() <= tol.eps_geom * scale)
 

@@ -20,11 +20,10 @@ from .errors import (
     ChordTooLong,
     DegenerateTriangle,
     DimensionMismatch,
-    GeometryError,
     NotConcentricAlternating,
     WrongArity,
 )
-from .geometry import DEFAULT_TOL, Polygon, Tolerance, is_darboux_butterfly, perp_bisector_reflect
+from .geometry import DEFAULT_TOL, Polygon, Tolerance, _bisector_reflect, _coincident, is_darboux_butterfly
 from .invariants import triangle_circumcenter
 from .monodromy import MonodromyClass
 
@@ -258,26 +257,23 @@ def ngon_residuals(v: Polygon, k: int, tol: Tolerance = DEFAULT_TOL) -> tuple[fl
     Checks equal sides, equal k-diagonals, and the butterfly condition on
     every quadruple (V_i, V_{i+1}, V_{i+k+1}, V_{i+k}).
     """
-    n = len(v)
-    if not (1 <= k < n / 2):
+    if not (1 <= k < len(v) / 2):
         raise ValueError("need 1 <= k < n/2")
     pts = v.vertices
     sides = v.side_lengths()
-    diags = np.linalg.norm(np.roll(pts, -k, axis=0) - pts, axis=1)
+    across = np.roll(pts, -k, axis=0)
+    far = np.roll(pts, -(k + 1), axis=0)
+    diags = np.linalg.norm(across - pts, axis=1)
     scale = float(sides.mean())
-    worst, worst_idx = 0.0, 0
-    for i in range(n):
-        side_dev = abs(sides[i] - sides.mean()) / scale
-        diag_dev = abs(diags[i] - diags.mean()) / max(float(diags.mean()), scale)
-        try:
-            mirrored = perp_bisector_reflect(pts[(i + 1) % n], pts[i], pts[(i + k + 1) % n], tol)
-            fly_dev = float(np.linalg.norm(pts[(i + k) % n] - mirrored)) / scale
-        except GeometryError:
-            fly_dev = math.inf
-        dev = max(side_dev, diag_dev, fly_dev)
-        if dev > worst:
-            worst, worst_idx = dev, i
-    return worst, worst_idx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mirrored = _bisector_reflect(np.roll(pts, -1, axis=0), pts, far)
+    fly_dev = np.linalg.norm(across - mirrored, axis=1) / scale
+    fly_dev[_coincident(pts, far, tol)] = math.inf
+    side_dev = np.abs(sides - sides.mean()) / scale
+    diag_dev = np.abs(diags - diags.mean()) / max(float(diags.mean()), scale)
+    dev = np.maximum(np.maximum(side_dev, diag_dev), fly_dev)
+    worst_idx = int(np.argmax(dev))
+    return float(dev[worst_idx]), worst_idx
 
 
 def ngon_verify(v: Polygon, k: int, tol: Tolerance = DEFAULT_TOL) -> bool:

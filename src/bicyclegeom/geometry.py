@@ -1,4 +1,6 @@
-"""Points, closed polygons, reflections, and the elementary bicycle step.
+"""Points, closed polygons, reflections, and the elementary bicycle step,
+which (like recutting) is a reflection in a perpendicular bisector: one
+unchecked kernel behind functions that validate once.
 
 Coordinates are double precision throughout; predicates use the relative
 tolerances collected in :class:`Tolerance`.  All operations are pure
@@ -121,20 +123,19 @@ class Polygon:
         return f"<Polygon{label} k={len(self)} dim={self.dim}>"
 
 
-def _reflect(p: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Reflection kernel on validated float arrays whose rows broadcast:
-    reflect each p in the line through its a and b.
-
-    Checks only the axis, which propagated data can collapse.
-    """
+def _coincident(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Row mask of the degeneracy rule |b - a| <= eps_geom * max(|a|, |b|, 1);
+    a NaN row counts as coincident."""
     d = b - a
-    length = np.sqrt((d * d).sum(-1, keepdims=True))
-    reach = np.sqrt(np.maximum((a * a).sum(-1, keepdims=True), (b * b).sum(-1, keepdims=True)))
-    if (length <= tol.eps_geom * np.maximum(reach, 1.0)).any():
-        raise DegenerateLine("reflection axis through coincident points")
-    d = d / length
-    foot = a + d * ((p - a) * d).sum(-1, keepdims=True)
-    return 2.0 * foot - p
+    reach = np.sqrt(np.maximum(np.maximum(np.vecdot(a, a), np.vecdot(b, b)), 1.0))
+    return ~(np.sqrt(np.vecdot(d, d)) > tol.eps_geom * reach)
+
+
+def _bisector_reflect(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unchecked: reflect each row p in the perpendicular bisector of its a b,
+    p - ((2p - a - b).n / n.n) n with n = b - a (NaN or inf if a = b)."""
+    n = b - a
+    return p - (np.vecdot(2.0 * p - a - b, n) / np.vecdot(n, n))[..., None] * n
 
 
 def reflect_in_line(p, a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -145,7 +146,10 @@ def reflect_in_line(p, a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     p, a, b = as_vec(p), as_vec(a), as_vec(b)
     check_same_dim(p, a, b)
-    return _reflect(p, a, b, tol)
+    if _coincident(a, b, tol):
+        raise DegenerateLine("reflection axis through coincident points")
+    d = b - a
+    return 2.0 * (a + d * (np.vecdot(p - a, d) / np.vecdot(d, d))) - p
 
 
 def perp_bisector_reflect(p, a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -155,28 +159,24 @@ def perp_bisector_reflect(p, a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     p, a, b = as_vec(p), as_vec(a), as_vec(b)
     check_same_dim(p, a, b)
-    n = b - a
-    length = np.linalg.norm(n)
-    if length <= tol.eps_geom * max(np.linalg.norm(a), np.linalg.norm(b), 1.0):
+    if _coincident(a, b, tol):
         raise DegenerateLine("perpendicular bisector of coincident points")
-    n = n / length
-    mid = 0.5 * (a + b)
-    return p - 2.0 * np.dot(p - mid, n) * n
+    return _bisector_reflect(p, a, b)
 
 
 def bicycle_step(v1, v2, w1, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """One step of the discrete bicycle construction.
 
-    Translates w1 along v1->v2 and reflects the result in the line (w1, v2),
-    producing w2 with |v2 - w2| = |v1 - w1| and |w1 - w2| = |v1 - v2|.
-    The quadruple (v2, v1, w1, w2) forms a crossed isosceles-trapezoid
-    quadrilateral, so equivalently w2 = perp_bisector_reflect(v1, v2, w1).
+    Reflects v1 in the perpendicular bisector of v2 w1, producing w2 with
+    |v2 - w2| = |v1 - w1| and |w1 - w2| = |v1 - v2|: (v1, v2, w2, w1) is a
+    Darboux butterfly.  Equivalently (the paper's line form), w2 is the
+    reflection of w1 + (v2 - v1) in the line through w1 and v2.
     """
     v1, v2, w1 = as_vec(v1), as_vec(v2), as_vec(w1)
     check_same_dim(v1, v2, w1)
-    if np.linalg.norm(w1 - v1) <= tol.eps_geom * max(1.0, np.linalg.norm(v1)):
-        raise DegenerateLine("zero-length frame segment v1 w1")
-    return _reflect(w1 + (v2 - v1), w1, v2, tol)
+    if _coincident(np.stack([v1, v2]), w1, tol).any():
+        raise DegenerateLine("w1 coincides with v1 (zero frame) or with v2 (no bisector)")
+    return _bisector_reflect(v1, v2, w1)
 
 
 def is_darboux_butterfly(q, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -519,18 +519,26 @@ def refine_class_boundaries(
     """Bisect the sign changes of the discriminant over [lmin, lmax].
 
     Returns the length parameters of the parabolic boundaries to within xtol.
+    Raises ValueError, naming the length, where the discriminant is not finite.
     """
     if steps < 2 or lmin <= 0 or lmax <= lmin or not xtol > 0:
         raise ValueError("need lmax > lmin > 0, steps >= 2 and xtol > 0")
+
+    def disc(ells: np.ndarray) -> np.ndarray:
+        vals = _disc_terms(_monodromy_matrix(v, ells))[0]
+        bad = ells[~np.isfinite(vals)]
+        if bad.size:
+            raise ValueError(f"discriminant is not finite at length {float(bad[0])!r}")
+        return vals
     grid = np.linspace(lmin, lmax, steps)
-    vals = _disc_terms(_monodromy_matrix(v, grid))[0]
-    start = (vals[:-1] == 0.0) | ~(vals[:-1] * vals[1:] >= 0.0)
+    vals = disc(grid)
+    start = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
     lo, hi, flo = grid[:-1][start], grid[1:][start], vals[:-1][start]
     hi[flo == 0.0] = lo[flo == 0.0]
     live = np.flatnonzero(hi - lo > xtol)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        fmid = _disc_terms(_monodromy_matrix(v, mid))[0]
+        fmid = disc(mid)
         zero, left = fmid == 0.0, flo[live] * fmid < 0.0
         # a bracket one ulp wide cannot be split; it is done
         stuck = (mid == lo[live]) | (mid == hi[live])

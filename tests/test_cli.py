@@ -11,7 +11,7 @@ import pytest
 import bicyclegeom as bg
 from bicyclegeom import dynamics
 from bicyclegeom.cli import main
-from bicyclegeom.fileio import load_polygon, save_polygon
+from bicyclegeom.fileio import load_polygon, polygon_from_dict, save_polygon
 
 from conftest import circle_polygon, random_butterfly, random_polygon
 
@@ -109,6 +109,19 @@ class TestTransformCommand:
         assert f"branch eigenvalue: {fd.derivative:.12g}\n" in out
         assert f"closure defect: {defect:.6e}\n" in out
         assert len(calls) == 1
+
+
+class TestPolygonStdout:
+    @pytest.mark.parametrize("command", [["transform", "--ell", "1.2"], ["recut", "-i", "1"]])
+    def test_stdout_matches_output_file(self, square_file, tmp_path, capsys, command):
+        """The printed polygon is the document -o writes, name included."""
+        out = tmp_path / "w.json"
+        assert main([command[0], square_file, *command[1:], "-o", str(out)]) == 0
+        assert main([command[0], square_file, *command[1:]]) == 0
+        printed = polygon_from_dict(json.loads(capsys.readouterr().out.splitlines()[-1]))
+        saved = load_polygon(out)
+        assert printed.name == saved.name == "square"
+        assert printed.vertices.tolist() == saved.vertices.tolist()
 
 
 class TestInvariantsCommand:

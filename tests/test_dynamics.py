@@ -71,16 +71,39 @@ class TestPropagate:
 
     @pytest.mark.parametrize("k, noise, L", LARGE_CIRCLES)
     def test_large_matches_reflection_loop(self, rng, k, noise, L):
-        """From each branch's seed, the trace agrees with the bisector
-        reflection W_{i+1} = reflection of V_i in the bisector of V_{i+1} W_i."""
+        """From each branch's seed, the trace agrees with two loops: the
+        bisector reflection W_{i+1} = reflection of V_i in the bisector of
+        V_{i+1} W_i, and the paper's line form, the reflection of
+        W_i + (V_{i+1} - V_i) in the line through W_i and V_{i+1}."""
         v = circle_polygon(rng, k, noise)
         dirs = bg.fixed_directions(bg.polygon_monodromy(v, L))
         for fd in (dirs[0], dirs[-1]):
             want = [v.vertex(0) + L * np.array([math.cos(fd.angle), math.sin(fd.angle)])]
+            line = [want[0]]
             for i in range(k):
                 want.append(bg.perp_bisector_reflect(v.vertex(i), v.vertex(i + 1), want[-1]))
+                side = v.vertex(i + 1) - v.vertex(i)
+                line.append(bg.reflect_in_line(line[-1] + side, line[-1], v.vertex(i + 1)))
             got = bg.propagate(v, want[0]).points
             assert np.abs(got - np.array(want)).max() <= 1e-11
+            assert np.abs(got - np.array(line)).max() <= 1e-11
+
+    def test_degenerate_first_step(self):
+        """Seeding at V_1 puts W_0 on V_1: the first step has no bisector."""
+        sq = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        with pytest.raises(bg.DegenerateLine):
+            bg.propagate(sq, sq.vertex(1))
+
+    def test_degenerate_mid_loop_step(self):
+        """A seed built backwards from W_3 = V_4 reaches a step with no
+        bisector after three good ones."""
+        v = bg.Polygon([(0, 0), (2, 0), (2.5, 1.5), (1, 2.5), (-0.5, 1)])
+        ws = [v.vertex(4)]
+        for i in (3, 2, 1):
+            ws.insert(0, bg.bicycle_step(v.vertex(i), v.vertex(i - 1), ws[0]))
+        assert min(np.linalg.norm(ws[i] - v.vertex(i + 1)) for i in range(3)) > 0.1
+        with pytest.raises(bg.DegenerateLine):
+            bg.propagate(v, ws[0])
 
 
 class TestTransform:
@@ -147,6 +170,11 @@ class TestCorrespondenceCheck:
         turn = np.array([[math.cos(1e-6), -math.sin(1e-6)], [math.sin(1e-6), math.cos(1e-6)]])
         moved = w.with_vertex(j, v.vertex(j) + turn @ (w.vertex(j) - v.vertex(j)))
         assert not bg.correspondence_check(v, moved)
+
+    def test_relabeled_square_fails(self):
+        """W_i = V_{i+1}: equal frames, but every step's bisector collapses."""
+        sq = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert not bg.correspondence_check(sq, sq.rolled(1))
 
     def test_mismatched_counts_fail(self, rng):
         v = random_polygon(rng, k=4)

@@ -264,6 +264,11 @@ class TestNGon:
         pts[4] += (1e-4, -2e-4)
         assert not bg.ngon_verify(bg.Polygon(pts), 3)
 
+    def test_collapsed_bisector_is_infinite_defect(self):
+        # V_2 = V_4 = V_{2+k+1} with k = 1: the quadruple at index 2 has no bisector
+        v = bg.Polygon([(0, -1), (1, 0), (0, 0), (0, 1), (0, 0), (-1, 0)])
+        assert bg.ngon_residuals(v, 1) == (math.inf, 2)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             bg.NGonSpec(n=7, k=3, r1=1.0, r2=0.7)

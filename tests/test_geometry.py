@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bicyclegeom as bg
-from bicyclegeom.geometry import as_vec
+from bicyclegeom.geometry import _coincident, as_vec
 
 from conftest import random_butterfly, random_nonbutterfly_quad
 
@@ -117,6 +117,8 @@ class TestBicycleStep:
             got = bg.bicycle_step(v1, v2, w1)
             alt = bg.perp_bisector_reflect(v1, v2, w1)
             assert np.linalg.norm(got - alt) < 1e-10
+            line = bg.reflect_in_line(w1 + (v2 - v1), w1, v2)
+            assert np.linalg.norm(got - line) < 1e-10
 
     @given(spatial_points(3))
     @settings(max_examples=80, deadline=None)
@@ -132,6 +134,33 @@ class TestBicycleStep:
         diffs = np.array([v2 - v1, w1 - v1, w2 - v1])
         gram = diffs @ diffs.T
         assert abs(np.linalg.det(gram)) <= 1e-9 * max(1.0, scale**6)
+
+
+class TestCoincidenceRule:
+    def test_one_relative_rule_in_every_entry_point(self):
+        """|b - a| <= eps_geom max(|a|, |b|, 1) raises DegenerateLine; just
+        outside it every entry point computes."""
+        a = np.array([3.0, 4.0])  # |a| = 5, so the bound is about 5e-9
+        square = bg.Polygon([a, a + (1, 0), a + (1, 1), a + (0, 1)])
+        for gap, degenerate in ((4e-9, True), (6e-9, False)):
+            b = a + (0.0, gap)
+            calls = [
+                lambda: bg.reflect_in_line((0.0, 1.0), a, b),
+                lambda: bg.perp_bisector_reflect((0.0, 1.0), a, b),
+                lambda: bg.bicycle_step((0.0, 1.0), a, b),  # no bisector of v2 w1
+                lambda: bg.bicycle_step(a, (0.0, 1.0), b),  # zero frame v1 w1
+                lambda: bg.propagate(square, b).points,
+            ]
+            for call in calls:
+                if degenerate:
+                    with pytest.raises(bg.DegenerateLine):
+                        call()
+                else:
+                    assert np.all(np.isfinite(call()))
+
+    def test_nan_counts_as_coincident(self):
+        rows = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        assert _coincident(rows, np.array([1.0, 1.0]), bg.DEFAULT_TOL).tolist() == [True, False]
 
 
 class TestDarbouxButterfly:

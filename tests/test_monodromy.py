@@ -2,6 +2,7 @@
 and the Lorentz form of the monodromy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -456,6 +457,28 @@ class TestScan:
         # an xtol below the spacing of floats near the root cannot be met
         roots = bg.refine_class_boundaries(SQUARE, 1.05, 2.2, xtol=1e-300)
         assert len(roots) == 1 and abs(roots[0] - math.sqrt(2)) <= 1e-15
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the product overflows on purpose
+    def test_refine_rejects_non_finite_grid_point(self):
+        """ROADMAP overflow recipe at k = 500: NaN at every grid point, which
+        the sign test used to count as 15 boundaries."""
+        v = bg.Polygon(np.random.default_rng(2).normal(size=(500, 2)) * 2)
+        L = 3.0 * float(v.side_lengths().max())
+        with pytest.raises(ValueError, match=re.escape(f"not finite at length {0.9 * L!r}")):
+            bg.refine_class_boundaries(v, 0.9 * L, 1.1 * L, steps=16)
+
+    def test_refine_rejects_non_finite_midpoint(self, monkeypatch):
+        real = monodromy._monodromy_matrix
+
+        def poisoned(v, ells):  # finite on the grid, NaN at every midpoint
+            return real(v, ells) if len(ells) == 64 else np.full((len(ells), 2, 2), np.nan)
+
+        monkeypatch.setattr(monodromy, "_monodromy_matrix", poisoned)
+        grid = np.linspace(1.05, 2.2, 64)
+        i = int(np.searchsorted(grid, math.sqrt(2)))
+        mid = float(0.5 * (grid[i - 1] + grid[i]))
+        with pytest.raises(ValueError, match=re.escape(f"not finite at length {mid!r}")):
+            bg.refine_class_boundaries(SQUARE, 1.05, 2.2, steps=64)
 
     @pytest.mark.parametrize(
         "lmin, lmax, steps, xtol",
