@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ClosureFailure, DegenerateLine, DegenerateMonodromy, DimensionMismatch, EllipticMonodromy
 from .geometry import (
-    DEFAULT_TOL, Polygon, Tolerance, _bisector_reflect, _coincident, as_vec, check_same_dim,
-    perp_bisector_reflect,
+    DEFAULT_TOL, Polygon, Tolerance, _angle_at, _bisector_reflect, _coincident, as_vec,
+    check_same_dim, perp_bisector_reflect,
 )
 from .monodromy import FixedDirection, MonodromyClass, _fixed_directions, classify, polygon_monodromy
 
@@ -179,25 +179,6 @@ def bianchi_fourth_polygon(
     return res.closed_polygon()
 
 
-def _angle_at(base: np.ndarray, p: np.ndarray, q: np.ndarray, signed: bool = False) -> float:
-    """Angle at base between the rays to p and to q.
-
-    Signed (counterclockwise positive, in (-pi, pi]) in the plane when
-    requested; unsigned in [0, pi] otherwise.  The signed convention is what
-    makes the frame-angle difference equation hold on both monodromy
-    branches; a 2 pi wrap in any one angle flips both sides of that
-    equation together, so the branch cut is harmless.
-    """
-    u = p - base
-    w = q - base
-    if base.shape[0] == 2:
-        cross = float(u[0] * w[1] - u[1] * w[0])
-        return math.atan2(cross if signed else abs(cross), float(u @ w))
-    dot = float(u @ w)
-    rej = float(u @ u) * float(w @ w) - dot * dot
-    return math.atan2(math.sqrt(max(rej, 0.0)), dot)
-
-
 class BicyclePair:
     """A polygon, its companion under the bicycle correspondence, the common
     frame segment length, and the per-vertex frame angles.
@@ -224,10 +205,7 @@ class BicyclePair:
 
 
 def _alpha_angles(v: Polygon, w: Polygon) -> np.ndarray:
-    signed = v.dim == 2
-    return np.array(
-        [_angle_at(v.vertex(i), v.vertex(i - 1), w.vertex(i), signed=signed) for i in range(len(v))]
-    )
+    return _angle_at(v.vertices, np.roll(v.vertices, 1, axis=0), w.vertices, signed=v.dim == 2)
 
 
 def angle_sequence(pair: BicyclePair, tol: Tolerance | None = None) -> np.ndarray:
@@ -235,19 +213,12 @@ def angle_sequence(pair: BicyclePair, tol: Tolerance | None = None) -> np.ndarra
     (the same angle read off at W_{i-1}).  Signed in the plane,
     counterclockwise positive."""
     tol = tol or pair.tol
-    v, w = pair.v, pair.w
-    signed = v.dim == 2
-    primary = _alpha_angles(v, w)
-    alternate = np.array(
-        [
-            _angle_at(w.vertex(i - 1), v.vertex(i - 1), w.vertex(i), signed=signed)
-            for i in range(len(v))
-        ]
-    )
-    wrapped = np.mod(primary - alternate + math.pi, 2.0 * math.pi) - math.pi
+    v, w = pair.v.vertices, pair.w.vertices
+    alternate = _angle_at(np.roll(w, 1, axis=0), np.roll(v, 1, axis=0), w, signed=pair.v.dim == 2)
+    wrapped = np.mod(pair.alphas - alternate + math.pi, 2.0 * math.pi) - math.pi
     if np.abs(wrapped).max() > max(tol.eps_geom, 1e-12) * 10.0:
         raise ValueError("frame-angle expressions disagree: not a genuine bicycle pair")
-    return primary
+    return pair.alphas.copy()
 
 
 def verify_difference_equation(pair: BicyclePair, tol: Tolerance | None = None) -> float:
@@ -263,13 +234,10 @@ def verify_difference_equation(pair: BicyclePair, tol: Tolerance | None = None) 
     if v.dim != 2:
         raise DimensionMismatch("the difference equation is a plane relation")
     alphas = pair.alphas
-    thetas = np.array(
-        [_angle_at(v.vertex(i), v.vertex(i - 1), v.vertex(i + 1), signed=True) for i in range(len(v))]
-    )
-    lengths = v.side_lengths()  # lengths[j] = |V_j V_{j+1}|
+    pts = v.vertices
+    th_prev = _angle_at(np.roll(pts, 1, axis=0), np.roll(pts, 2, axis=0), pts, signed=True)  # at V_{i-1}
     a_prev = np.roll(alphas, 1)
-    th_prev = np.roll(thetas, 1)
-    c = np.roll(lengths, 1)  # c[i] = |V_{i-1} V_i|
+    c = np.roll(v.side_lengths(), 1)  # c[i] = |V_{i-1} V_i|
     lhs = pair.length * np.cos(0.5 * (alphas - a_prev + th_prev))
     rhs = c * np.cos(0.5 * (alphas + a_prev - th_prev))
     return float(np.abs(lhs - rhs).max())

@@ -23,7 +23,9 @@ from .errors import (
     NotConcentricAlternating,
     WrongArity,
 )
-from .geometry import DEFAULT_TOL, Polygon, Tolerance, _bisector_reflect, _coincident, is_darboux_butterfly
+from .geometry import (
+    DEFAULT_TOL, Polygon, Tolerance, _bisector_reflect, _coincident, _cross, _meet, is_darboux_butterfly,
+)
 from .invariants import triangle_circumcenter
 from .monodromy import MonodromyClass
 
@@ -71,19 +73,13 @@ def classify_cyclic(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> CyclicClassific
     r = float(radii.mean())
     if np.abs(radii - r).max() > tol.eps_geom * max(r, 1.0):
         return no
-    sides = v.sides()
-    turning = 0.0
-    sign = 0.0
-    for i in range(len(v)):
-        s0 = sides[i - 1]
-        s1 = sides[i]
-        cross = s0[0] * s1[1] - s0[1] * s1[0]
-        if sign == 0.0:
-            sign = math.copysign(1.0, cross)
-        elif cross * sign <= 0.0:
-            return no
-        turning += math.atan2(cross, float(s0 @ s1))
-    if abs(abs(turning) - 2.0 * math.pi) > 1e-9:
+    s1 = v.sides()
+    s0 = np.roll(s1, 1, axis=0)
+    cross = _cross(s0, s1)
+    # every turn after the first must share the first one's orientation
+    if (cross[1:] * math.copysign(1.0, cross[0]) <= 0.0).any():
+        return no
+    if abs(abs(np.arctan2(cross, np.vecdot(s0, s1)).sum()) - 2.0 * math.pi) > 1e-9:
         return no
     d = 2.0 * r
     regime = _banded_regime(
@@ -113,16 +109,9 @@ def rotation_transform(v: Polygon, length: float, tol: Tolerance = DEFAULT_TOL) 
 def _bisector_intersection(a, c, b, d, tol: Tolerance) -> np.ndarray | None:
     """Intersection of the perpendicular bisectors of segments ac and bd;
     None when the segments are parallel."""
-    m1 = 0.5 * (a + c)
-    m2 = 0.5 * (b + d)
-    d1 = np.array([-(c - a)[1], (c - a)[0]])
-    d2 = np.array([-(d - b)[1], (d - b)[0]])
-    cross = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(cross) <= tol.eps_geom * np.linalg.norm(d1) * np.linalg.norm(d2):
-        return None
-    rhs = m2 - m1
-    t = (rhs[0] * d2[1] - rhs[1] * d2[0]) / cross
-    return m1 + t * d1
+    normals = np.stack([c - a, d - b])[:, ::-1] * (-1.0, 1.0)  # (x, y) -> (-y, x): bisector directions
+    point, parallel = _meet(0.5 * (a + c), normals[0], 0.5 * (b + d), normals[1], tol)
+    return None if parallel else point
 
 
 def concentric_transform(v: Polygon, w1_angle: float, tol: Tolerance = DEFAULT_TOL) -> Polygon:

@@ -1,6 +1,7 @@
 """Points, closed polygons, reflections, and the elementary bicycle step,
-which (like recutting) is a reflection in a perpendicular bisector: one
-unchecked kernel behind functions that validate once.
+which (like recutting) is a reflection in a perpendicular bisector.  Three
+unchecked row kernels, that reflection, the angle at a vertex and the meet
+of two plane lines, serve functions that validate once.
 
 Coordinates are double precision throughout; predicates use the relative
 tolerances collected in :class:`Tolerance`.  All operations are pure
@@ -136,6 +137,39 @@ def _bisector_reflect(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     p - ((2p - a - b).n / n.n) n with n = b - a (NaN or inf if a = b)."""
     n = b - a
     return p - (np.vecdot(2.0 * p - a - b, n) / np.vecdot(n, n))[..., None] * n
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Plane cross product a x b, row by row."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _angle_at(base: np.ndarray, p: np.ndarray, q: np.ndarray, signed: bool = False) -> np.ndarray:
+    """Unchecked: angle at each row of base between the rays to p and to q.
+
+    Signed (counterclockwise positive, in (-pi, pi]) in the plane when
+    requested; unsigned in [0, pi] otherwise.  The signed convention is what
+    makes the frame-angle difference equation hold on both monodromy
+    branches; a 2 pi wrap in any one angle flips both sides of that
+    equation together, so the branch cut is harmless.
+    """
+    u, w = p - base, q - base
+    dot = np.vecdot(u, w)
+    if base.shape[-1] == 2:
+        cross = _cross(u, w)
+        return np.arctan2(cross if signed else np.abs(cross), dot)
+    rej = np.vecdot(u, u) * np.vecdot(w, w) - dot * dot
+    return np.arctan2(np.sqrt(np.maximum(rej, 0.0)), dot)
+
+
+def _meet(p: np.ndarray, d: np.ndarray, q: np.ndarray, e: np.ndarray, tol: Tolerance):
+    """Unchecked: rows of the intersection of the plane lines p + t d and
+    q + s e, and the parallel mask |d x e| <= eps_geom |d| |e|; parallel
+    rows come out inf or NaN."""
+    cross = _cross(d, e)
+    parallel = np.abs(cross) <= tol.eps_geom * np.sqrt(np.vecdot(d, d)) * np.sqrt(np.vecdot(e, e))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return p + (_cross(q - p, e) / cross)[..., None] * d, parallel
 
 
 def reflect_in_line(p, a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

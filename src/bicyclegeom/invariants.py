@@ -5,7 +5,8 @@ J(V) = sum (|V_{i+1}|^2 - |V_{i-1}|^2) V_i are preserved by both maps.
 In the plane, rotating J by 90 degrees and dividing by four times the
 signed area yields a translation-equivariant conserved point, the
 circumcenter of mass.  The rear track realizes a corresponding pair as a
-chain of mutually tangent circles touching at the segment midpoints.
+chain of mutually tangent circles touching at the segment midpoints, with
+centres where consecutive frame lines meet (one line-meet kernel call).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     SignAssignmentFailure,
     ZeroArea,
 )
-from .geometry import DEFAULT_TOL, Polygon, Tolerance
+from .geometry import DEFAULT_TOL, Polygon, Tolerance, _meet
 
 
 class Bivector:
@@ -204,39 +205,43 @@ def rear_track(pair: BicyclePair, tol: Tolerance | None = None) -> RearTrack:
     v, w = pair.v, pair.w
     if v.dim != 2:
         raise DimensionMismatch("the circle chain is a plane construction")
-    k = len(v)
-    q = 0.5 * (v.vertices + w.vertices)
-    e = (v.vertices - w.vertices) / pair.length
+    pts = v.vertices
+    q = 0.5 * (pts + w.vertices)
+    e = (pts - w.vertices) / pair.length
     scale = max(pair.length, float(v.side_lengths().max()))
-    circles = []
-    for i in range(k):
-        j = (i + 1) % k
-        d1 = w.vertex(i) - v.vertex(i)
-        d2 = w.vertex(j) - v.vertex(j)
-        cross = d1[0] * d2[1] - d1[1] * d2[0]
-        if abs(cross) <= tol.eps_geom * np.linalg.norm(d1) * np.linalg.norm(d2):
-            # parallel frame lines: straight chain member through q_i, q_j
-            if np.linalg.norm(e[i] + e[j]) > math.sqrt(tol.eps_geom):
-                raise SignAssignmentFailure(
-                    "parallel frame segments with aligned orientation: parallelogram branch"
-                )
-            circles.append(ChainCircle(center=None, curvature=0.0, direction=d1 / np.linalg.norm(d1)))
-            continue
-        # intersection of the two frame lines
-        rhs = v.vertex(j) - v.vertex(i)
-        t = (rhs[0] * d2[1] - rhs[1] * d2[0]) / cross
-        p = v.vertex(i) + t * d1
-        r_from_i = float(e[i] @ (p - q[i]))
-        r_from_j = -float(e[j] @ (p - q[j]))
-        if abs(r_from_i - r_from_j) > math.sqrt(tol.eps_geom) * max(abs(r_from_i), scale):
-            raise SignAssignmentFailure(
-                f"signed radius mismatch at slot {i}+1/2: {r_from_i:.6g} vs {r_from_j:.6g}"
-            )
+    # slot i + 1/2 sits where frame line i meets frame line i + 1
+    d = w.vertices - pts
+    centers, parallel = _meet(pts, d, np.roll(pts, -1, axis=0), np.roll(d, -1, axis=0), tol)
+    e_next = np.roll(e, -1, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r_from_i = np.vecdot(e, centers - q)
+        r_from_j = -np.vecdot(e_next, centers - np.roll(q, -1, axis=0))
         r = 0.5 * (r_from_i + r_from_j)
-        if abs(r) <= tol.eps_geom * scale:
-            raise SignAssignmentFailure("zero-radius chain member")
-        circles.append(ChainCircle(center=p, curvature=1.0 / r))
-    return RearTrack(circles=tuple(circles), q=q, e=e)
+        curvature = np.where(parallel, 0.0, 1.0 / r).tolist()
+        mismatch = ~parallel & (
+            np.abs(r_from_i - r_from_j) > math.sqrt(tol.eps_geom) * np.maximum(np.abs(r_from_i), scale)
+        )
+        flat = ~parallel & (np.abs(r) <= tol.eps_geom * scale)
+    # straight members need opposite frame orientations; else the parallelogram branch
+    aligned = parallel & (np.sqrt(np.vecdot(e + e_next, e + e_next)) > math.sqrt(tol.eps_geom))
+    bad = aligned | mismatch | flat
+    if bad.any():
+        i = int(bad.argmax())
+        if aligned[i]:
+            message = "parallel frame segments with aligned orientation: parallelogram branch"
+        elif mismatch[i]:
+            message = f"signed radius mismatch at slot {i}+1/2: {r_from_i[i]:.6g} vs {r_from_j[i]:.6g}"
+        else:
+            message = "zero-radius chain member"
+        raise SignAssignmentFailure(message)
+    directions = d / np.sqrt(np.vecdot(d, d))[:, None]
+    circles = tuple(
+        ChainCircle(center=None, curvature=0.0, direction=directions[i])
+        if parallel[i]
+        else ChainCircle(center=centers[i], curvature=curvature[i])
+        for i in range(len(v))
+    )
+    return RearTrack(circles=circles, q=q, e=e)
 
 
 def chain_reconstruct(track: RearTrack, half_length: float) -> tuple[np.ndarray, np.ndarray]:
@@ -248,20 +253,16 @@ def chain_reconstruct(track: RearTrack, half_length: float) -> tuple[np.ndarray,
     the positive sign giving the front polygon V and the negative sign W.
     Straight members fall back to the limit q_i +- l e_i.
     """
-    k = track.q.shape[0]
-    vs = np.zeros_like(track.q)
-    ws = np.zeros_like(track.q)
-    for i in range(k):
-        before = track.circles[(i - 1) % k]
-        after = track.circles[i]
-        if before.is_line or after.is_line:
-            vs[i] = track.q[i] + half_length * track.e[i]
-            ws[i] = track.q[i] - half_length * track.e[i]
-            continue
-        rb, ra = before.radius, after.radius
-        denom = rb + ra
-        vs[i] = ((ra - half_length) * before.center + (rb + half_length) * after.center) / denom
-        ws[i] = ((ra + half_length) * before.center + (rb - half_length) * after.center) / denom
+    l, q, e, circles = half_length, track.q, track.e, track.circles
+    line = np.array([c.is_line for c in circles])
+    straight = (line | np.roll(line, 1))[:, None]
+    # slot i sits after vertex i, slot i - 1 before it; straight slots get NaN centers
+    ra = np.array([c.radius for c in circles])[:, None]
+    ca = np.array([np.full(q.shape[1], np.nan) if c.is_line else c.center for c in circles])
+    rb, cb = np.roll(ra, 1, axis=0), np.roll(ca, 1, axis=0)
+    with np.errstate(invalid="ignore"):
+        vs = np.where(straight, q + l * e, ((ra - l) * cb + (rb + l) * ca) / (rb + ra))
+        ws = np.where(straight, q - l * e, ((ra + l) * cb + (rb - l) * ca) / (rb + ra))
     return vs, ws
 
 

@@ -125,13 +125,15 @@ def _side_matrices(v: Polygon, ells: np.ndarray) -> np.ndarray:
 
 def _monodromy_matrix(v: Polygon, ells: np.ndarray) -> np.ndarray:
     """Raw side-matrix products (lengths, 2, 2), unchecked: a loop over the
-    sides, later sides on the left, vectorized over the lengths."""
+    sides, later sides on the left, vectorized over the lengths.  Overflow
+    leaves inf or NaN entries, silently; callers check finiteness."""
     if len(ells) > 1 and len(ells) * len(v) > 1 << 16:  # bound the side stack's memory
         half = len(ells) // 2
         return np.concatenate([_monodromy_matrix(v, ells[:half]), _monodromy_matrix(v, ells[half:])])
     m = np.eye(2)
-    for side in _side_matrices(v, ells).swapaxes(0, 1):
-        m = side @ m
+    with np.errstate(over="ignore", invalid="ignore"):
+        for side in _side_matrices(v, ells).swapaxes(0, 1):
+            m = side @ m
     return m
 
 
@@ -507,10 +509,22 @@ def classification_scan(
     return out
 
 
+def _discriminants(v: Polygon, ells: np.ndarray) -> np.ndarray:
+    """Discriminants of the monodromy over a batch of lengths; ValueError,
+    naming the first such length, where one is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries overflow the squares
+        vals = _disc_terms(_monodromy_matrix(v, ells))[0]
+    bad = ells[~np.isfinite(vals)]
+    if bad.size:
+        raise ValueError(f"discriminant is not finite at length {float(bad[0])!r}")
+    return vals
+
+
 def discriminant(v: Polygon, ell: float) -> float:
     """Tr^2 - 4 det of the monodromy matrix, as a smooth function of ell
-    (cancellation-free form, stable enough for boundary bisection)."""
-    return float(_disc_terms(_monodromy_matrix(v, np.array([ell], dtype=float))[0])[0])
+    (cancellation-free form, stable enough for boundary bisection).
+    Raises ValueError where it is not finite."""
+    return float(_discriminants(v, np.array([ell], dtype=float))[0])
 
 
 def refine_class_boundaries(
@@ -523,22 +537,15 @@ def refine_class_boundaries(
     """
     if steps < 2 or lmin <= 0 or lmax <= lmin or not xtol > 0:
         raise ValueError("need lmax > lmin > 0, steps >= 2 and xtol > 0")
-
-    def disc(ells: np.ndarray) -> np.ndarray:
-        vals = _disc_terms(_monodromy_matrix(v, ells))[0]
-        bad = ells[~np.isfinite(vals)]
-        if bad.size:
-            raise ValueError(f"discriminant is not finite at length {float(bad[0])!r}")
-        return vals
     grid = np.linspace(lmin, lmax, steps)
-    vals = disc(grid)
+    vals = _discriminants(v, grid)
     start = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
     lo, hi, flo = grid[:-1][start], grid[1:][start], vals[:-1][start]
     hi[flo == 0.0] = lo[flo == 0.0]
     live = np.flatnonzero(hi - lo > xtol)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        fmid = disc(mid)
+        fmid = _discriminants(v, mid)
         zero, left = fmid == 0.0, flo[live] * fmid < 0.0
         # a bracket one ulp wide cannot be split; it is done
         stuck = (mid == lo[live]) | (mid == hi[live])

@@ -18,8 +18,10 @@ ROOT = Path(__file__).resolve().parent.parent
         ["--workload", "cli"],
         # the only workload that drives the length scan and the bisection through the tracer
         ["--workload", "cli", "--trace", "1"],
+        # BicyclePair, angle_sequence, rear_track, chain_reconstruct, eigenvalue_products
+        ["--workload", "pair"],
     ],
-    ids=["transform-traced", "cli", "cli-traced"],
+    ids=["transform-traced", "cli", "cli-traced", "pair"],
 )
 def test_bench_smoke_run(extra):
     cmd = [sys.executable, "bench/run.py", *extra, "--seed", "1", "--seconds", "1", "--smoke"]

@@ -1,6 +1,7 @@
 """Conserved quantities, the circumcenter of mass, and the rear track."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,33 @@ class TestRearTrack:
         assert np.abs(vs - v.vertices).max() < 1e-9
         assert np.abs(ws - w.vertices).max() < 1e-9
 
+    @pytest.mark.parametrize("k, noise, L", LARGE_CIRCLES)
+    def test_large_circles_frame_angles(self, rng, k, noise, L):
+        v = circle_polygon(rng, k, noise)
+        pair = bg.BicyclePair(v, bg.transform(v, L))
+        bg.angle_sequence(pair)  # raises if the two angle expressions disagree
+        assert bg.verify_difference_equation(pair) <= 1e-12
+
+    @pytest.mark.parametrize("k, L", [(k, L) for k, noise, L in LARGE_CIRCLES if noise == 0.0])
+    def test_large_inscribed_chain_closed_form(self, rng, k, L):
+        """A rotation pair on the circle of diameter 1: the midpoints q_i lie on
+        the concentric circle of radius rho = sqrt(1/4 - L^2/4), the frame
+        lines are tangent to it, so |r_i| = rho tan(Delta_i / 2) with Delta_i
+        the angle of q_i q_{i+1} about the centre."""
+        v = circle_polygon(rng, k)
+        pair = bg.BicyclePair(v, bg.rotation_transform(v, L))
+        track = bg.rear_track(pair)
+        q, q_next = track.q, np.roll(track.q, -1, axis=0)
+        delta = np.arctan2(np.abs(q[:, 0] * q_next[:, 1] - q[:, 1] * q_next[:, 0]), np.vecdot(q, q_next))
+        want = math.sqrt(0.25 - 0.25 * L * L) * np.tan(0.5 * delta)
+        radii = np.abs([c.radius for c in track.circles])
+        assert np.abs(radii / want - 1.0).max() <= 1e-9
+        vs, ws = bg.chain_reconstruct(track, L / 2)
+        assert np.abs(vs - pair.v.vertices).max() <= 1e-9
+        assert np.abs(ws - pair.w.vertices).max() <= 1e-9
+        bg.angle_sequence(pair)
+        assert bg.verify_difference_equation(pair) <= 1e-12
+
     def test_parallelogram_branch_rejected(self):
         v = bg.Polygon([(0, 0), (2, 0), (2.5, 1.5), (0.4, 1.8)])
         w = v.translated((0.7, 0.4))
@@ -216,6 +244,21 @@ class TestRearTrack:
         pair.alphas = None
         with pytest.raises(bg.SignAssignmentFailure):
             bg.rear_track(pair)
+
+    def test_first_bad_slot_raises(self, rng):
+        """Slots are checked in order and the first bad one names the failure.
+        Moving W_3 so that q_3 = q_2 makes both frame lines of slot 2+1/2 pass
+        through that midpoint (zero radius) and spoils slot 3+1/2; moving W_1
+        off the pair spoils slot 0+1/2 first."""
+        v, w, L = random_hyperbolic_pair(rng, k=6)
+        zero, off = w.vertices.copy(), w.vertices.copy()
+        zero[3] = v.vertex(2) + w.vertex(2) - v.vertex(3)
+        off[1] += 0.1
+        for pts, message in ((zero, "zero-radius chain member"), (off, "signed radius mismatch at slot 0+1/2")):
+            pair = bg.BicyclePair.__new__(bg.BicyclePair)
+            pair.v, pair.w, pair.length, pair.tol = v, bg.Polygon(pts), L, bg.DEFAULT_TOL
+            with pytest.raises(bg.SignAssignmentFailure, match=re.escape(message)):
+                bg.rear_track(pair)
 
 
 class TestEigenvalueProducts:

@@ -458,7 +458,6 @@ class TestScan:
         roots = bg.refine_class_boundaries(SQUARE, 1.05, 2.2, xtol=1e-300)
         assert len(roots) == 1 and abs(roots[0] - math.sqrt(2)) <= 1e-15
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the product overflows on purpose
     def test_refine_rejects_non_finite_grid_point(self):
         """ROADMAP overflow recipe at k = 500: NaN at every grid point, which
         the sign test used to count as 15 boundaries."""
@@ -466,6 +465,41 @@ class TestScan:
         L = 3.0 * float(v.side_lengths().max())
         with pytest.raises(ValueError, match=re.escape(f"not finite at length {0.9 * L!r}")):
             bg.refine_class_boundaries(v, 0.9 * L, 1.1 * L, steps=16)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "call, failing_length",
+        [
+            (lambda v, L: bg.discriminant(v, L), lambda L: L),
+            (lambda v, L: bg.polygon_monodromy(v, L), None),
+            (lambda v, L: bg.classification_scan(v, 0.9 * L, 1.1 * L, 16), None),
+            (lambda v, L: bg.refine_class_boundaries(v, 0.9 * L, 1.1 * L, steps=16), lambda L: 0.9 * L),
+            (lambda v, L: bg.transform(v, L), None),
+        ],
+        ids=["discriminant", "polygon_monodromy", "classification_scan", "refine", "transform"],
+    )
+    def test_overflowing_product_raises_without_warnings(self, call, failing_length):
+        """ROADMAP overflow recipe at k = 500: every entry point raises
+        ValueError (the discriminant's names the length), and the overflow
+        inside the product warns nobody."""
+        v = bg.Polygon(np.random.default_rng(2).normal(size=(500, 2)) * 2)
+        L = 3.0 * float(v.side_lengths().max())
+        if failing_length is None:
+            message = "matrix entries must be finite"
+        else:
+            message = f"discriminant is not finite at length {failing_length(L)!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(v, L)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_discriminant_overflow_of_finite_product(self):
+        """The same recipe at k = 200: the product is finite, its discriminant
+        is not; ValueError, again without a warning."""
+        v = bg.Polygon(np.random.default_rng(2).normal(size=(200, 2)) * 2)
+        L = 3.0 * float(v.side_lengths().max())
+        assert np.isfinite(bg.polygon_monodromy(v, L).m).all()
+        with pytest.raises(ValueError, match=re.escape(f"discriminant is not finite at length {L!r}")):
+            bg.discriminant(v, L)
 
     def test_refine_rejects_non_finite_midpoint(self, monkeypatch):
         real = monodromy._monodromy_matrix
