@@ -45,15 +45,7 @@ from .invariants import (
     rear_track,
     signed_area,
 )
-from .monodromy import (
-    MonodromyClass,
-    _fixed_directions,
-    classification_scan,
-    classify,
-    polygon_monodromy,
-    refine_class_boundaries,
-    trace_polynomial,
-)
+from .monodromy import _summary_at, classification_scan, refine_class_boundaries, trace_polynomial
 from .svg import PALETTE, Figure
 
 
@@ -196,13 +188,11 @@ def _polygon_report(v: Polygon, tol: Tolerance, ell: float | None) -> dict:
         coeffs = trace_polynomial(v).coeffs
         rep["trace_poly_coeffs"] = _val(list(coeffs), tol)
         if ell is not None:
-            mob = polygon_monodromy(v, ell, tol)
-            klass = classify(mob, tol)
+            klass, invariant, dirs = _summary_at(v, ell, tol)
             rep["monodromy_class_at_L"] = klass.value
-            rep["trace_sq_over_det_at_L"] = _val(mob.trace_sq_over_det(), tol)
-            if klass in (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC):
-                derivs = [fd.derivative for fd in _fixed_directions(mob, klass)]
-                rep["eigenvalues_at_L"] = _val(derivs, tol)
+            rep["trace_sq_over_det_at_L"] = _val(invariant, tol)
+            if dirs is not None:
+                rep["eigenvalues_at_L"] = _val([fd.derivative for fd in dirs], tol)
     return rep
 
 
@@ -321,11 +311,8 @@ def cmd_svg(args) -> int:
             fig.dot(track.q[i], radius=2.0, color=PALETTE[1])
     if args.ell is not None:
         v = polys[0]
-        mob = polygon_monodromy(v, args.ell, tol)
-        klass = classify(mob, tol)
-        if klass in (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC):
-            for fd in _fixed_directions(mob, klass):
-                fig.arrow(v.vertex(0), fd.angle, args.ell, color=PALETTE[2])
+        for fd in _summary_at(v, args.ell, tol)[2] or ():
+            fig.arrow(v.vertex(0), fd.angle, args.ell, color=PALETTE[2])
     _write_or_print(fig.render(), args.output)
     return 0
 
@@ -334,7 +321,6 @@ def cmd_ngon(args) -> int:
     tol = _tolerance(args)
     if args.verify:
         v = load_polygon(args.verify)
-        k = args.k
     else:
         spec = NGonSpec(n=args.n, k=args.k, r1=args.r1, r2=args.r2, phase=math.radians(args.phase))
         v = ngon_construct(spec)
@@ -417,34 +403,31 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bicyclegeom", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_tol(p):
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--tol", type=float, default=None, help="geometric tolerance (default 1e-9)")
+        return p
 
-    p = sub.add_parser("transform", help="closed bicycle transformation of a polygon")
+    p = command("transform", cmd_transform, "closed bicycle transformation of a polygon")
     p.add_argument("input")
     p.add_argument("--ell", "-l", type=float, required=True, help="frame segment length L")
     p.add_argument("--branch", choices=["attracting", "repelling"], default="attracting")
     p.add_argument("--seed-angle", type=float, default=None, help="explicit seed direction (degrees)")
     p.add_argument("--output", "-o", default=None)
-    add_tol(p)
-    p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("invariants", help="conserved-quantity report (one or two polygons)")
+    p = command("invariants", cmd_invariants, "conserved-quantity report (one or two polygons)")
     p.add_argument("input")
     p.add_argument("second", nargs="?", default=None)
     p.add_argument("--ell", "-l", type=float, default=None)
     p.add_argument("--json", action="store_true")
-    add_tol(p)
-    p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("scan", help="monodromy class over a grid of lengths")
+    p = command("scan", cmd_scan, "monodromy class over a grid of lengths")
     p.add_argument("input")
     p.add_argument("--grid", required=True, help="min:max:steps")
     p.add_argument("--json", action="store_true")
-    add_tol(p)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("svg", help="deterministic SVG figure")
+    p = command("svg", cmd_svg, "deterministic SVG figure")
     p.add_argument("inputs", nargs="*")
     p.add_argument("--rear-track", action="store_true")
     p.add_argument("--ngon", type=int, nargs=2, metavar=("N", "K"), default=None)
@@ -452,10 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2", type=float, default=0.7)
     p.add_argument("--ell", "-l", type=float, default=None, help="draw fixed directions at this L")
     p.add_argument("--output", "-o", default=None)
-    add_tol(p)
-    p.set_defaults(func=cmd_svg)
 
-    p = sub.add_parser("ngon", help="construct / verify an equal-diagonal equilateral polygon")
+    p = command("ngon", cmd_ngon, "construct / verify an equal-diagonal equilateral polygon")
     p.add_argument("n", type=int, nargs="?", default=12)
     p.add_argument("k", type=int, nargs="?", default=3)
     p.add_argument("r1", type=float, nargs="?", default=1.0)
@@ -464,30 +445,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", default=None, metavar="FILE", help="verify this polygon instead")
     p.add_argument("--verify-only", action="store_true", help="construct but do not write")
     p.add_argument("--output", "-o", default=None)
-    add_tol(p)
-    p.set_defaults(func=cmd_ngon)
 
-    p = sub.add_parser("recut", help="reflect vertices in the bisector of their neighbours")
+    p = command("recut", cmd_recut, "reflect vertices in the bisector of their neighbours")
     p.add_argument("input")
     p.add_argument("--index", "-i", type=int, action="append", required=True)
     p.add_argument("--output", "-o", default=None)
-    add_tol(p)
-    p.set_defaults(func=cmd_recut)
 
-    p = sub.add_parser("rear-track", help="chain of tangent circles of a corresponding pair")
+    p = command("rear-track", cmd_rear_track, "chain of tangent circles of a corresponding pair")
     p.add_argument("front")
     p.add_argument("companion")
     p.add_argument("--json", action="store_true")
-    add_tol(p)
-    p.set_defaults(func=cmd_rear_track)
 
-    p = sub.add_parser("bianchi", help="fourth polygon of the permutability square")
+    p = command("bianchi", cmd_bianchi, "fourth polygon of the permutability square")
     p.add_argument("v")
     p.add_argument("w")
     p.add_argument("s")
     p.add_argument("--output", "-o", default=None)
-    add_tol(p)
-    p.set_defaults(func=cmd_bianchi)
 
     return top
 

@@ -24,7 +24,7 @@ from .geometry import (
     DEFAULT_TOL, Polygon, Tolerance, _angle_at, _bisector_reflect, _coincident, as_vec,
     check_same_dim, perp_bisector_reflect,
 )
-from .monodromy import FixedDirection, MonodromyClass, _fixed_directions, classify, polygon_monodromy
+from .monodromy import FixedDirection, MonodromyClass, _summary_at
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def propagate(v: Polygon, w1, tol: Tolerance = DEFAULT_TOL) -> PropagationResult
         raise DimensionMismatch("seed point dimension does not match the polygon")
     if _coincident(v.vertex(0), w1, tol):
         raise DegenerateLine("zero-length frame segment v1 w1")
-    ahead = np.roll(v.vertices, -1, axis=0)
+    ahead = v.vertices + v.sides()
     trace = np.empty((len(v) + 1, v.dim))
     trace[0] = w1
     # unchecked steps; one check of all k bisectors follows the loop
@@ -70,15 +70,11 @@ def _transform(
     direction and the closure defect it computed on the way."""
     if v.dim != 2:
         raise DimensionMismatch("the closed transformation is defined for plane polygons")
-    mob = polygon_monodromy(v, length, tol)
-    klass = classify(mob, tol)
+    klass, _, dirs = _summary_at(v, length, tol)
     if klass is MonodromyClass.ELLIPTIC:
         raise EllipticMonodromy(f"monodromy is elliptic at L={length}; no real fixed direction")
-    if klass is MonodromyClass.IDENTITY:
-        raise DegenerateMonodromy(
-            "identity monodromy: every seed closes; propagate from an explicit seed instead"
-        )
-    dirs = _fixed_directions(mob, klass)
+    if dirs is None:  # identity (every seed closes; propagate from one) or singular
+        raise DegenerateMonodromy(f"{klass.value} monodromy at L={length}: no isolated fixed direction")
     fd = dirs[0] if branch is Branch.ATTRACTING else dirs[-1]
     seed = v.vertex(0) + length * np.array([math.cos(fd.angle), math.sin(fd.angle)])
     res = propagate(v, seed, tol)

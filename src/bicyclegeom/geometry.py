@@ -55,7 +55,8 @@ class Polygon:
     """Closed polygon: cyclically indexed vertices in R^n, n >= 2.
 
     Vertex i+k is vertex i; consecutive vertices must be distinct so that
-    every side has positive length.  The vertex array is read-only.
+    every side has positive length.  The vertex array, the side vectors and
+    the side lengths are computed once and read-only.
     """
 
     def __init__(self, vertices, name: str | None = None):
@@ -66,11 +67,13 @@ class Polygon:
             raise DimensionMismatch("vertices must live in dimension >= 2")
         if not np.all(np.isfinite(pts)):
             raise ValueError("vertex coordinates must be finite")
-        gaps = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        sides = np.roll(pts, -1, axis=0) - pts
+        gaps = np.linalg.norm(sides, axis=1)
         if gaps.min() <= 1e-12 * max(1.0, float(np.abs(pts).max())):
             raise DegenerateLine("consecutive vertices must be distinct")
-        pts.setflags(write=False)
-        self.vertices = pts
+        for arr in (pts, sides, gaps):
+            arr.setflags(write=False)
+        self.vertices, self._sides, self._side_lengths = pts, sides, gaps
         self.name = name
 
     def __len__(self) -> int:
@@ -85,10 +88,10 @@ class Polygon:
 
     def sides(self) -> np.ndarray:
         """Side vectors V_{i+1} - V_i, one row per side."""
-        return np.roll(self.vertices, -1, axis=0) - self.vertices
+        return self._sides
 
     def side_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.sides(), axis=1)
+        return self._side_lengths
 
     def side_directions(self) -> np.ndarray:
         """Direction angles of the sides, counterclockwise from +x (dim 2 only)."""
@@ -98,7 +101,7 @@ class Polygon:
         return np.arctan2(s[:, 1], s[:, 0])
 
     def perimeter(self) -> float:
-        return float(self.side_lengths().sum())
+        return float(self._side_lengths.sum())
 
     def scale(self) -> float:
         """Magnitude used to make tolerances relative."""

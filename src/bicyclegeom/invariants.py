@@ -26,6 +26,8 @@ from .errors import (
 )
 from .geometry import DEFAULT_TOL, Polygon, Tolerance, _meet
 
+_LOG_NORMAL_MIN, _LOG_MAX = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+
 
 class Bivector:
     """Antisymmetric rank-2 quantity with area units; only the strict upper
@@ -279,7 +281,8 @@ def eigenvalue_products(
     coefficient -(l + r)/(l - r), which makes these two products equal (the
     reciprocal pair of eigenvalues swaps both fractions simultaneously).
     Straight members contribute a factor 1.  PoleOnChain when some radius
-    equals the half length (a rear-track cusp through a vertex).
+    equals the half length (a rear-track cusp through a vertex); ValueError,
+    naming log10 of both, when either leaves the range of normal doubles.
     """
     tol = tol or pair.tol
     if track is None:
@@ -288,9 +291,12 @@ def eigenvalue_products(
     # products of k factors over- and underflow past k ~ 100: sum logs instead
     diag_in = np.linalg.norm(w.vertices - np.roll(v.vertices, 1, axis=0), axis=1)
     diag_out = np.linalg.norm(np.roll(w.vertices, 1, axis=0) - v.vertices, axis=1)
-    lambda_vw = math.exp(math.fsum(np.log(diag_in / diag_out)))
     half_curv = 0.5 * pair.length * np.array([circle.curvature for circle in track.circles])
     f_plus, f_minus = np.abs(1.0 + half_curv), np.abs(1.0 - half_curv)
     if min(f_plus.min(), f_minus.min()) <= tol.eps_geom:
         raise PoleOnChain("a chain radius equals the half frame length")
-    return lambda_vw, math.exp(math.fsum(np.log(f_minus / f_plus)))
+    logs = math.fsum(np.log(diag_in / diag_out)), math.fsum(np.log(f_minus / f_plus))
+    if not all(_LOG_NORMAL_MIN <= x <= _LOG_MAX for x in logs):
+        msg = "eigenvalue outside the double range: log10 lambda_vw = {:.6g}, log10 lambda_chain = {:.6g}"
+        raise ValueError(msg.format(*(x / math.log(10.0) for x in logs)))
+    return math.exp(logs[0]), math.exp(logs[1])

@@ -9,9 +9,11 @@ length a and direction phi acts as the 2x2 matrix
     [[ell + dx, -dy], [-dy, ell - dx]],
 
 with determinant ell^2 - a^2.  The whole-polygon monodromy is the product of
-these over the sides, later sides multiplying on the left.  In dimension n
-the same step is a Lorentz matrix in O(n,1) acting projectively on the
-sphere of directions.
+these over the sides, later sides multiplying on the left, computed as a
+pairwise tree and kept as m 2**e (exact power-of-two rescaling, so it cannot
+overflow); scale-free answers are read off m by one row classifier and one
+fixed-direction solver.  In dimension n the same step is a Lorentz matrix in
+O(n,1) acting projectively on the sphere of directions.
 """
 
 from __future__ import annotations
@@ -78,20 +80,11 @@ class Mobius2:
         return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
 
     def is_identity(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        s = float(np.abs(self.m).max())
-        return (
-            abs(self.m[0, 1]) <= tol.eps_geom * s
-            and abs(self.m[1, 0]) <= tol.eps_geom * s
-            and abs(self.m[0, 0] - self.m[1, 1]) <= tol.eps_geom * s
-        )
+        return classify(self, tol) is MonodromyClass.IDENTITY
 
     def trace_sq_over_det(self) -> float:
         """The projective-scale invariant Tr^2 / det (+-inf at degenerate points)."""
-        det = self.det
-        tr2 = self.trace ** 2
-        if det == 0.0:
-            return math.inf if tr2 > 0 else math.nan
-        return tr2 / det
+        return _tr2_over_det(_unit(self.m))
 
     def apply(self, x: float) -> float:
         """Fractional-linear action on the affine chart coordinate."""
@@ -123,18 +116,34 @@ def _side_matrices(v: Polygon, ells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _monodromy_matrix(v: Polygon, ells: np.ndarray) -> np.ndarray:
-    """Raw side-matrix products (lengths, 2, 2), unchecked: a loop over the
-    sides, later sides on the left, vectorized over the lengths.  Overflow
-    leaves inf or NaN entries, silently; callers check finiteness."""
+def _rescale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each 2x2 matrix of a stack by the power of two that puts its
+    largest entry in [0.5, 1), exactly; return it and the exponents taken out."""
+    x = np.abs(a)
+    x = np.maximum(x[..., 0], x[..., 1])  # elementwise: max over short axes is slow
+    shift = np.frexp(np.maximum(x[..., 0], x[..., 1]))[1]
+    return np.ldexp(a, -shift[..., None, None]), shift
+
+
+def _unit(m: np.ndarray) -> list[float]:
+    return _rescale(m)[0].ravel().tolist()
+
+
+def _monodromy_product(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked side-matrix products m 2**e per length, m (lengths, 2, 2) rescaled:
+    a pairwise tree, later sides on the left, an identity pad on odd levels,
+    every level rescaled, so any finite polygon gives a finite m."""
     if len(ells) > 1 and len(ells) * len(v) > 1 << 16:  # bound the side stack's memory
-        half = len(ells) // 2
-        return np.concatenate([_monodromy_matrix(v, ells[:half]), _monodromy_matrix(v, ells[half:])])
-    m = np.eye(2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for side in _side_matrices(v, ells).swapaxes(0, 1):
-            m = side @ m
-    return m
+        halves = zip(*(_monodromy_product(v, h) for h in np.array_split(ells, 2)))
+        return tuple(np.concatenate(parts) for parts in halves)
+    a, e = _rescale(_side_matrices(v, ells))
+    while a.shape[1] > 1:
+        if a.shape[1] % 2:
+            a = np.concatenate([a, np.broadcast_to(np.eye(2), (len(a), 1, 2, 2))], axis=1)
+            e = np.concatenate([e, np.zeros_like(e[:, :1])], axis=1)
+        a, shift = _rescale(a[:, 1::2] @ a[:, 0::2])
+        e = e[:, 1::2] + e[:, 0::2] + shift
+    return a[:, 0], e[:, 0]
 
 
 def _pole_hits(v: Polygon, ells: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -143,13 +152,8 @@ def _pole_hits(v: Polygon, ells: np.ndarray, tol: Tolerance) -> np.ndarray:
     return np.abs(ell - a) <= tol.eps_geom * np.maximum(ell, a)
 
 
-def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> Mobius2:
-    """Whole-polygon monodromy: product of side matrices in traversal order,
-    later sides on the left.
-
-    Raises DegenerateMonodromy when ell coincides with a side length (the
-    determinant prod(ell^2 - a_i^2) vanishes there).
-    """
+def _product_at(v: Polygon, ell: float, tol: Tolerance) -> tuple[np.ndarray, int]:
+    """The (m, e) of the monodromy at one length, validated as polygon_monodromy."""
     if v.dim != 2:
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
     if ell <= 0.0:
@@ -157,42 +161,54 @@ def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> M
     ells = np.array([ell], dtype=float)
     if _pole_hits(v, ells, tol).any():
         raise DegenerateMonodromy(f"length parameter {ell} coincides with a side length")
-    return Mobius2(_monodromy_matrix(v, ells)[0])
+    m, e = _monodromy_product(v, ells)
+    return m[0], int(e[0])
 
 
-def _disc_terms(m: np.ndarray):
-    """Discriminant Tr^2 - 4 det of a (2, 2) matrix or a stack (S, 2, 2) in the
-    cancellation-free form (m00 - m11)^2 + 4 m01 m10, then its two terms.
+def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> Mobius2:
+    """Whole-polygon monodromy: product of side matrices in traversal order,
+    later sides on the left.
 
-    The naive Tr^2 - 4 det loses all significant digits on near-scalar
-    matrices (large length parameters), where the two expressions differ by
-    eight-plus digits of cancellation.
+    Raises DegenerateMonodromy when ell coincides with a side length (the
+    determinant prod(ell^2 - a_i^2) vanishes there), and ValueError where the
+    raw product leaves the double range.
     """
-    diff = m[..., 0, 0] - m[..., 1, 1]
-    cross = 4.0 * (m[..., 0, 1] * m[..., 1, 0])
-    return diff * diff + cross, diff * diff, cross
+    m, e = _product_at(v, ell, tol)
+    with np.errstate(over="ignore"):
+        return Mobius2(np.ldexp(m, e))
 
 
-def classify(m: Mobius2, tol: Tolerance = DEFAULT_TOL) -> MonodromyClass:
-    """Conjugacy class from the discriminant Tr^2 - 4 det.
+def _disc_terms(a, b, c, d):
+    """Discriminant Tr^2 - 4 det of [[a, b], [c, d]] (floats or arrays) in the
+    cancellation-free form (a - d)^2 + 4 b c, then its two terms; the naive
+    form loses every digit on near-scalar matrices (large length parameters)."""
+    diff = a - d
+    square, cross = diff * diff, 4.0 * (b * c)
+    return square + cross, square, cross
 
-    Identity and singular matrices are split off first; the remaining
-    trichotomy is: positive discriminant hyperbolic, negative elliptic,
-    zero (within the scale-aware eps_class band) parabolic.
-    """
-    if m.is_identity(tol):
+
+def _classify_row(row, tol: Tolerance) -> MonodromyClass:
+    """Class of [[a, b], [c, d]] from the floats row = (a, b, c, d): identity,
+    singular (det == 0), then by the discriminant's sign outside the eps_class
+    band; in the band parabolic, or singular if the double eigenvalue is 0."""
+    a, b, c, d = row
+    eps = tol.eps_geom * max(abs(a), abs(b), abs(c), abs(d))
+    if abs(b) <= eps and abs(c) <= eps and abs(a - d) <= eps:
         return MonodromyClass.IDENTITY
-    s = float(np.abs(m.m).max())
-    det = m.det
-    if abs(det) <= (tol.eps_geom * s) * s:
+    if a * d - b * c == 0.0:
         return MonodromyClass.DEGENERATE
-    disc, square, cross = _disc_terms(m.m)
+    disc, square, cross = _disc_terms(a, b, c, d)
     band = tol.eps_class * max(square, abs(cross))
     if disc > band:
         return MonodromyClass.HYPERBOLIC
     if disc < -band:
         return MonodromyClass.ELLIPTIC
-    return MonodromyClass.PARABOLIC
+    return MonodromyClass.PARABOLIC if a + d else MonodromyClass.DEGENERATE
+
+
+def classify(m: Mobius2, tol: Tolerance = DEFAULT_TOL) -> MonodromyClass:
+    """Conjugacy class from the discriminant Tr^2 - 4 det (scale-free)."""
+    return _classify_row(_unit(m.m), tol)
 
 
 class FixedDirection(NamedTuple):
@@ -215,39 +231,59 @@ def fixed_directions(m: Mobius2, tol: Tolerance = DEFAULT_TOL):
 
     Works with homogeneous eigenvector pairs (p : q), so the chart's point
     at infinity (direction angle pi) needs no special casing.  Hyperbolic
-    input yields two entries sorted attracting first (|derivative| < 1),
+    input yields two entries, attracting first (|derivative| < 1),
     parabolic one entry; identity returns the ALL_DIRECTIONS marker and
     elliptic raises NoRealFixedPoint.
     """
-    return _fixed_directions(m, classify(m, tol))
+    row = _unit(m.m)
+    return _fixed_row(row, _classify_row(row, tol))
 
 
-def _fixed_directions(m: Mobius2, klass: MonodromyClass):
-    """fixed_directions of m, given its class as classify computed it."""
+def _fixed_row(row, klass: MonodromyClass):
+    """fixed_directions of row = (a, b, c, d) given its class: the dominant
+    eigenvalue lam attracts (derivative det / lam^2), det / lam repels."""
     if klass is MonodromyClass.IDENTITY:
         return ALL_DIRECTIONS
     if klass is MonodromyClass.ELLIPTIC:
         raise NoRealFixedPoint("elliptic monodromy has no real fixed direction")
     if klass is MonodromyClass.DEGENERATE:
         raise DegenerateMonodromy("singular monodromy has no well-defined fixed directions")
-    tr, det = m.trace, m.det
+    a, b, c, d = row
+    tr, det = a + d, a * d - b * c
     if klass is MonodromyClass.PARABOLIC:
-        eigs = [tr / 2.0]
+        lam = 0.5 * tr
+        branches = [(lam, det / (lam * lam))]
     else:
-        root = math.sqrt(_disc_terms(m.m)[0])
-        eigs = [(tr + root) / 2.0, (tr - root) / 2.0]
+        lam = 0.5 * (tr + math.copysign(math.sqrt(_disc_terms(a, b, c, d)[0]), tr))
+        branches = [(lam, det / (lam * lam)), (det / lam, lam * lam / det)]
     out = []
-    for lam in eigs:
+    for lam, derivative in branches:
         # eigenvector of the matrix = homogeneous fixed point of the action
-        cand1 = np.array([m.m[0, 1], lam - m.m[0, 0]])
-        cand2 = np.array([lam - m.m[1, 1], m.m[1, 0]])
-        p, q = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
+        p, q = (b, lam - a) if math.hypot(b, lam - a) >= math.hypot(lam - d, c) else (lam - d, c)
         if q < 0.0 or (q == 0.0 and p < 0.0):
             p, q = -p, -q
-        angle = 2.0 * math.atan2(p, q)
-        out.append(FixedDirection(angle=angle, derivative=det / (lam * lam)))
-    out.sort(key=lambda fd: abs(fd.derivative))
+        out.append(FixedDirection(angle=2.0 * math.atan2(p, q), derivative=derivative))
     return out
+
+
+def _tr2_over_det(row) -> float:
+    a, b, c, d = row
+    tr, det = a + d, a * d - b * c
+    if det == 0.0:
+        return math.inf if tr else math.nan
+    return tr * tr / det
+
+
+def _row_summary(row, tol: Tolerance):
+    """Class, Tr^2/det and fixed directions (None unless hyperbolic or parabolic) of a row."""
+    klass = _classify_row(row, tol)
+    dirs = _fixed_row(row, klass) if klass in (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC) else None
+    return klass, _tr2_over_det(row), dirs
+
+
+def _summary_at(v: Polygon, ell: float, tol: Tolerance):
+    """_row_summary of the monodromy at one length, validated as polygon_monodromy."""
+    return _row_summary(_product_at(v, ell, tol)[0].ravel().tolist(), tol)
 
 
 class TracePoly:
@@ -414,9 +450,7 @@ def lorentz_fixed_directions(m: LorentzMatrix, tol: Tolerance = DEFAULT_TOL):
     Returns a list of (unit_vector, eigenvalue) sorted by |eigenvalue|
     descending; empty only for badly degenerate input.
     """
-    n = m.n
-    g = np.eye(n + 1)
-    g[-1, -1] = -1.0
+    n, g = m.n, m._metric()
     w, vecs = np.linalg.eig(m.m)
     scale = float(np.abs(w).max())
     real_idx = [i for i in range(len(w)) if abs(w[i].imag) <= 1e-9 * scale]
@@ -499,21 +533,22 @@ def classification_scan(
     nudge = np.maximum(1e-9 * v.side_lengths()[hits.argmax(axis=1)], 1e-6 * spacing)
     ells = np.where(hits.any(axis=1), ells + nudge, ells)
     out = []
-    for ell, row in zip(ells.tolist(), _monodromy_matrix(v, ells)):
-        mob = Mobius2(row)
-        klass = classify(mob, tol)
-        derivs = None
-        if klass in (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC):
-            derivs = tuple(fd.derivative for fd in _fixed_directions(mob, klass))
-        out.append(ScanPoint(ell=ell, klass=klass, invariant=mob.trace_sq_over_det(), derivatives=derivs))
+    for ell, row in zip(ells.tolist(), _monodromy_product(v, ells)[0].reshape(-1, 4).tolist()):
+        klass, invariant, dirs = _row_summary(row, tol)
+        derivs = None if dirs is None else tuple(fd.derivative for fd in dirs)
+        out.append(ScanPoint(ell=ell, klass=klass, invariant=invariant, derivatives=derivs))
     return out
 
 
-def _discriminants(v: Polygon, ells: np.ndarray) -> np.ndarray:
-    """Discriminants of the monodromy over a batch of lengths; ValueError,
-    naming the first such length, where one is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries overflow the squares
-        vals = _disc_terms(_monodromy_matrix(v, ells))[0]
+def _discriminants(v: Polygon, ells: np.ndarray, raw: bool = False) -> np.ndarray:
+    """Discriminants of the monodromy over a batch of lengths: of the rescaled
+    m, which have the sign of the raw ones, or with raw of the product itself;
+    ValueError, naming the first such length, where one is not finite."""
+    m, e = _monodromy_product(v, ells)
+    vals = _disc_terms(*m.reshape(-1, 4).T)[0]
+    if raw:
+        with np.errstate(over="ignore"):
+            vals = np.ldexp(vals, 2 * e)
     bad = ells[~np.isfinite(vals)]
     if bad.size:
         raise ValueError(f"discriminant is not finite at length {float(bad[0])!r}")
@@ -523,8 +558,8 @@ def _discriminants(v: Polygon, ells: np.ndarray) -> np.ndarray:
 def discriminant(v: Polygon, ell: float) -> float:
     """Tr^2 - 4 det of the monodromy matrix, as a smooth function of ell
     (cancellation-free form, stable enough for boundary bisection).
-    Raises ValueError where it is not finite."""
-    return float(_discriminants(v, np.array([ell], dtype=float))[0])
+    Raises ValueError where it leaves the double range."""
+    return float(_discriminants(v, np.array([ell], dtype=float), raw=True)[0])
 
 
 def refine_class_boundaries(
@@ -533,7 +568,7 @@ def refine_class_boundaries(
     """Bisect the sign changes of the discriminant over [lmin, lmax].
 
     Returns the length parameters of the parabolic boundaries to within xtol.
-    Raises ValueError, naming the length, where the discriminant is not finite.
+    Bisects the sign of the rescaled discriminant, which stays finite.
     """
     if steps < 2 or lmin <= 0 or lmax <= lmin or not xtol > 0:
         raise ValueError("need lmax > lmin > 0, steps >= 2 and xtol > 0")

@@ -1,11 +1,45 @@
 """Shared generators and helpers for the test suite."""
 
+import functools
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bicyclegeom as bg
+
+
+@functools.cache
+def bench_reference():
+    """The benchmark's 50-digit mpmath reference (bench/reference.py), imported
+    by path; it shares no code with bicyclegeom."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def overflow_recipe(k):
+    """(v, L) of the ROADMAP overflow recipe: the raw side product passes 1e200
+    near k = 150 and the double range near k = 500; the class is elliptic."""
+    v = bg.Polygon(np.random.default_rng(2).normal(size=(k, 2)) * 2)
+    return v, 3.0 * float(v.side_lengths().max())
+
+
+def survey_cases():
+    """The ROADMAP survey: 300 random 6-29-gons, vertices normal x 1.5, L
+    uniform in [0.2, 2] x the mean side, drawn from default_rng(5)."""
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(300):
+        k = int(rng.integers(6, 30))
+        v = bg.Polygon(rng.normal(size=(k, 2)) * 1.5)
+        out.append((v, float(rng.uniform(0.2, 2.0)) * float(v.side_lengths().mean())))
+    return out
 
 
 @pytest.fixture

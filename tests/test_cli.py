@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import bicyclegeom as bg
-from bicyclegeom import dynamics
+from bicyclegeom import dynamics, monodromy
 from bicyclegeom.cli import main
 from bicyclegeom.fileio import load_polygon, polygon_from_dict, save_polygon
 
-from conftest import circle_polygon, random_butterfly, random_polygon
+from conftest import bench_reference, circle_polygon, overflow_recipe, random_butterfly, random_polygon
 
 SQUARE = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -258,6 +258,33 @@ class TestRearTrackCommand:
         save_polygon(other, random_polygon(rng, k=4))
         assert main(["rear-track", square_file, str(other)]) == 1
 
+    def test_eigenvalue_outside_double_range_exits_2(self, tmp_path, capsys):
+        v = circle_polygon(np.random.default_rng(1), 2000)
+        paths = [tmp_path / "v.json", tmp_path / "w.json"]
+        save_polygon(paths[0], v)
+        save_polygon(paths[1], bg.rotation_transform(v, 0.005))
+        assert main(["rear-track", *map(str, paths)]) == 2
+        assert "eigenvalue outside the double range" in capsys.readouterr().err
+
+
+class TestOverflowRecipe:
+    """The raw side product passes 1e200 (k = 150) and the double range
+    (k = 500); the 50-digit reference calls every length here elliptic."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [150, 200, 500])
+    def test_scan_and_invariants_elliptic(self, tmp_path, capsys, k):
+        v, L = overflow_recipe(k)
+        path = str(tmp_path / "v.json")
+        save_polygon(path, v)
+        assert main(["scan", path, "--grid", f"{0.9 * L!r}:{1.1 * L!r}:5", "--json"]) == 0
+        grid = json.loads(capsys.readouterr().out)["grid"]
+        ref = bench_reference()
+        want = [ref.classify(v.vertices, p["L"]).klass for p in grid]
+        assert [p["class"] for p in grid] == want == ["elliptic"] * 5
+        assert main(["invariants", path, "--ell", repr(L), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["polygon"]["monodromy_class_at_L"] == "elliptic"
+
 
 class TestBianchiCommand:
     def test_valid_triple(self, tmp_path, capsys):
@@ -298,17 +325,17 @@ class TestToleranceEnv:
 
 @pytest.fixture
 def classify_calls(monkeypatch):
-    """Matrices passed to classify, counted through every bicyclegeom binding."""
+    """Rows passed to the one row classifier, counted through every bicyclegeom binding."""
     calls = []
-    real = bg.classify
+    real = monodromy._classify_row
 
-    def counted(m, *args, **kwargs):
-        calls.append(m)
-        return real(m, *args, **kwargs)
+    def counted(row, *args, **kwargs):
+        calls.append(row)
+        return real(row, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("bicyclegeom") and getattr(module, "classify", None) is real:
-            monkeypatch.setattr(module, "classify", counted)
+        if name.startswith("bicyclegeom") and getattr(module, "_classify_row", None) is real:
+            monkeypatch.setattr(module, "_classify_row", counted)
     return calls
 
 

@@ -231,6 +231,17 @@ class TestPolygonType:
         with pytest.raises(ValueError):
             v.vertices[0, 0] = 5.0
 
+    def test_side_arrays_computed_once_and_read_only(self):
+        v = bg.Polygon([(0, 0), (2, 0), (3, 1), (1, 2.5)])
+        for p in (v, v.rolled(1), v.reversed(), v.with_vertex(2, (4, 3))):
+            sides = np.roll(p.vertices, -1, axis=0) - p.vertices
+            assert np.array_equal(p.sides(), sides)
+            assert np.array_equal(p.side_lengths(), np.linalg.norm(sides, axis=1))
+            assert p.sides() is p.sides() and p.side_lengths() is p.side_lengths()
+            for arr in (p.sides(), p.side_lengths()):
+                with pytest.raises(ValueError):
+                    arr[0] = 5.0
+
     def test_as_vec_rejects_scalars(self):
         with pytest.raises(bg.DimensionMismatch):
             as_vec(3.0)

@@ -10,6 +10,7 @@ import bicyclegeom as bg
 
 from conftest import (
     LARGE_CIRCLES,
+    bench_reference,
     circle_polygon,
     hyperbolic_length,
     propagated_pair_3d,
@@ -300,6 +301,18 @@ class TestEigenvalueProducts:
         for lam in (lam_vw, lam_chain):
             assert math.isfinite(lam)
             assert abs(lam - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["v-w", "w-v"])
+    def test_outside_double_range_raises(self, swap):
+        """A k = 2000 rotation pair at L = 0.005 has log10 lambda = -+568.8: one
+        order used to raise a bare OverflowError, the other return (0.0, 0.0)."""
+        v = circle_polygon(np.random.default_rng(1), 2000)
+        w = bg.rotation_transform(v, 0.005)
+        with pytest.raises(ValueError, match="outside the double range") as info:
+            bg.eigenvalue_products(bg.BicyclePair(w, v) if swap else bg.BicyclePair(v, w))
+        logs = [float(x) for x in re.findall(r"log10 lambda_\w+ = (\S+?)(?:,|$)", str(info.value))]
+        want = (-1.0 if swap else 1.0) * bench_reference().classify(v.vertices, 0.005).repelling.log10_deriv
+        assert len(logs) == 2 and all(abs(x - want) <= 1e-5 * abs(want) for x in logs)
 
     def test_pole_on_chain(self, rng):
         v, w, L = random_hyperbolic_pair(rng)

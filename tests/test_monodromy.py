@@ -12,11 +12,14 @@ from bicyclegeom import monodromy
 
 from conftest import (
     LARGE_CIRCLES,
+    bench_reference,
     circle_polygon,
     lambda_grid,
     random_butterfly,
     random_cyclic_convex,
     random_polygon,
+    overflow_recipe,
+    survey_cases,
 )
 
 SQUARE = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -395,6 +398,25 @@ class TestScan:
                     derivs = tuple(fd.derivative for fd in bg.fixed_directions(mob))
                 assert (p.klass, p.invariant, p.derivatives) == (klass, mob.trace_sq_over_det(), derivs)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scan_is_exactly_scale_free(self):
+        """A power-of-two scale multiplies every side matrix exactly; the raw
+        product leaves the double range, the scan's answers do not change a bit."""
+        scale = 2.0**500
+        big = bg.Polygon(SQUARE.vertices * scale)
+        small = bg.classification_scan(SQUARE, 0.05, 3.0, 40)
+        large = bg.classification_scan(big, 0.05 * scale, 3.0 * scale, 40)
+        assert [(p.ell * scale, p.klass, p.invariant, p.derivatives) for p in small] == [
+            (p.ell, p.klass, p.invariant, p.derivatives) for p in large
+        ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scan_at_lengths_past_the_square_root_of_the_double_range(self):
+        """Side matrices with entries near 2^600: their raw products overflow at
+        once; the rescaled product is the identity a closed polygon tends to."""
+        points = bg.classification_scan(SQUARE, 2.0**600, 2.0**601, 3)
+        assert [p.klass for p in points] == [bg.MonodromyClass.IDENTITY] * 3
+
     def test_scan_nudges_grid_point_off_pole(self):
         points = bg.classification_scan(SQUARE, 0.5, 1.5, 3)
         assert [p.ell for p in points] == [0.5, 1.0 + 1e-6 * 0.5, 1.5]
@@ -439,13 +461,13 @@ class TestScan:
 
     def test_one_kernel_call_per_grid_and_bisection_round(self, monkeypatch):
         sizes = []
-        real = monodromy._monodromy_matrix
+        real = monodromy._monodromy_product
 
         def counted(v, ells):
             sizes.append(len(ells))
             return real(v, ells)
 
-        monkeypatch.setattr(monodromy, "_monodromy_matrix", counted)
+        monkeypatch.setattr(monodromy, "_monodromy_product", counted)
         bg.classification_scan(SQUARE, 0.2, 3.0, 40)
         assert sizes == [40]
         sizes.clear()
@@ -458,30 +480,19 @@ class TestScan:
         roots = bg.refine_class_boundaries(SQUARE, 1.05, 2.2, xtol=1e-300)
         assert len(roots) == 1 and abs(roots[0] - math.sqrt(2)) <= 1e-15
 
-    def test_refine_rejects_non_finite_grid_point(self):
-        """ROADMAP overflow recipe at k = 500: NaN at every grid point, which
-        the sign test used to count as 15 boundaries."""
-        v = bg.Polygon(np.random.default_rng(2).normal(size=(500, 2)) * 2)
-        L = 3.0 * float(v.side_lengths().max())
-        with pytest.raises(ValueError, match=re.escape(f"not finite at length {0.9 * L!r}")):
-            bg.refine_class_boundaries(v, 0.9 * L, 1.1 * L, steps=16)
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "call, failing_length",
         [
             (lambda v, L: bg.discriminant(v, L), lambda L: L),
             (lambda v, L: bg.polygon_monodromy(v, L), None),
-            (lambda v, L: bg.classification_scan(v, 0.9 * L, 1.1 * L, 16), None),
-            (lambda v, L: bg.refine_class_boundaries(v, 0.9 * L, 1.1 * L, steps=16), lambda L: 0.9 * L),
-            (lambda v, L: bg.transform(v, L), None),
         ],
-        ids=["discriminant", "polygon_monodromy", "classification_scan", "refine", "transform"],
+        ids=["discriminant", "polygon_monodromy"],
     )
     def test_overflowing_product_raises_without_warnings(self, call, failing_length):
-        """ROADMAP overflow recipe at k = 500: every entry point raises
-        ValueError (the discriminant's names the length), and the overflow
-        inside the product warns nobody."""
+        """ROADMAP overflow recipe at k = 500: the raw-valued results leave the
+        double range and raise ValueError (the discriminant's names the
+        length), and the overflow warns nobody."""
         v = bg.Polygon(np.random.default_rng(2).normal(size=(500, 2)) * 2)
         L = 3.0 * float(v.side_lengths().max())
         if failing_length is None:
@@ -502,12 +513,14 @@ class TestScan:
             bg.discriminant(v, L)
 
     def test_refine_rejects_non_finite_midpoint(self, monkeypatch):
-        real = monodromy._monodromy_matrix
+        real = monodromy._monodromy_product
 
         def poisoned(v, ells):  # finite on the grid, NaN at every midpoint
-            return real(v, ells) if len(ells) == 64 else np.full((len(ells), 2, 2), np.nan)
+            if len(ells) == 64:
+                return real(v, ells)
+            return np.full((len(ells), 2, 2), np.nan), np.zeros(len(ells), int)
 
-        monkeypatch.setattr(monodromy, "_monodromy_matrix", poisoned)
+        monkeypatch.setattr(monodromy, "_monodromy_product", poisoned)
         grid = np.linspace(1.05, 2.2, 64)
         i = int(np.searchsorted(grid, math.sqrt(2)))
         mid = float(0.5 * (grid[i - 1] + grid[i]))
@@ -524,3 +537,60 @@ class TestScan:
     def test_refine_rejects_bad_arguments(self, lmin, lmax, steps, xtol):
         with pytest.raises(ValueError):
             bg.refine_class_boundaries(SQUARE, lmin, lmax, steps=steps, xtol=xtol)
+
+
+# survey cases that the old singularity rule |det| <= eps_geom s^2 called DEGENERATE
+# (eigenvalue ratios 1e-8 to 1e-11); the 50-digit reference calls them hyperbolic
+SURVEY_STRONGLY_HYPERBOLIC = (18, 58, 63, 71, 205, 259, 296)
+
+
+class TestAgainstReference:
+    """Regression checks against the benchmark's 50-digit reference."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [150, 200, 500])
+    def test_overflow_recipe_is_elliptic(self, k):
+        ref = bench_reference()
+        v, L = overflow_recipe(k)
+        assert ref.classify(v.vertices, L).klass == "elliptic"
+        points = bg.classification_scan(v, 0.9 * L, 1.1 * L, 5)
+        assert [p.klass.value for p in points] == [ref.classify(v.vertices, p.ell).klass for p in points]
+        with pytest.raises(bg.EllipticMonodromy):
+            bg.transform(v, L)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [150, 200])
+    def test_trace_sq_over_det_of_huge_product(self, k):
+        """Entries near 1e209 (k = 150) and 1e281 (k = 200): Tr^2 and det
+        overflow when taken from the raw entries."""
+        v, L = overflow_recipe(k)
+        m00, _, _, m11, det = bench_reference().monodromy(v.vertices, L)
+        want = float((m00 + m11) ** 2 / det)
+        assert abs(bg.polygon_monodromy(v, L).trace_sq_over_det() - want) <= 1e-12 * abs(want)
+
+    def test_survey_classes(self):
+        ref = bench_reference()
+        decided = 0
+        for v, L in survey_cases():
+            want = ref.classify(v.vertices, L).klass
+            if want != "undecided":
+                decided += 1
+                assert bg.classify(bg.polygon_monodromy(v, L)).value == want
+        assert decided == 300
+
+    @pytest.mark.parametrize("index", SURVEY_STRONGLY_HYPERBOLIC)
+    def test_strongly_hyperbolic_survey_case(self, index):
+        v, L = survey_cases()[index]
+        assert bench_reference().classify(v.vertices, L).klass == "hyperbolic"
+        assert bg.classify(bg.polygon_monodromy(v, L)) is bg.MonodromyClass.HYPERBOLIC
+        assert bg.correspondence_check(v, bg.transform(v, L))
+
+    def test_square_scan_has_no_degenerate_label(self):
+        """Near the pole at 1 the square's monodromy is strongly hyperbolic."""
+        ref = bench_reference()
+        points = bg.classification_scan(SQUARE, 0.05, 3.0, 1000)
+        assert all(p.klass is not bg.MonodromyClass.DEGENERATE for p in points)
+        near = [p for p in points if abs(p.ell - 1.0) < 0.006]
+        assert len(near) == 4
+        for p in near:
+            assert (p.klass.value, ref.classify(SQUARE.vertices, p.ell).klass) == ("hyperbolic", "hyperbolic")
