@@ -10,7 +10,7 @@ precondition error.  BICYCLE_TOL overrides the default tolerance.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import os
 import sys
@@ -20,6 +20,7 @@ import numpy as np
 from .dynamics import (
     BicyclePair,
     Branch,
+    _closure_bound,
     _transform,
     bianchi_fourth_polygon,
     correspondence_check,
@@ -35,7 +36,7 @@ from .families import (
     ngon_construct,
     ngon_residuals,
 )
-from .fileio import PolygonFileError, load_polygon, polygon_to_dict, save_polygon
+from .fileio import PolygonFileError, load_polygon, polygon_to_dict, save_polygon, to_json
 from .geometry import DEFAULT_TOL, Polygon, Tolerance
 from .invariants import (
     area_bivector,
@@ -77,7 +78,7 @@ def _save_or_print(v: Polygon, output: str | None) -> None:
         save_polygon(output, v)
         print(f"wrote {output}")
     else:
-        print(json.dumps(polygon_to_dict(v)))
+        print(to_json(polygon_to_dict(v)))
 
 
 def _val(x, tol: Tolerance):
@@ -86,7 +87,7 @@ def _val(x, tol: Tolerance):
 
 def _render_report(data: dict, as_json: bool) -> str:
     if as_json:
-        return json.dumps(data, indent=2, default=_jsonable) + "\n"
+        return to_json(data) + "\n"
     lines: list[str] = []
 
     def emit(prefix: str, obj) -> None:
@@ -111,14 +112,6 @@ def _scalar(x) -> str:
         items = np.asarray(x, dtype=object).ravel()
         return "[" + ", ".join("line" if v is None else _scalar(float(v)) for v in items) + "]"
     return str(x)
-
-
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
 def _elliptic_hint(v: Polygon, tol: Tolerance) -> str:
@@ -148,7 +141,7 @@ def cmd_transform(args) -> int:
         seed = v.vertex(0) + length * np.array([math.cos(ang), math.sin(ang)])
         res = propagate(v, seed, tol)
         print(f"closure defect: {res.closure_defect:.6e}")
-        if res.closure_defect > tol.eps_geom * v.perimeter():
+        if res.closure_defect > _closure_bound(v, length, tol):
             _err("seed does not close; pick a fixed direction or a butterfly polygon")
             return 1
         w = res.closed_polygon(name=v.name)
@@ -259,7 +252,7 @@ def cmd_scan(args) -> int:
             ],
             "boundaries": boundaries,
         }
-        sys.stdout.write(json.dumps(payload, indent=2, default=_jsonable) + "\n")
+        sys.stdout.write(to_json(payload) + "\n")
         return 0
     print(f"{'L':>14}  {'class':<11} {'Tr^2/det':>16}  eigenvalues")
     for p in points:
@@ -370,7 +363,7 @@ def cmd_rear_track(args) -> int:
             "eigenvalue_vw": lam_vw,
             "eigenvalue_chain": lam_chain,
         }
-        sys.stdout.write(json.dumps(payload, indent=2, default=_jsonable) + "\n")
+        sys.stdout.write(to_json(payload) + "\n")
         return 0
     print(f"frame length: {pair.length:.12g}")
     print(f"{'slot':>7}  {'center':<32} {'radius':>16}  {'curvature':>14}")
@@ -399,7 +392,10 @@ def cmd_bianchi(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args call still
+    returns a fresh Namespace."""
     top = argparse.ArgumentParser(prog="bicyclegeom", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

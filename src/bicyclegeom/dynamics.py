@@ -58,6 +58,14 @@ def propagate(v: Polygon, w1, tol: Tolerance = DEFAULT_TOL) -> PropagationResult
     return PropagationResult(points=trace, closure_defect=float(np.linalg.norm(trace[-1] - trace[0])))
 
 
+def _closure_bound(v: Polygon, length: float, tol: Tolerance) -> float:
+    """Largest closing defect a closed companion at frame length L may have:
+    eps_geom min(perimeter, max(L, longest side)).  The second term is the
+    bound correspondence_check puts on every step, the closing one included,
+    so a trace that passes here passes there."""
+    return tol.eps_geom * min(v.perimeter(), max(length, float(v.side_lengths().max())))
+
+
 class Branch(enum.Enum):
     ATTRACTING = "attracting"
     REPELLING = "repelling"
@@ -78,9 +86,10 @@ def _transform(
     fd = dirs[0] if branch is Branch.ATTRACTING else dirs[-1]
     seed = v.vertex(0) + length * np.array([math.cos(fd.angle), math.sin(fd.angle)])
     res = propagate(v, seed, tol)
-    if res.closure_defect > tol.eps_geom * v.perimeter():
+    bound = _closure_bound(v, length, tol)
+    if res.closure_defect > bound:
         raise ClosureFailure(
-            f"fixed-direction propagation did not close: defect {res.closure_defect:.3e}"
+            f"fixed-direction propagation did not close: defect {res.closure_defect:.3e} > {bound:.3e}"
         )
     return res.closed_polygon(name=v.name), klass, fd, res.closure_defect
 

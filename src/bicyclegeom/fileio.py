@@ -1,14 +1,17 @@
 """JSON polygon files.
 
 Schema: {"dim": n, "vertices": [[x, y, ...], ...], "name": optional string}.
-Floats are serialized with shortest round-trip precision, so
-load(save(p)) == p exactly.
+Files are compact JSON from one writer, ``to_json``, which the CLI's
+reports share.  Floats are serialized with shortest round-trip precision,
+so load(save(p)) == p exactly.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .geometry import Polygon
 
@@ -17,8 +20,22 @@ class PolygonFileError(ValueError):
     """Malformed polygon file."""
 
 
+def _jsonable(x):
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, (np.floating, np.integer)):
+        return x.item()
+    raise TypeError(f"not JSON-serializable: {type(x)}")
+
+
+def to_json(obj) -> str:
+    """Compact JSON of obj, numpy arrays and scalars included; without an
+    indent json.dumps runs its C encoder."""
+    return json.dumps(obj, default=_jsonable)
+
+
 def polygon_to_dict(v: Polygon) -> dict:
-    out = {"dim": v.dim, "vertices": [list(row) for row in v.vertices]}
+    out = {"dim": v.dim, "vertices": v.vertices.tolist()}
     if v.name:
         out["name"] = v.name
     return out
@@ -48,4 +65,4 @@ def load_polygon(path) -> Polygon:
 
 
 def save_polygon(path, v: Polygon) -> None:
-    Path(path).write_text(json.dumps(polygon_to_dict(v), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(to_json(polygon_to_dict(v)) + "\n", encoding="utf-8")

@@ -34,6 +34,8 @@ from .errors import (
 )
 from .geometry import DEFAULT_TOL, Polygon, Tolerance, as_vec, check_same_dim
 
+_TINY = np.finfo(float).tiny  # smallest normal double
+
 
 class MonodromyClass(enum.Enum):
     ELLIPTIC = "elliptic"
@@ -171,11 +173,15 @@ def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> M
 
     Raises DegenerateMonodromy when ell coincides with a side length (the
     determinant prod(ell^2 - a_i^2) vanishes there), and ValueError where the
-    raw product leaves the double range.
+    raw product leaves the double range: its entries overflow, or its
+    largest entry underflows to 0 or a subnormal (naming the length).
     """
     m, e = _product_at(v, ell, tol)
     with np.errstate(over="ignore"):
-        return Mobius2(np.ldexp(m, e))
+        raw = np.ldexp(m, e)
+    if np.abs(raw).max() < _TINY:
+        raise ValueError(f"monodromy entries underflow at length {ell!r}")
+    return Mobius2(raw)
 
 
 def _disc_terms(a, b, c, d):
@@ -543,12 +549,16 @@ def classification_scan(
 def _discriminants(v: Polygon, ells: np.ndarray, raw: bool = False) -> np.ndarray:
     """Discriminants of the monodromy over a batch of lengths: of the rescaled
     m, which have the sign of the raw ones, or with raw of the product itself;
-    ValueError, naming the first such length, where one is not finite."""
+    ValueError, naming the first such length, where one is not finite, or
+    where raw underflows a normal rescaled value to 0 or a subnormal."""
     m, e = _monodromy_product(v, ells)
     vals = _disc_terms(*m.reshape(-1, 4).T)[0]
     if raw:
         with np.errstate(over="ignore"):
-            vals = np.ldexp(vals, 2 * e)
+            scaled, vals = vals, np.ldexp(vals, 2 * e)
+        lost = ells[(np.abs(vals) < _TINY) & (np.abs(scaled) >= _TINY)]
+        if lost.size:
+            raise ValueError(f"discriminant underflows at length {float(lost[0])!r}")
     bad = ells[~np.isfinite(vals)]
     if bad.size:
         raise ValueError(f"discriminant is not finite at length {float(bad[0])!r}")

@@ -10,6 +10,7 @@ import bicyclegeom as bg
 
 from conftest import (
     LARGE_CIRCLES,
+    bench_reference,
     circle_polygon,
     congruent,
     hyperbolic_length,
@@ -17,7 +18,12 @@ from conftest import (
     random_cyclic_convex,
     random_hyperbolic_pair,
     random_polygon,
+    survey_cases,
 )
+
+# survey cases whose REPELLING closing defect (8.8e-9 to 5.8e-8) lies between
+# correspondence_check's step bound eps max(L, max side) and eps perimeter
+SURVEY_CLOSING_BETWEEN_BOUNDS = (27, 47, 58, 124, 259, 266, 293)
 
 
 class TestPropagate:
@@ -138,6 +144,47 @@ class TestTransform:
     def test_perimeter_and_sides_preserved(self, rng):
         v, w, _L = random_hyperbolic_pair(rng, k=6)
         assert np.abs(v.side_lengths() - w.side_lengths()).max() < 1e-9 * v.perimeter()
+
+
+class TestClosureRule:
+    """transform checks the closing step against the bound correspondence_check
+    puts on every step, so whatever it returns is a pair under the same tol."""
+
+    def test_every_survey_companion_is_a_pair(self):
+        ref = bench_reference()
+        returned = 0
+        for v, L in survey_cases():
+            if ref.classify(v.vertices, L).klass != "hyperbolic":
+                continue
+            for branch in bg.Branch:
+                try:
+                    w = bg.transform(v, L, branch)
+                except bg.ClosureFailure:
+                    assert branch is bg.Branch.REPELLING
+                    continue
+                returned += 1
+                assert bg.correspondence_check(v, w)
+        assert returned >= 275 + 261
+
+    @pytest.mark.parametrize("k, noise, L", LARGE_CIRCLES)
+    def test_large_circle_companions_are_pairs(self, rng, k, noise, L):
+        v = circle_polygon(rng, k, noise)
+        for branch in bg.Branch:
+            assert bg.correspondence_check(v, bg.transform(v, L, branch))
+
+    @pytest.mark.parametrize("index", SURVEY_CLOSING_BETWEEN_BOUNDS)
+    def test_defect_between_old_and_step_bound_fails(self, index):
+        """The old bound eps perimeter accepted these closing defects; the
+        returned polygon failed correspondence_check."""
+        v, L = survey_cases()[index]
+        fd = bg.fixed_directions(bg.polygon_monodromy(v, L))[-1]
+        seed = v.vertex(0) + L * np.array([math.cos(fd.angle), math.sin(fd.angle)])
+        res = bg.propagate(v, seed)
+        eps = bg.DEFAULT_TOL.eps_geom
+        assert eps * max(L, v.side_lengths().max()) < res.closure_defect <= eps * v.perimeter()
+        assert not bg.correspondence_check(v, res.closed_polygon())
+        with pytest.raises(bg.ClosureFailure):
+            bg.transform(v, L, bg.Branch.REPELLING)
 
 
 class TestCorrespondenceCheck:

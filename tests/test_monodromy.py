@@ -512,6 +512,24 @@ class TestScan:
         with pytest.raises(ValueError, match=re.escape(f"discriminant is not finite at length {L!r}")):
             bg.discriminant(v, L)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_discriminant_underflow_raises(self):
+        """A k = 2000 circle at L = 0.5: the rescaled product is hyperbolic
+        (exponent -1992) and its raw discriminant is below the double range;
+        ValueError naming the length, not 0.0 (a parabolic boundary)."""
+        v = circle_polygon(np.random.default_rng(0), 2000)
+        assert bg.classification_scan(v, 0.5, 0.6, 2)[0].klass is bg.MonodromyClass.HYPERBOLIC
+        with pytest.raises(ValueError, match=re.escape("discriminant underflows at length 0.5")):
+            bg.discriminant(v, 0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_monodromy_underflow_raises(self):
+        """The same case through polygon_monodromy: ValueError naming the
+        length, not the zero-matrix error of an all-zero product."""
+        v = circle_polygon(np.random.default_rng(0), 2000)
+        with pytest.raises(ValueError, match=re.escape("monodromy entries underflow at length 0.5")):
+            bg.polygon_monodromy(v, 0.5)
+
     def test_refine_rejects_non_finite_midpoint(self, monkeypatch):
         real = monodromy._monodromy_product
 
