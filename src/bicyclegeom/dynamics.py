@@ -2,9 +2,15 @@
 
 Propagation carries a frame segment around a closed polygon one isosceles
 trapezoid at a time; when the seed direction is fixed under the monodromy
-the trace closes up and defines the transformation T_L.  Recutting (vertex
-reflection in the bisector of its neighbours) and the permutability
-construction both reduce to the same trapezoid step.
+the trace closes up and defines the transformation T_L.  transform does not
+loop: the frame direction at each vertex is the seed direction pushed
+through a partial product of the side matrices, so one prefix scan of the
+side stack gives every frame at once, and the repelling branch runs the
+scan backwards, on the inverses, where it contracts.  propagate keeps the
+step loop for arbitrary seeds and any dimension, and is the oracle the scan
+is tested against.  Recutting (vertex reflection in the bisector of its
+neighbours) and the permutability construction both reduce to the same
+trapezoid step.
 
 Length convention: the public parameter L is always the full frame segment
 length |V_i W_i|.  Formulas that are naturally written in terms of the half
@@ -24,7 +30,7 @@ from .geometry import (
     DEFAULT_TOL, Polygon, Tolerance, _angle_at, _bisector_reflect, _coincident, as_vec,
     check_same_dim, perp_bisector_reflect,
 )
-from .monodromy import FixedDirection, MonodromyClass, _summary_at
+from .monodromy import FixedDirection, MonodromyClass, _rescale, _side_matrices, _summary_at
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,55 @@ class Branch(enum.Enum):
     REPELLING = "repelling"
 
 
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_HALF_ANGLE = np.array([1j, 1.0])  # (p, q) -> z = q + i p
+
+
+def _companion(
+    v: Polygon, length: float, angle: float, sides: np.ndarray, backwards: bool, tol: Tolerance
+) -> tuple[np.ndarray, float]:
+    """Unchecked kernel behind transform: the companion of plane polygon v
+    seeded from the fixed direction at angle, and its closing-step residual.
+
+    sides is the rescaled side stack (k, 2, 2), overwritten here.  The frame
+    direction alpha_i at V_i is h_i = (sin alpha_i/2, cos alpha_i/2) up to
+    scale, and h_{i+1} ~ S_i h_i, so every h_i is a prefix product of the side
+    matrices applied to h_0; a Hillis-Steele doubling scan computes all of
+    them in ceil(log2(k - 1)) rescaled matmul levels.  backwards runs the same
+    scan on the reversed adjugates (the projective inverses) from the closing
+    vertex down, the contracting direction of the repelling branch.  Raises
+    DegenerateLine on a zero frame or a step with no bisector, and
+    ClosureFailure where any step misses the bisector reflection by more
+    than _closure_bound.
+    """
+    k = len(v)
+    # h_0 is the seed and W_k = W_0 is checked, so S_0 ... S_{k-2} forwards,
+    # or the adjugates [[d, -b], [-b, a]] of S_{k-1} ... S_1 backwards
+    s = sides[:0:-1, ::-1, ::-1] * _ADJUGATE_SIGNS if backwards else sides[:-1]
+    d = 1
+    while d < len(s):
+        s[d:] = _rescale(s[d:] @ s[:-d])[0]
+        d *= 2
+    h = np.empty((k + 1, 2))
+    h[0] = h[k] = (math.sin(0.5 * angle), math.cos(0.5 * angle))
+    h[1:k] = s[::-1] @ h[0] if backwards else s @ h[0]
+    # V_0 ... V_{k-1}, V_0, V_0: rows i and i + 1 are step i's V_i and V_{i+1}
+    at = np.concatenate([v.vertices, v.vertices[:1], v.vertices[:1]])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = h @ _HALF_ANGLE  # e^(i alpha/2) up to scale, so e^(i alpha) = z / conj(z)
+        w = at[:-1] + length * (z / z.conj()).view(float).reshape(-1, 2)
+        # rows (V_{i+1}, W_i): step i has no bisector; the last row is the seed frame
+        if _coincident(at[1:], w, tol).any():
+            raise DegenerateLine("zero frame segment or reflection axis through coincident points")
+        miss = w[1:] - _bisector_reflect(at[:-2], at[1:-1], w[:-1])
+        sq = np.vecdot(miss, miss)
+    bound = _closure_bound(v, length, tol)
+    worst = float(sq.max())
+    if not worst <= bound * bound:
+        raise ClosureFailure(f"companion step misses by {math.sqrt(worst):.3e} > {bound:.3e}")
+    return w[:-1], math.sqrt(float(sq[0] if backwards else sq[-1]))
+
+
 def _transform(
     v: Polygon, length: float, branch: Branch, tol: Tolerance
 ) -> tuple[Polygon, MonodromyClass, FixedDirection, float]:
@@ -78,20 +133,15 @@ def _transform(
     direction and the closure defect it computed on the way."""
     if v.dim != 2:
         raise DimensionMismatch("the closed transformation is defined for plane polygons")
-    klass, _, dirs = _summary_at(v, length, tol)
+    leaves = _rescale(_side_matrices(v, np.array([length], dtype=float)))
+    klass, _, dirs = _summary_at(v, length, tol, leaves)
     if klass is MonodromyClass.ELLIPTIC:
         raise EllipticMonodromy(f"monodromy is elliptic at L={length}; no real fixed direction")
     if dirs is None:  # identity (every seed closes; propagate from one) or singular
         raise DegenerateMonodromy(f"{klass.value} monodromy at L={length}: no isolated fixed direction")
     fd = dirs[0] if branch is Branch.ATTRACTING else dirs[-1]
-    seed = v.vertex(0) + length * np.array([math.cos(fd.angle), math.sin(fd.angle)])
-    res = propagate(v, seed, tol)
-    bound = _closure_bound(v, length, tol)
-    if res.closure_defect > bound:
-        raise ClosureFailure(
-            f"fixed-direction propagation did not close: defect {res.closure_defect:.3e} > {bound:.3e}"
-        )
-    return res.closed_polygon(name=v.name), klass, fd, res.closure_defect
+    w, defect = _companion(v, length, fd.angle, leaves[0][0], branch is Branch.REPELLING, tol)
+    return Polygon(w, name=v.name), klass, fd, defect
 
 
 def transform(
@@ -99,9 +149,14 @@ def transform(
 ) -> Polygon:
     """The closed bicycle transformation T_L of a plane polygon.
 
-    Seeds the propagation from the chosen fixed direction of the monodromy;
-    requires the monodromy to be hyperbolic or parabolic (elliptic has no
-    real fixed direction, so no closed companion exists).
+    The monodromy's class and the branch's fixed direction come from the
+    pairwise side-matrix tree; the companion comes from one prefix scan of
+    the same side stack, the repelling branch run backwards, so both
+    branches are computed in their contracting direction.  Every step is
+    checked against the bisector reflection (correspondence_check's rule and
+    bound), so the result is a pair with v under tol.  Requires the
+    monodromy to be hyperbolic or parabolic (elliptic has no real fixed
+    direction, so no closed companion exists).
     """
     return _transform(v, length, branch, tol)[0]
 

@@ -12,8 +12,11 @@ with determinant ell^2 - a^2.  The whole-polygon monodromy is the product of
 these over the sides, later sides multiplying on the left, computed as a
 pairwise tree and kept as m 2**e (exact power-of-two rescaling, so it cannot
 overflow); scale-free answers are read off m by one row classifier and one
-fixed-direction solver.  In dimension n the same step is a Lorentz matrix in
-O(n,1) acting projectively on the sphere of directions.
+fixed-direction solver.  Where the polygon is known, the determinant is not
+taken from m but from the sides, as the sign and log2 of prod(ell^2 - a^2):
+on a strongly hyperbolic product a d - b c of m rounds to 0.  In dimension n
+the same step is a Lorentz matrix in O(n,1) acting projectively on the
+sphere of directions.
 """
 
 from __future__ import annotations
@@ -49,11 +52,14 @@ class Mobius2:
     """Real 2x2 matrix acting projectively on the circle of directions.
 
     Defined up to a nonzero scalar factor; comparisons are projective.
+    polygon_monodromy also records the exact determinant, as the sign, log2
+    mantissa and integer log2 exponent of _log2_det; a bare Mobius2 takes
+    a d - b c.
     """
 
-    __slots__ = ("m",)
+    __slots__ = ("m", "_logdet")
 
-    def __init__(self, m):
+    def __init__(self, m, _logdet: tuple[float, float, int] | None = None):
         m = np.array(m, dtype=float)
         if m.shape != (2, 2):
             raise DimensionMismatch("Mobius2 wants a 2x2 matrix")
@@ -63,6 +69,7 @@ class Mobius2:
             raise ValueError("the zero matrix is not a projective transformation")
         m.setflags(write=False)
         self.m = m
+        self._logdet = _logdet
 
     @property
     def trace(self) -> float:
@@ -70,7 +77,20 @@ class Mobius2:
 
     @property
     def det(self) -> float:
+        if self._logdet is not None:
+            sign, mant, exp = self._logdet
+            return _pow2(sign, mant + exp)
         return float(self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0])
+
+    def _row(self):
+        """The entries (a, b, c, d) rescaled to a largest entry in [0.5, 1), and
+        the (sign, log2 |det|) of that rescaled matrix."""
+        unit, shift = _rescale(self.m)
+        row = unit.ravel().tolist()
+        if self._logdet is None:
+            return row, _row_det(row)
+        sign, mant, exp = self._logdet
+        return row, (sign, mant + (exp - 2 * int(shift)))
 
     def __matmul__(self, other: "Mobius2") -> "Mobius2":
         return Mobius2(self.m @ other.m)
@@ -86,7 +106,7 @@ class Mobius2:
 
     def trace_sq_over_det(self) -> float:
         """The projective-scale invariant Tr^2 / det (+-inf at degenerate points)."""
-        return _tr2_over_det(_unit(self.m))
+        return _tr2_over_det(*self._row())
 
     def apply(self, x: float) -> float:
         """Fractional-linear action on the affine chart coordinate."""
@@ -127,18 +147,43 @@ def _rescale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(a, -shift[..., None, None]), shift
 
 
-def _unit(m: np.ndarray) -> list[float]:
-    return _rescale(m)[0].ravel().tolist()
+def _pow2(sign: float, x: float) -> float:
+    """sign 2**x, infinite past the double range (2.0 ** x raises there)."""
+    return sign * 2.0**x if x < 1024.0 else sign * math.inf
 
 
-def _monodromy_product(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_det(row) -> tuple[float, float]:
+    """(sign, log2 |det|) of row = (a, b, c, d) from a d - b c."""
+    a, b, c, d = row
+    det = a * d - b * c
+    return (math.copysign(1.0, det), math.log2(abs(det))) if det else (0.0, -math.inf)
+
+
+_MINUS_PLUS = np.array([[-1.0], [1.0]])  # rows ell - a_j and ell + a_j
+
+
+def _log2_det(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Determinant of the raw side product per length, exactly prod (ell - a_j)
+    (ell + a_j), as its sign and log2 |det| = mant + exp: the log2 of the
+    factors' frexp mantissas and the integer sum of their exponents, so no
+    partial product leaves the double range and a power-of-two scale of the
+    polygon changes exp alone.  The lengths must be off the poles ell = a_j."""
+    mant, exp = np.frexp(ells[:, None, None] + _MINUS_PLUS * v.side_lengths())
+    return np.sign(mant[:, 0]).prod(axis=1), np.log2(np.abs(mant)).sum(axis=(1, 2)), exp.sum(axis=(1, 2))
+
+
+def _monodromy_product(v: Polygon, ells: np.ndarray, leaves=None) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked side-matrix products m 2**e per length, m (lengths, 2, 2) rescaled:
     a pairwise tree, later sides on the left, an identity pad on odd levels,
-    every level rescaled, so any finite polygon gives a finite m."""
-    if len(ells) > 1 and len(ells) * len(v) > 1 << 16:  # bound the side stack's memory
-        halves = zip(*(_monodromy_product(v, h) for h in np.array_split(ells, 2)))
-        return tuple(np.concatenate(parts) for parts in halves)
-    a, e = _rescale(_side_matrices(v, ells))
+    every level rescaled, so any finite polygon gives a finite m.  leaves, when
+    given, is the stack _rescale(_side_matrices(v, ells)) already built; the
+    tree does not write to it."""
+    if leaves is None:
+        if len(ells) > 1 and len(ells) * len(v) > 1 << 16:  # bound the side stack's memory
+            halves = zip(*(_monodromy_product(v, h) for h in np.array_split(ells, 2)))
+            return tuple(np.concatenate(parts) for parts in halves)
+        leaves = _rescale(_side_matrices(v, ells))
+    a, e = leaves
     while a.shape[1] > 1:
         if a.shape[1] % 2:
             a = np.concatenate([a, np.broadcast_to(np.eye(2), (len(a), 1, 2, 2))], axis=1)
@@ -154,8 +199,10 @@ def _pole_hits(v: Polygon, ells: np.ndarray, tol: Tolerance) -> np.ndarray:
     return np.abs(ell - a) <= tol.eps_geom * np.maximum(ell, a)
 
 
-def _product_at(v: Polygon, ell: float, tol: Tolerance) -> tuple[np.ndarray, int]:
-    """The (m, e) of the monodromy at one length, validated as polygon_monodromy."""
+def _product_at(v: Polygon, ell: float, tol: Tolerance, leaves=None):
+    """The (m, e) of the monodromy at one length, validated as polygon_monodromy,
+    and the (sign, mant, exp) of its raw determinant from _log2_det; leaves as
+    for _monodromy_product."""
     if v.dim != 2:
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
     if ell <= 0.0:
@@ -163,8 +210,9 @@ def _product_at(v: Polygon, ell: float, tol: Tolerance) -> tuple[np.ndarray, int
     ells = np.array([ell], dtype=float)
     if _pole_hits(v, ells, tol).any():
         raise DegenerateMonodromy(f"length parameter {ell} coincides with a side length")
-    m, e = _monodromy_product(v, ells)
-    return m[0], int(e[0])
+    m, e = _monodromy_product(v, ells, leaves)
+    sign, mant, exp = _log2_det(v, ells)
+    return m[0], int(e[0]), (float(sign[0]), float(mant[0]), int(exp[0]))
 
 
 def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> Mobius2:
@@ -176,12 +224,12 @@ def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> M
     raw product leaves the double range: its entries overflow, or its
     largest entry underflows to 0 or a subnormal (naming the length).
     """
-    m, e = _product_at(v, ell, tol)
+    m, e, logdet = _product_at(v, ell, tol)
     with np.errstate(over="ignore"):
         raw = np.ldexp(m, e)
     if np.abs(raw).max() < _TINY:
         raise ValueError(f"monodromy entries underflow at length {ell!r}")
-    return Mobius2(raw)
+    return Mobius2(raw, logdet)
 
 
 def _disc_terms(a, b, c, d):
@@ -193,15 +241,16 @@ def _disc_terms(a, b, c, d):
     return square + cross, square, cross
 
 
-def _classify_row(row, tol: Tolerance) -> MonodromyClass:
-    """Class of [[a, b], [c, d]] from the floats row = (a, b, c, d): identity,
-    singular (det == 0), then by the discriminant's sign outside the eps_class
-    band; in the band parabolic, or singular if the double eigenvalue is 0."""
+def _classify_row(row, tol: Tolerance, det: tuple[float, float]) -> MonodromyClass:
+    """Class of [[a, b], [c, d]] from the floats row = (a, b, c, d) and the
+    (sign, log2 |det|) of that matrix: identity, singular (det sign 0), then
+    by the discriminant's sign outside the eps_class band; in the band
+    parabolic, or singular if the double eigenvalue is 0."""
     a, b, c, d = row
     eps = tol.eps_geom * max(abs(a), abs(b), abs(c), abs(d))
     if abs(b) <= eps and abs(c) <= eps and abs(a - d) <= eps:
         return MonodromyClass.IDENTITY
-    if a * d - b * c == 0.0:
+    if not det[0]:
         return MonodromyClass.DEGENERATE
     disc, square, cross = _disc_terms(a, b, c, d)
     band = tol.eps_class * max(square, abs(cross))
@@ -214,7 +263,8 @@ def _classify_row(row, tol: Tolerance) -> MonodromyClass:
 
 def classify(m: Mobius2, tol: Tolerance = DEFAULT_TOL) -> MonodromyClass:
     """Conjugacy class from the discriminant Tr^2 - 4 det (scale-free)."""
-    return _classify_row(_unit(m.m), tol)
+    row, det = m._row()
+    return _classify_row(row, tol, det)
 
 
 class FixedDirection(NamedTuple):
@@ -241,13 +291,16 @@ def fixed_directions(m: Mobius2, tol: Tolerance = DEFAULT_TOL):
     parabolic one entry; identity returns the ALL_DIRECTIONS marker and
     elliptic raises NoRealFixedPoint.
     """
-    row = _unit(m.m)
-    return _fixed_row(row, _classify_row(row, tol))
+    row, det = m._row()
+    return _fixed_row(row, _classify_row(row, tol, det), det)
 
 
-def _fixed_row(row, klass: MonodromyClass):
-    """fixed_directions of row = (a, b, c, d) given its class: the dominant
-    eigenvalue lam attracts (derivative det / lam^2), det / lam repels."""
+def _fixed_row(row, klass: MonodromyClass, det: tuple[float, float]):
+    """fixed_directions of row = (a, b, c, d) given its class and (sign, log2
+    |det|): the dominant eigenvalue lam attracts (derivative det / lam^2),
+    det / lam repels; both taken in log2, so a det far below lam^2 neither
+    rounds nor underflows on the way.  The eigenvectors need det / lam only
+    next to a and d, to which a d - b c is exact enough."""
     if klass is MonodromyClass.IDENTITY:
         return ALL_DIRECTIONS
     if klass is MonodromyClass.ELLIPTIC:
@@ -255,41 +308,51 @@ def _fixed_row(row, klass: MonodromyClass):
     if klass is MonodromyClass.DEGENERATE:
         raise DegenerateMonodromy("singular monodromy has no well-defined fixed directions")
     a, b, c, d = row
-    tr, det = a + d, a * d - b * c
+    sign, log2det = det
+    tr = a + d
     if klass is MonodromyClass.PARABOLIC:
         lam = 0.5 * tr
-        branches = [(lam, det / (lam * lam))]
+        branches = [(lam, _pow2(sign, log2det - 2.0 * math.log2(abs(lam))))]
     else:
         lam = 0.5 * (tr + math.copysign(math.sqrt(_disc_terms(a, b, c, d)[0]), tr))
-        branches = [(lam, det / (lam * lam)), (det / lam, lam * lam / det)]
+        log2lam = math.log2(abs(lam))
+        branches = [
+            (lam, _pow2(sign, log2det - 2.0 * log2lam)),
+            ((a * d - b * c) / lam, _pow2(sign, 2.0 * log2lam - log2det)),
+        ]
     out = []
     for lam, derivative in branches:
         # eigenvector of the matrix = homogeneous fixed point of the action
         p, q = (b, lam - a) if math.hypot(b, lam - a) >= math.hypot(lam - d, c) else (lam - d, c)
         if q < 0.0 or (q == 0.0 and p < 0.0):
             p, q = -p, -q
-        out.append(FixedDirection(angle=2.0 * math.atan2(p, q), derivative=derivative))
+        out.append(FixedDirection(2.0 * math.atan2(p, q), derivative))
     return out
 
 
-def _tr2_over_det(row) -> float:
+def _tr2_over_det(row, det: tuple[float, float]) -> float:
     a, b, c, d = row
-    tr, det = a + d, a * d - b * c
-    if det == 0.0:
+    sign, log2det = det
+    tr = a + d
+    if not sign:
         return math.inf if tr else math.nan
-    return tr * tr / det
+    if not tr:
+        return 0.0 * sign
+    return _pow2(sign, 2.0 * math.log2(abs(tr)) - log2det)
 
 
-def _row_summary(row, tol: Tolerance):
+def _row_summary(row, tol: Tolerance, det: tuple[float, float]):
     """Class, Tr^2/det and fixed directions (None unless hyperbolic or parabolic) of a row."""
-    klass = _classify_row(row, tol)
-    dirs = _fixed_row(row, klass) if klass in (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC) else None
-    return klass, _tr2_over_det(row), dirs
+    klass = _classify_row(row, tol, det)
+    dirs = _fixed_row(row, klass, det) if klass in (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC) else None
+    return klass, _tr2_over_det(row, det), dirs
 
 
-def _summary_at(v: Polygon, ell: float, tol: Tolerance):
-    """_row_summary of the monodromy at one length, validated as polygon_monodromy."""
-    return _row_summary(_product_at(v, ell, tol)[0].ravel().tolist(), tol)
+def _summary_at(v: Polygon, ell: float, tol: Tolerance, leaves=None):
+    """_row_summary of the monodromy at one length, validated as polygon_monodromy;
+    leaves as for _monodromy_product."""
+    m, e, (sign, mant, exp) = _product_at(v, ell, tol, leaves)
+    return _row_summary(m.ravel().tolist(), tol, (sign, mant + (exp - 2 * e)))
 
 
 class TracePoly:
@@ -538,11 +601,14 @@ def classification_scan(
     hits = _pole_hits(v, ells, tol)
     nudge = np.maximum(1e-9 * v.side_lengths()[hits.argmax(axis=1)], 1e-6 * spacing)
     ells = np.where(hits.any(axis=1), ells + nudge, ells)
+    m, e = _monodromy_product(v, ells)
+    sign, mant, exp = _log2_det(v, ells)
+    dets = zip(sign.tolist(), (mant + (exp - 2 * e)).tolist())
     out = []
-    for ell, row in zip(ells.tolist(), _monodromy_product(v, ells)[0].reshape(-1, 4).tolist()):
-        klass, invariant, dirs = _row_summary(row, tol)
+    for ell, row, det in zip(ells.tolist(), m.reshape(-1, 4).tolist(), dets):
+        klass, invariant, dirs = _row_summary(row, tol, det)
         derivs = None if dirs is None else tuple(fd.derivative for fd in dirs)
-        out.append(ScanPoint(ell=ell, klass=klass, invariant=invariant, derivatives=derivs))
+        out.append(ScanPoint(ell, klass, invariant, derivs))
     return out
 
 

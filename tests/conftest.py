@@ -42,6 +42,17 @@ def survey_cases():
     return out
 
 
+def generic_200gons():
+    """The exact-determinant recipe: 30 generic 200-gons, vertices normal x 1.5,
+    L uniform in [0.3, 2] x the mean side, drawn from default_rng(9)."""
+    rng = np.random.default_rng(9)
+    out = []
+    for _ in range(30):
+        v = bg.Polygon(rng.normal(size=(200, 2)) * 1.5)
+        out.append((v, float(rng.uniform(0.3, 2.0)) * float(v.side_lengths().mean())))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

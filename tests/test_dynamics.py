@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import bicyclegeom as bg
+from bicyclegeom import dynamics
 
 from conftest import (
     LARGE_CIRCLES,
     bench_reference,
     circle_polygon,
     congruent,
+    generic_200gons,
     hyperbolic_length,
     random_butterfly,
     random_cyclic_convex,
@@ -21,8 +23,9 @@ from conftest import (
     survey_cases,
 )
 
-# survey cases whose REPELLING closing defect (8.8e-9 to 5.8e-8) lies between
-# correspondence_check's step bound eps max(L, max side) and eps perimeter
+# survey cases whose REPELLING closing defect under forward propagation (8.8e-9
+# to 5.8e-8) lies between correspondence_check's step bound eps max(L, max side)
+# and eps perimeter
 SURVEY_CLOSING_BETWEEN_BOUNDS = (27, 47, 58, 124, 259, 266, 293)
 
 
@@ -147,8 +150,9 @@ class TestTransform:
 
 
 class TestClosureRule:
-    """transform checks the closing step against the bound correspondence_check
-    puts on every step, so whatever it returns is a pair under the same tol."""
+    """transform checks every step against the bound correspondence_check puts
+    on it, so whatever it returns is a pair under the same tol; each branch is
+    computed in its contracting direction, so it closes."""
 
     def test_every_survey_companion_is_a_pair(self):
         ref = bench_reference()
@@ -157,14 +161,9 @@ class TestClosureRule:
             if ref.classify(v.vertices, L).klass != "hyperbolic":
                 continue
             for branch in bg.Branch:
-                try:
-                    w = bg.transform(v, L, branch)
-                except bg.ClosureFailure:
-                    assert branch is bg.Branch.REPELLING
-                    continue
+                assert bg.correspondence_check(v, bg.transform(v, L, branch))
                 returned += 1
-                assert bg.correspondence_check(v, w)
-        assert returned >= 275 + 261
+        assert returned == 2 * 275
 
     @pytest.mark.parametrize("k, noise, L", LARGE_CIRCLES)
     def test_large_circle_companions_are_pairs(self, rng, k, noise, L):
@@ -174,8 +173,9 @@ class TestClosureRule:
 
     @pytest.mark.parametrize("index", SURVEY_CLOSING_BETWEEN_BOUNDS)
     def test_defect_between_old_and_step_bound_fails(self, index):
-        """The old bound eps perimeter accepted these closing defects; the
-        returned polygon failed correspondence_check."""
+        """Forward propagation from the repelling seed closes to within the old
+        bound eps perimeter, and that polygon fails correspondence_check; the
+        backward scan of transform returns a pair."""
         v, L = survey_cases()[index]
         fd = bg.fixed_directions(bg.polygon_monodromy(v, L))[-1]
         seed = v.vertex(0) + L * np.array([math.cos(fd.angle), math.sin(fd.angle)])
@@ -183,8 +183,83 @@ class TestClosureRule:
         eps = bg.DEFAULT_TOL.eps_geom
         assert eps * max(L, v.side_lengths().max()) < res.closure_defect <= eps * v.perimeter()
         assert not bg.correspondence_check(v, res.closed_polygon())
-        with pytest.raises(bg.ClosureFailure):
-            bg.transform(v, L, bg.Branch.REPELLING)
+        assert bg.correspondence_check(v, bg.transform(v, L, bg.Branch.REPELLING))
+
+
+def _reversed(pts):
+    """V_0, V_{k-1}, ..., V_1: the same polygon traversed the other way."""
+    return np.roll(pts[::-1], 1, axis=0)
+
+
+class TestCompanionScan:
+    """transform's companion is one prefix scan of the side stack, the
+    repelling branch run backwards on the adjugates; the reflection loop and
+    the 50-digit reference are its oracles."""
+
+    @pytest.mark.parametrize("k, noise, L", LARGE_CIRCLES)
+    def test_large_circles_match_reference_propagation(self, rng, k, noise, L):
+        """50-digit propagation from the reference's own fixed directions; the
+        worst vertex error measured is 5.6e-15, at k = 2000 on both branches."""
+        ref = bench_reference()
+        v = circle_polygon(rng, k, noise)
+        r = ref.classify(v.vertices, L)
+        for branch in bg.Branch:
+            want = ref.propagate(v.vertices, L, r.branch(branch.value).direction)[:-1]
+            assert np.abs(bg.transform(v, L, branch).vertices - want).max() <= 2e-14
+
+    def test_loop_in_the_contracting_direction_closes_on_the_companion(self):
+        """From W_0 of each reference-hyperbolic survey companion, propagate
+        closes and traces it: forwards on the attracting branch, and on the
+        reversed polygon on the repelling one.  Worst measured deviation
+        3.1e-13 of max(L, longest side)."""
+        ref = bench_reference()
+        for v, L in survey_cases():
+            if ref.classify(v.vertices, L).klass != "hyperbolic":
+                continue
+            scale = max(L, float(v.side_lengths().max()))
+            bound = dynamics._closure_bound(v, L, bg.DEFAULT_TOL)
+            w = bg.transform(v, L)
+            res = bg.propagate(v, w.vertex(0))
+            assert res.closure_defect <= bound
+            assert np.abs(res.points[:-1] - w.vertices).max() <= 1e-12 * scale
+            w = bg.transform(v, L, bg.Branch.REPELLING)
+            res = bg.propagate(bg.Polygon(_reversed(v.vertices)), w.vertex(0))
+            assert res.closure_defect <= bound
+            assert np.abs(_reversed(res.points[:-1]) - w.vertices).max() <= 1e-12 * scale
+
+    def test_class_and_direction_agree_with_polygon_monodromy(self, rng):
+        """The tree that classifies for transform is the one polygon_monodromy
+        builds: the same class and fixed direction, bit for bit."""
+        cases = [(circle_polygon(rng, k, noise), L) for k, noise, L in LARGE_CIRCLES] + survey_cases()
+        checked = 0
+        for v, L in cases:
+            mob = bg.polygon_monodromy(v, L)
+            if bg.classify(mob) is not bg.MonodromyClass.HYPERBOLIC:
+                continue
+            dirs = bg.fixed_directions(mob)
+            for branch, fd in zip(bg.Branch, (dirs[0], dirs[-1])):
+                _, klass, got, _ = dynamics._transform(v, L, branch, bg.DEFAULT_TOL)
+                assert (klass, got) == (bg.MonodromyClass.HYPERBOLIC, fd)
+                checked += 1
+        assert checked == 2 * (len(LARGE_CIRCLES) + 275)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["circle", "strongly-hyperbolic"])
+    def test_exactly_scale_free(self, rng, case):
+        """A power-of-two scale leaves the rescaled side stack, and so the scan,
+        bit for bit the same; the companion scales exactly, far past the range
+        where the raw product is a double."""
+        if case == "circle":
+            v, L = circle_polygon(rng, 200, noise=0.02), 0.95
+        else:
+            v, L = generic_200gons()[8]  # log10 derivative -51.9
+        scale = 2.0**500
+        big = bg.Polygon(v.vertices * scale)
+        for branch in bg.Branch:
+            w, klass, fd, defect = dynamics._transform(v, L, branch, bg.DEFAULT_TOL)
+            w_big, klass_big, fd_big, defect_big = dynamics._transform(big, L * scale, branch, bg.DEFAULT_TOL)
+            assert w_big.vertices.tolist() == (w.vertices * scale).tolist()
+            assert (klass_big, fd_big, defect_big) == (klass, fd, defect * scale)
 
 
 class TestCorrespondenceCheck:
