@@ -24,11 +24,10 @@ from .dynamics import (
     _transform,
     bianchi_fourth_polygon,
     correspondence_check,
-    frame_length,
     propagate,
     recut,
 )
-from .errors import EllipticMonodromy, GeometryError, ZeroArea
+from .errors import EllipticMonodromy, GeometryError
 from .families import (
     NGonSpec,
     classify_cyclic,
@@ -38,14 +37,7 @@ from .families import (
 )
 from .fileio import PolygonFileError, load_polygon, polygon_to_dict, save_polygon, to_json
 from .geometry import DEFAULT_TOL, Polygon, Tolerance
-from .invariants import (
-    area_bivector,
-    circumcenter_of_mass,
-    eigenvalue_products,
-    j_vector,
-    rear_track,
-    signed_area,
-)
+from .invariants import _conserved, eigenvalue_products, rear_track
 from .monodromy import _summary_at, classification_scan, refine_class_boundaries, trace_polynomial
 from .svg import PALETTE, Figure
 
@@ -159,25 +151,24 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _polygon_report(v: Polygon, tol: Tolerance, ell: float | None) -> dict:
+def _polygon_report(v: Polygon, conserved, tol: Tolerance, ell: float | None) -> dict:
+    """The report on one polygon; conserved is its _conserved record."""
     rep: dict = {
         "k": len(v),
         "dim": v.dim,
         "perimeter": _val(v.perimeter(), tol),
         "side_lengths": _val(v.side_lengths(), tol),
     }
-    biv = area_bivector(v)
+    biv = conserved.bivector
     if v.dim == 2:
         rep["area_bivector"] = _val(biv.scalar, tol)
-        rep["signed_area"] = _val(signed_area(v), tol)
+        rep["signed_area"] = _val(0.5 * biv.scalar, tol)
     else:
         rep["area_bivector"] = _val(biv.upper, tol)
-    rep["j_vector"] = _val(j_vector(v), tol)
+    rep["j_vector"] = _val(conserved.j, tol)
     if v.dim == 2:
-        try:
-            rep["circumcenter_of_mass"] = _val(circumcenter_of_mass(v, tol), tol)
-        except ZeroArea:
-            rep["circumcenter_of_mass"] = "undefined (zero area)"
+        ccm = conserved.ccm
+        rep["circumcenter_of_mass"] = "undefined (zero area)" if ccm is None else _val(ccm, tol)
         coeffs = trace_polynomial(v).coeffs
         rep["trace_poly_coeffs"] = _val(list(coeffs), tol)
         if ell is not None:
@@ -192,32 +183,37 @@ def _polygon_report(v: Polygon, tol: Tolerance, ell: float | None) -> dict:
 def cmd_invariants(args) -> int:
     tol = _tolerance(args)
     v = load_polygon(args.input)
-    report: dict = {"tolerance": tol.eps_geom, "polygon": _polygon_report(v, tol, args.ell)}
-    if args.second:
-        w = load_polygon(args.second)
-        report["second"] = _polygon_report(w, tol, args.ell)
+    w = load_polygon(args.second) if args.second else None
+    if w is not None:
+        for what, a, b in (("vertex count", len(v), len(w)), ("dimension", v.dim, w.dim)):
+            if a != b:
+                _err(f"the two polygons differ in {what}: {a} vs {b}")
+                return 2
+    cv = _conserved(v, tol)
+    report: dict = {"tolerance": tol.eps_geom, "polygon": _polygon_report(v, cv, tol, args.ell)}
+    if w is not None:
+        cw = _conserved(w, tol)
+        report["second"] = _polygon_report(w, cw, tol, args.ell)
         deltas: dict = {
             "perimeter": _val(abs(v.perimeter() - w.perimeter()), tol),
-            "area_bivector": _val((area_bivector(v) - area_bivector(w)).norm(), tol),
-            "j_vector": _val(float(np.linalg.norm(j_vector(v) - j_vector(w))), tol),
+            "area_bivector": _val((cv.bivector - cw.bivector).norm(), tol),
+            "j_vector": _val(float(np.linalg.norm(cv.j - cw.j)), tol),
         }
         if v.dim == 2:
-            try:
-                deltas["circumcenter_of_mass"] = _val(
-                    float(np.linalg.norm(circumcenter_of_mass(v, tol) - circumcenter_of_mass(w, tol))),
-                    tol,
-                )
-            except ZeroArea:
+            if cv.ccm is None or cw.ccm is None:
                 deltas["circumcenter_of_mass"] = "undefined (zero area)"
+            else:
+                deltas["circumcenter_of_mass"] = _val(float(np.linalg.norm(cv.ccm - cw.ccm)), tol)
         deltas["side_multiset"] = _val(
             float(np.abs(np.sort(v.side_lengths()) - np.sort(w.side_lengths())).max()), tol
         )
         report["deltas"] = deltas
         report["is_bicycle_pair"] = correspondence_check(v, w, tol)
         if report["is_bicycle_pair"]:
-            report["frame_length"] = _val(frame_length(v, w), tol)
+            pair = BicyclePair(v, w, tol, check=False)
+            report["frame_length"] = _val(pair.length, tol)
             if v.dim == 2:
-                track = rear_track(BicyclePair(v, w, tol), tol)
+                track = rear_track(pair, tol)
                 report["rear_track_radii"] = _val(
                     [None if c.is_line else c.radius for c in track.circles], tol
                 )

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ClosureFailure, DegenerateLine, DegenerateMonodromy, DimensionMismatch, EllipticMonodromy
 from .geometry import (
-    DEFAULT_TOL, Polygon, Tolerance, _angle_at, _bisector_reflect, _coincident, as_vec,
+    DEFAULT_TOL, Polygon, Tolerance, _angle_at, _bisector_reflect, _coincident, _cyc, as_vec,
     check_same_dim, perp_bisector_reflect,
 )
 from .monodromy import FixedDirection, MonodromyClass, _rescale, _side_matrices, _summary_at
@@ -175,13 +175,13 @@ def correspondence_check(v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL) -
     seg = float(gaps.mean())
     if np.abs(gaps - seg).max() > tol.eps_geom * max(seg, 1.0):
         return False
-    ahead = np.roll(v.vertices, -1, axis=0)
+    ahead = _cyc(v.vertices, 1)
     # zero frames V_i W_i, or steps whose bisector of V_{i+1} W_i collapses
     if _coincident(np.stack([v.vertices, ahead]), w.vertices, tol).any():
         return False
     scale = max(seg, float(v.side_lengths().max()))
     expected = _bisector_reflect(v.vertices, ahead, w.vertices)
-    misfit = np.linalg.norm(np.roll(w.vertices, -1, axis=0) - expected, axis=1)
+    misfit = np.linalg.norm(_cyc(w.vertices, 1) - expected, axis=1)
     return bool(misfit.max() <= tol.eps_geom * scale)
 
 
@@ -265,7 +265,7 @@ class BicyclePair:
 
 
 def _alpha_angles(v: Polygon, w: Polygon) -> np.ndarray:
-    return _angle_at(v.vertices, np.roll(v.vertices, 1, axis=0), w.vertices, signed=v.dim == 2)
+    return _angle_at(v.vertices, _cyc(v.vertices, -1), w.vertices, signed=v.dim == 2)
 
 
 def angle_sequence(pair: BicyclePair, tol: Tolerance | None = None) -> np.ndarray:
@@ -274,7 +274,7 @@ def angle_sequence(pair: BicyclePair, tol: Tolerance | None = None) -> np.ndarra
     counterclockwise positive."""
     tol = tol or pair.tol
     v, w = pair.v.vertices, pair.w.vertices
-    alternate = _angle_at(np.roll(w, 1, axis=0), np.roll(v, 1, axis=0), w, signed=pair.v.dim == 2)
+    alternate = _angle_at(_cyc(w, -1), _cyc(v, -1), w, signed=pair.v.dim == 2)
     wrapped = np.mod(pair.alphas - alternate + math.pi, 2.0 * math.pi) - math.pi
     if np.abs(wrapped).max() > max(tol.eps_geom, 1e-12) * 10.0:
         raise ValueError("frame-angle expressions disagree: not a genuine bicycle pair")
@@ -295,9 +295,9 @@ def verify_difference_equation(pair: BicyclePair, tol: Tolerance | None = None) 
         raise DimensionMismatch("the difference equation is a plane relation")
     alphas = pair.alphas
     pts = v.vertices
-    th_prev = _angle_at(np.roll(pts, 1, axis=0), np.roll(pts, 2, axis=0), pts, signed=True)  # at V_{i-1}
-    a_prev = np.roll(alphas, 1)
-    c = np.roll(v.side_lengths(), 1)  # c[i] = |V_{i-1} V_i|
+    th_prev = _angle_at(_cyc(pts, -1), _cyc(pts, -2), pts, signed=True)  # at V_{i-1}
+    a_prev = _cyc(alphas, -1)
+    c = _cyc(v.side_lengths(), -1)  # c[i] = |V_{i-1} V_i|
     lhs = pair.length * np.cos(0.5 * (alphas - a_prev + th_prev))
     rhs = c * np.cos(0.5 * (alphas + a_prev - th_prev))
     return float(np.abs(lhs - rhs).max())

@@ -24,7 +24,8 @@ from .errors import (
     WrongArity,
 )
 from .geometry import (
-    DEFAULT_TOL, Polygon, Tolerance, _bisector_reflect, _coincident, _cross, _meet, is_darboux_butterfly,
+    DEFAULT_TOL, Polygon, Tolerance, _bisector_reflect, _coincident, _cross, _cyc, _meet,
+    is_darboux_butterfly,
 )
 from .invariants import triangle_circumcenter
 from .monodromy import MonodromyClass
@@ -74,7 +75,7 @@ def classify_cyclic(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> CyclicClassific
     if np.abs(radii - r).max() > tol.eps_geom * max(r, 1.0):
         return no
     s1 = v.sides()
-    s0 = np.roll(s1, 1, axis=0)
+    s0 = _cyc(s1, -1)
     cross = _cross(s0, s1)
     # every turn after the first must share the first one's orientation
     if (cross[1:] * math.copysign(1.0, cross[0]) <= 0.0).any():
@@ -250,12 +251,12 @@ def ngon_residuals(v: Polygon, k: int, tol: Tolerance = DEFAULT_TOL) -> tuple[fl
         raise ValueError("need 1 <= k < n/2")
     pts = v.vertices
     sides = v.side_lengths()
-    across = np.roll(pts, -k, axis=0)
-    far = np.roll(pts, -(k + 1), axis=0)
+    across = _cyc(pts, k)
+    far = _cyc(pts, k + 1)
     diags = np.linalg.norm(across - pts, axis=1)
     scale = float(sides.mean())
     with np.errstate(divide="ignore", invalid="ignore"):
-        mirrored = _bisector_reflect(np.roll(pts, -1, axis=0), pts, far)
+        mirrored = _bisector_reflect(_cyc(pts, 1), pts, far)
     fly_dev = np.linalg.norm(across - mirrored, axis=1) / scale
     fly_dev[_coincident(pts, far, tol)] = math.inf
     side_dev = np.abs(sides - sides.mean()) / scale

@@ -51,6 +51,13 @@ def check_same_dim(*vectors: np.ndarray) -> int:
     return dims.pop()
 
 
+def _cyc(x: np.ndarray, s: int) -> np.ndarray:
+    """Cyclic shift along the first axis, row i of the result being row i + s
+    of x: np.roll(x, -s, axis=0) as two slices, without np.roll's overhead."""
+    s %= len(x)
+    return np.concatenate((x[s:], x[:s]))
+
+
 class Polygon:
     """Closed polygon: cyclically indexed vertices in R^n, n >= 2.
 
@@ -67,7 +74,7 @@ class Polygon:
             raise DimensionMismatch("vertices must live in dimension >= 2")
         if not np.all(np.isfinite(pts)):
             raise ValueError("vertex coordinates must be finite")
-        sides = np.roll(pts, -1, axis=0) - pts
+        sides = _cyc(pts, 1) - pts
         gaps = np.linalg.norm(sides, axis=1)
         if gaps.min() <= 1e-12 * max(1.0, float(np.abs(pts).max())):
             raise DegenerateLine("consecutive vertices must be distinct")
@@ -117,7 +124,7 @@ class Polygon:
 
     def rolled(self, shift: int) -> "Polygon":
         """Cyclic relabeling V_i -> V_{i+shift}."""
-        return Polygon(np.roll(self.vertices, -shift, axis=0), name=self.name)
+        return Polygon(_cyc(self.vertices, shift), name=self.name)
 
     def reversed(self) -> "Polygon":
         return Polygon(self.vertices[::-1], name=self.name)

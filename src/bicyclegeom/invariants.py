@@ -4,15 +4,20 @@ The bivector A(V) = sum V_i ^ V_{i+1} and the vector
 J(V) = sum (|V_{i+1}|^2 - |V_{i-1}|^2) V_i are preserved by both maps.
 In the plane, rotating J by 90 degrees and dividing by four times the
 signed area yields a translation-equivariant conserved point, the
-circumcenter of mass.  The rear track realizes a corresponding pair as a
-chain of mutually tangent circles touching at the segment midpoints, with
-centres where consecutive frame lines meet (one line-meet kernel call).
+circumcenter of mass.  _conserved computes all three of a polygon once, as
+one record that circumcenter_of_mass and the CLI's invariants report read,
+so the zero-area rule is written in one place.  The rear track realizes a
+corresponding pair as a chain of mutually tangent circles touching at the
+segment midpoints, with centres where consecutive frame lines meet (one
+line-meet kernel call).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +29,18 @@ from .errors import (
     SignAssignmentFailure,
     ZeroArea,
 )
-from .geometry import DEFAULT_TOL, Polygon, Tolerance, _meet
+from .geometry import DEFAULT_TOL, Polygon, Tolerance, _cyc, _meet
 
 _LOG_NORMAL_MIN, _LOG_MAX = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+
+
+@functools.cache
+def _upper_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an n x n matrix."""
+    idx = np.triu_indices(n, k=1)
+    for arr in idx:
+        arr.setflags(write=False)
+    return idx
 
 
 class Bivector:
@@ -46,13 +60,11 @@ class Bivector:
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Bivector":
         n = m.shape[0]
-        idx = np.triu_indices(n, k=1)
-        return cls(n, m[idx])
+        return cls(n, m[_upper_index(n)])
 
     def as_matrix(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))
-        idx = np.triu_indices(self.n, k=1)
-        m[idx] = self.upper
+        m[_upper_index(self.n)] = self.upper
         return m - m.T
 
     @property
@@ -84,8 +96,7 @@ def area_bivector(v: Polygon) -> Bivector:
     area of the polygon.
     """
     pts = v.vertices
-    nxt = np.roll(pts, -1, axis=0)
-    m = pts.T @ nxt  # sum of outer(V_i, V_{i+1})
+    m = pts.T @ _cyc(pts, 1)  # sum of outer(V_i, V_{i+1})
     return Bivector.from_matrix(m - m.T)
 
 
@@ -105,7 +116,27 @@ def j_vector(v: Polygon) -> np.ndarray:
     """
     pts = v.vertices
     sq = np.einsum("ij,ij->i", pts, pts)
-    return ((np.roll(sq, -1) - np.roll(sq, 1))[:, None] * pts).sum(axis=0)
+    return ((_cyc(sq, 1) - _cyc(sq, -1))[:, None] * pts).sum(axis=0)
+
+
+class _Conserved(NamedTuple):
+    """One polygon's conserved quantities: the area bivector, J, and the
+    circumcenter of mass (None at zero area and outside the plane)."""
+
+    bivector: Bivector
+    j: np.ndarray
+    ccm: np.ndarray | None
+
+
+def _conserved(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> _Conserved:
+    """area_bivector, j_vector and the circumcenter of mass of v, each computed once."""
+    biv, j = area_bivector(v), j_vector(v)
+    ccm = None
+    if v.dim == 2:
+        area = 0.5 * biv.scalar
+        if not abs(area) <= tol.eps_geom * v.scale() ** 2:
+            ccm = np.array([-j[1], j[0]]) / (4.0 * area)
+    return _Conserved(biv, j, ccm)
 
 
 def circumcenter_of_mass(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -113,11 +144,10 @@ def circumcenter_of_mass(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     the signed area.  Undefined (ZeroArea) for zero-area polygons."""
     if v.dim != 2:
         raise DimensionMismatch("the circumcenter of mass is a plane construction")
-    area = signed_area(v)
-    if abs(area) <= tol.eps_geom * v.scale() ** 2:
+    ccm = _conserved(v, tol).ccm
+    if ccm is None:
         raise ZeroArea("zero signed area: circumcenter of mass undefined")
-    jx, jy = j_vector(v)
-    return np.array([-jy, jx]) / (4.0 * area)
+    return ccm
 
 
 def triangle_circumcenter(a, b, c, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -213,11 +243,11 @@ def rear_track(pair: BicyclePair, tol: Tolerance | None = None) -> RearTrack:
     scale = max(pair.length, float(v.side_lengths().max()))
     # slot i + 1/2 sits where frame line i meets frame line i + 1
     d = w.vertices - pts
-    centers, parallel = _meet(pts, d, np.roll(pts, -1, axis=0), np.roll(d, -1, axis=0), tol)
-    e_next = np.roll(e, -1, axis=0)
+    centers, parallel = _meet(pts, d, _cyc(pts, 1), _cyc(d, 1), tol)
+    e_next = _cyc(e, 1)
     with np.errstate(invalid="ignore", divide="ignore"):
         r_from_i = np.vecdot(e, centers - q)
-        r_from_j = -np.vecdot(e_next, centers - np.roll(q, -1, axis=0))
+        r_from_j = -np.vecdot(e_next, centers - _cyc(q, 1))
         r = 0.5 * (r_from_i + r_from_j)
         curvature = np.where(parallel, 0.0, 1.0 / r).tolist()
         mismatch = ~parallel & (
@@ -257,11 +287,11 @@ def chain_reconstruct(track: RearTrack, half_length: float) -> tuple[np.ndarray,
     """
     l, q, e, circles = half_length, track.q, track.e, track.circles
     line = np.array([c.is_line for c in circles])
-    straight = (line | np.roll(line, 1))[:, None]
+    straight = (line | _cyc(line, -1))[:, None]
     # slot i sits after vertex i, slot i - 1 before it; straight slots get NaN centers
     ra = np.array([c.radius for c in circles])[:, None]
     ca = np.array([np.full(q.shape[1], np.nan) if c.is_line else c.center for c in circles])
-    rb, cb = np.roll(ra, 1, axis=0), np.roll(ca, 1, axis=0)
+    rb, cb = _cyc(ra, -1), _cyc(ca, -1)
     with np.errstate(invalid="ignore"):
         vs = np.where(straight, q + l * e, ((ra - l) * cb + (rb + l) * ca) / (rb + ra))
         ws = np.where(straight, q - l * e, ((ra + l) * cb + (rb - l) * ca) / (rb + ra))
@@ -289,8 +319,8 @@ def eigenvalue_products(
         track = rear_track(pair, tol)
     v, w = pair.v, pair.w
     # products of k factors over- and underflow past k ~ 100: sum logs instead
-    diag_in = np.linalg.norm(w.vertices - np.roll(v.vertices, 1, axis=0), axis=1)
-    diag_out = np.linalg.norm(np.roll(w.vertices, 1, axis=0) - v.vertices, axis=1)
+    diag_in = np.linalg.norm(w.vertices - _cyc(v.vertices, -1), axis=1)
+    diag_out = np.linalg.norm(_cyc(w.vertices, -1) - v.vertices, axis=1)
     half_curv = 0.5 * pair.length * np.array([circle.curvature for circle in track.circles])
     f_plus, f_minus = np.abs(1.0 + half_curv), np.abs(1.0 - half_curv)
     if min(f_plus.min(), f_minus.min()) <= tol.eps_geom:

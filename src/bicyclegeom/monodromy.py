@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -295,12 +294,31 @@ def fixed_directions(m: Mobius2, tol: Tolerance = DEFAULT_TOL):
     return _fixed_row(row, _classify_row(row, tol, det), det)
 
 
+def _eigen_row(row, klass: MonodromyClass, det: tuple[float, float]) -> list[tuple[float, float]]:
+    """(eigenvalue, map derivative) per fixed direction of a hyperbolic or
+    parabolic row = (a, b, c, d) with (sign, log2 |det|): the dominant
+    eigenvalue lam attracts (derivative det / lam^2), det / lam repels; both
+    derivatives taken in log2, so a det far below lam^2 neither rounds nor
+    underflows on the way."""
+    a, b, c, d = row
+    sign, log2det = det
+    tr = a + d
+    if klass is MonodromyClass.PARABOLIC:
+        lam = 0.5 * tr
+        return [(lam, _pow2(sign, log2det - 2.0 * math.log2(abs(lam))))]
+    lam = 0.5 * (tr + math.copysign(math.sqrt(_disc_terms(a, b, c, d)[0]), tr))
+    log2lam = math.log2(abs(lam))
+    return [
+        (lam, _pow2(sign, log2det - 2.0 * log2lam)),
+        ((a * d - b * c) / lam, _pow2(sign, 2.0 * log2lam - log2det)),
+    ]
+
+
 def _fixed_row(row, klass: MonodromyClass, det: tuple[float, float]):
     """fixed_directions of row = (a, b, c, d) given its class and (sign, log2
-    |det|): the dominant eigenvalue lam attracts (derivative det / lam^2),
-    det / lam repels; both taken in log2, so a det far below lam^2 neither
-    rounds nor underflows on the way.  The eigenvectors need det / lam only
-    next to a and d, to which a d - b c is exact enough."""
+    |det|), the eigenvalues and derivatives from _eigen_row.  The
+    eigenvectors need det / lam only next to a and d, to which a d - b c is
+    exact enough."""
     if klass is MonodromyClass.IDENTITY:
         return ALL_DIRECTIONS
     if klass is MonodromyClass.ELLIPTIC:
@@ -308,20 +326,8 @@ def _fixed_row(row, klass: MonodromyClass, det: tuple[float, float]):
     if klass is MonodromyClass.DEGENERATE:
         raise DegenerateMonodromy("singular monodromy has no well-defined fixed directions")
     a, b, c, d = row
-    sign, log2det = det
-    tr = a + d
-    if klass is MonodromyClass.PARABOLIC:
-        lam = 0.5 * tr
-        branches = [(lam, _pow2(sign, log2det - 2.0 * math.log2(abs(lam))))]
-    else:
-        lam = 0.5 * (tr + math.copysign(math.sqrt(_disc_terms(a, b, c, d)[0]), tr))
-        log2lam = math.log2(abs(lam))
-        branches = [
-            (lam, _pow2(sign, log2det - 2.0 * log2lam)),
-            ((a * d - b * c) / lam, _pow2(sign, 2.0 * log2lam - log2det)),
-        ]
     out = []
-    for lam, derivative in branches:
+    for lam, derivative in _eigen_row(row, klass, det):
         # eigenvector of the matrix = homogeneous fixed point of the action
         p, q = (b, lam - a) if math.hypot(b, lam - a) >= math.hypot(lam - d, c) else (lam - d, c)
         if q < 0.0 or (q == 0.0 and p < 0.0):
@@ -341,10 +347,13 @@ def _tr2_over_det(row, det: tuple[float, float]) -> float:
     return _pow2(sign, 2.0 * math.log2(abs(tr)) - log2det)
 
 
+_FIXED_CLASSES = (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC)  # isolated fixed directions
+
+
 def _row_summary(row, tol: Tolerance, det: tuple[float, float]):
     """Class, Tr^2/det and fixed directions (None unless hyperbolic or parabolic) of a row."""
     klass = _classify_row(row, tol, det)
-    dirs = _fixed_row(row, klass, det) if klass in (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC) else None
+    dirs = _fixed_row(row, klass, det) if klass in _FIXED_CLASSES else None
     return klass, _tr2_over_det(row, det), dirs
 
 
@@ -577,8 +586,7 @@ def lorentz_fixed_directions(m: LorentzMatrix, tol: Tolerance = DEFAULT_TOL):
     return found
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     ell: float
     klass: MonodromyClass
     invariant: float
@@ -606,9 +614,9 @@ def classification_scan(
     dets = zip(sign.tolist(), (mant + (exp - 2 * e)).tolist())
     out = []
     for ell, row, det in zip(ells.tolist(), m.reshape(-1, 4).tolist(), dets):
-        klass, invariant, dirs = _row_summary(row, tol, det)
-        derivs = None if dirs is None else tuple(fd.derivative for fd in dirs)
-        out.append(ScanPoint(ell, klass, invariant, derivs))
+        klass = _classify_row(row, tol, det)
+        derivs = tuple([x for _, x in _eigen_row(row, klass, det)]) if klass in _FIXED_CLASSES else None
+        out.append(ScanPoint(ell, klass, _tr2_over_det(row, det), derivs))
     return out
 
 
