@@ -340,7 +340,7 @@ def cmd_rear_track(args) -> int:
     if not correspondence_check(v, w, tol):
         _err("polygons are not in the bicycle correspondence")
         return 1
-    pair = BicyclePair(v, w, tol)
+    pair = BicyclePair(v, w, tol, check=False)
     track = rear_track(pair, tol)
     lam_vw, lam_chain = eigenvalue_products(pair, track, tol)
     if args.json:

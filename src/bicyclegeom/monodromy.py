@@ -16,7 +16,10 @@ fixed-direction solver.  Where the polygon is known, the determinant is not
 taken from m but from the sides, as the sign and log2 of prod(ell^2 - a^2):
 on a strongly hyperbolic product a d - b c of m rounds to 0.  In dimension n
 the same step is a Lorentz matrix in O(n,1) acting projectively on the
-sphere of directions.
+sphere of directions.  One unchecked row builder gives these matrices for
+edge_lorentz and lorentz_monodromy, which validate once; the fixed directions
+are the dominant eigenvectors of M and of its exact inverse G M^t G, with
+the null lines of ker(M -+ I) where those give fewer than two.
 """
 
 from __future__ import annotations
@@ -471,6 +474,18 @@ class LorentzMatrix:
         return f"<LorentzMatrix n={self.n}>"
 
 
+def _lorentz_sides(ell: float, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Unchecked Lorentz matrices of sides of lengths a (k,) and unit
+    directions x (k, n), shape (k, n+1, n+1); the blocks are edge_lorentz's."""
+    k, n = x.shape
+    c = ell * ell - a * a
+    out = np.zeros((k, n + 1, n + 1))
+    out[:, :n, :n] = np.eye(n) + (2.0 * a * a / c)[:, None, None] * (x[:, :, None] * x[:, None, :])
+    out[:, :n, n] = out[:, n, :n] = -(2.0 * a * ell / c)[:, None] * x
+    out[:, n, n] = (ell * ell + a * a) / c
+    return out
+
+
 def edge_lorentz(ell: float, a: float, x, tol: Tolerance = DEFAULT_TOL) -> LorentzMatrix:
     """Lorentz block matrix of one bicycle step in dimension n.
 
@@ -484,13 +499,7 @@ def edge_lorentz(ell: float, a: float, x, tol: Tolerance = DEFAULT_TOL) -> Loren
         raise ValueError("need a >= 0 and ell > 0")
     if abs(ell - a) <= tol.eps_geom * max(ell, a):
         raise PoleAtEllEqualsA("edge matrix has a pole at ell = a")
-    n = x.shape[0]
-    c = ell * ell - a * a
-    m = np.zeros((n + 1, n + 1))
-    m[:n, :n] = np.eye(n) + (2.0 * a * a / c) * np.outer(x, x)
-    m[:n, n] = m[n, :n] = -(2.0 * a * ell / c) * x
-    m[n, n] = (ell * ell + a * a) / c
-    return LorentzMatrix(m, check=False)
+    return LorentzMatrix(_lorentz_sides(ell, np.array([a], dtype=float), x[None])[0], check=False)
 
 
 def lorentz_action(m: LorentzMatrix, u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -509,81 +518,58 @@ def lorentz_action(m: LorentzMatrix, u, tol: Tolerance = DEFAULT_TOL) -> np.ndar
 
 
 def lorentz_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> LorentzMatrix:
-    """Whole-polygon monodromy in dimension n, later sides on the left."""
+    """Whole-polygon monodromy in dimension n, later sides on the left.
+
+    Raises PoleAtEllEqualsA when ell coincides with a side length, and
+    ValueError, naming the length, where the product overflows.
+    """
     if ell <= 0.0:
         raise ValueError("length parameter must be positive")
+    if _pole_hits(v, np.array([ell], dtype=float), tol).any():
+        raise PoleAtEllEqualsA("edge matrix has a pole at ell = a")
+    a = v.side_lengths()
     m = np.eye(v.dim + 1)
-    for side in v.sides():
-        a = float(np.linalg.norm(side))
-        m = edge_lorentz(ell, a, side / a, tol).m @ m
+    with np.errstate(over="ignore", invalid="ignore"):
+        for side in _lorentz_sides(ell, a, v.sides() / a[:, None]):
+            m = side @ m
+    if not np.isfinite(m).all():
+        raise ValueError(f"Lorentz monodromy entries overflow at length {float(ell)!r}")
     return LorentzMatrix(m, check=False)
 
 
 def lorentz_fixed_directions(m: LorentzMatrix, tol: Tolerance = DEFAULT_TOL):
-    """Fixed unit directions of the projective Lorentz action.
+    """Fixed unit directions u of the projective Lorentz action, with the
+    eigenvalues of their null vectors (u, 1), sorted by |eigenvalue| descending:
+    the dominant eigenvectors of M (attracting; eigenvalue exactly real) and of
+    its exact inverse G M^t G (repelling).  Short of two, the null lines of
+    ker(M -+ I) by SVD (singular values <= eps_geom |M| count as zero): one line
+    (parabolic), two on a plane (quadratic roots), none on more (identity)."""
+    n, g, cut = m.n, m._metric(), math.sqrt(tol.eps_geom)
+    found = []
 
-    Fixed points correspond to real eigenvectors lying on the null cone.
-    Repeated real eigenvalues get their null directions from the quadratic
-    q(s, t) = (s b1 + t b2)^t G (s b1 + t b2) = 0 on the eigenplane.
-    Returns a list of (unit_vector, eigenvalue) sorted by |eigenvalue|
-    descending; empty only for badly degenerate input.
-    """
-    n, g = m.n, m._metric()
-    w, vecs = np.linalg.eig(m.m)
-    scale = float(np.abs(w).max())
-    real_idx = [i for i in range(len(w)) if abs(w[i].imag) <= 1e-9 * scale]
-    # group (near-)equal real eigenvalues
-    groups: list[list[int]] = []
-    for i in sorted(real_idx, key=lambda j: w[j].real):
-        if groups and abs(w[groups[-1][-1]].real - w[i].real) <= 1e-7 * scale:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    found: list[tuple[np.ndarray, float]] = []
-
-    def push(vec: np.ndarray, lam: float) -> None:
-        if abs(vec[n]) <= 1e-9 * np.linalg.norm(vec):
-            return
-        u = vec[:n] / vec[n]
-        nu = np.linalg.norm(u)
-        if abs(nu - 1.0) > 1e-6:
-            return
-        u = u / nu
-        if all(np.linalg.norm(u - prev) > 1e-7 for prev, _ in found):
-            found.append((u, lam))
-
-    for grp in groups:
-        lam = float(np.mean([w[i].real for i in grp]))
-        cols = []
-        for i in grp:
-            cols.append(vecs[:, i].real)
-            if np.abs(vecs[:, i].imag).max() > 1e-12 * scale:
-                cols.append(vecs[:, i].imag)
-        basis = np.array(cols).T
-        # orthonormal basis of the eigenspace, rank-revealing
-        q, s, _ = np.linalg.svd(basis, full_matrices=False)
-        rank = int((s > 1e-9 * max(s[0], 1e-300)).sum())
-        basis = q[:, :rank]
-        if rank == 1:
-            b = basis[:, 0]
-            if abs(b @ g @ b) <= 1e-7 * float(b @ b):
-                push(b, lam)
-        else:
-            b1, b2 = basis[:, 0], basis[:, 1]
-            qa, qb, qc = float(b1 @ g @ b1), float(b1 @ g @ b2), float(b2 @ g @ b2)
-            qscale = max(abs(qa), abs(qb), abs(qc), 1e-300)
-            # qa s^2 + 2 qb s t + qc t^2 = 0 on the eigenplane s b1 + t b2
-            if abs(qa) <= 1e-12 * qscale:
-                push(b1, lam)
-                if abs(qb) > 1e-12 * qscale:
-                    push(-qc * b1 + 2.0 * qb * b2, lam)
-            else:
-                disc = qb * qb - qa * qc
-                if disc >= 0.0:
-                    for root in ((-qb + math.sqrt(disc)) / qa, (-qb - math.sqrt(disc)) / qa):
-                        push(root * b1 + b2, lam)
-    found.sort(key=lambda t: -abs(t[1]))
-    return found
+    def push(vec, mat, power):  # eigenvalue (mat (u, 1))_n ** power
+        x, t = vec[:n], vec[n]
+        if abs(x @ x - t * t) <= cut * t * t:  # null, so x / t stays finite
+            u = x / math.copysign(np.linalg.norm(x), t)
+            if all(np.linalg.norm(u - p) > cut for p, _ in found):
+                found.append((u, float(mat[n, :n] @ u + mat[n, n]) ** power))
+    for mat, power in ((m.m, 1.0), (g @ m.m.T @ g, -1.0)):
+        w, vecs = np.linalg.eig(mat)
+        i = np.abs(w).argmax()
+        if w[i].imag == 0.0:
+            push(vecs[:, i].real, mat, power)
+    if len(found) < 2:
+        found.clear()
+        for lam in (1.0, -1.0):
+            _, s, vt = np.linalg.svd(m.m - lam * np.eye(n + 1))
+            b = vt[s <= tol.eps_geom * np.linalg.norm(m.m, 2)]
+            if len(b) == 2:  # null lines of qa s^2 + 2 qb s t + qc t^2 = |s b0 + t b1|_G^2
+                (qa, qb), (_, qc) = b @ g @ b.T
+                r = -qb - math.copysign(math.sqrt(max(qb * qb - qa * qc, 0.0)), qb)
+                b = [r * b[0] + qa * b[1], qc * b[0] + r * b[1]]
+            for vec in b if len(b) <= 2 else ():  # a larger kernel isolates no line
+                push(vec, m.m, 1.0)
+    return sorted(found, key=lambda t: -abs(t[1]))
 
 
 class ScanPoint(NamedTuple):
@@ -643,6 +629,8 @@ def discriminant(v: Polygon, ell: float) -> float:
     """Tr^2 - 4 det of the monodromy matrix, as a smooth function of ell
     (cancellation-free form, stable enough for boundary bisection).
     Raises ValueError where it leaves the double range."""
+    if v.dim != 2:
+        raise DimensionMismatch("plane monodromy needs a 2D polygon")
     return float(_discriminants(v, np.array([ell], dtype=float), raw=True)[0])
 
 
@@ -656,6 +644,8 @@ def refine_class_boundaries(
     """
     if steps < 2 or lmin <= 0 or lmax <= lmin or not xtol > 0:
         raise ValueError("need lmax > lmin > 0, steps >= 2 and xtol > 0")
+    if v.dim != 2:
+        raise DimensionMismatch("plane monodromy needs a 2D polygon")
     grid = np.linspace(lmin, lmax, steps)
     vals = _discriminants(v, grid)
     start = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)

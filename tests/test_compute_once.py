@@ -167,6 +167,12 @@ class TestComputedOnce:
         assert main(["invariants", str(path), "--ell", "1.2"]) == 0
         assert [len(counts[name]) for name in counts] == [1, 1, 0]
 
+    def test_rear_track_checks_the_pair_once(self, rng, pair_files, counts, capsys):
+        v, w, _length = random_hyperbolic_pair(rng)
+        assert main(["rear-track", *pair_files(v, w), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tangency_points"]
+        assert len(counts["correspondence_check"]) == 1
+
     def test_circumcenter_of_mass_reads_one_record(self, counts):
         assert _bits(bg.circumcenter_of_mass(SQUARE)) == _bits([0.5, 0.5])
         assert [len(counts[name]) for name in counts] == [1, 1, 0]

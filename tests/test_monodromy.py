@@ -369,6 +369,14 @@ class TestLorentz:
 
 
 class TestScan:
+    def test_discriminant_needs_a_plane_polygon(self):
+        with pytest.raises(bg.DimensionMismatch):
+            bg.discriminant(bg.Polygon(np.random.default_rng(0).normal(size=(5, 3))), 1.0)
+
+    def test_refine_class_boundaries_needs_a_plane_polygon(self):
+        with pytest.raises(bg.DimensionMismatch):
+            bg.refine_class_boundaries(bg.Polygon(np.random.default_rng(0).normal(size=(5, 3))), 0.5, 2.0)
+
     def test_square_boundary_bisection(self):
         roots = bg.refine_class_boundaries(SQUARE, 1.05, 2.2, steps=64)
         assert len(roots) == 1
