@@ -20,14 +20,13 @@ import numpy as np
 from .dynamics import (
     BicyclePair,
     Branch,
-    _closure_bound,
+    _seeded_companion,
     _transform,
     bianchi_fourth_polygon,
     correspondence_check,
-    propagate,
     recut,
 )
-from .errors import EllipticMonodromy, GeometryError
+from .errors import ClosureFailure, EllipticMonodromy, GeometryError
 from .families import (
     NGonSpec,
     classify_cyclic,
@@ -131,12 +130,12 @@ def cmd_transform(args) -> int:
     if args.seed_angle is not None:
         ang = math.radians(args.seed_angle)
         seed = v.vertex(0) + length * np.array([math.cos(ang), math.sin(ang)])
-        res = propagate(v, seed, tol)
-        print(f"closure defect: {res.closure_defect:.6e}")
-        if res.closure_defect > _closure_bound(v, length, tol):
-            _err("seed does not close; pick a fixed direction or a butterfly polygon")
+        try:
+            w, defect = _seeded_companion(v, length, seed, tol)
+        except ClosureFailure as exc:
+            _err(f"{exc}; pick a fixed direction or a butterfly polygon")
             return 1
-        w = res.closed_polygon(name=v.name)
+        print(f"closure defect: {defect:.6e}")
     else:
         branch = Branch.REPELLING if args.branch == "repelling" else Branch.ATTRACTING
         try:

@@ -6,11 +6,11 @@ the trace closes up and defines the transformation T_L.  transform does not
 loop: the frame direction at each vertex is the seed direction pushed
 through a partial product of the side matrices, so one prefix scan of the
 side stack gives every frame at once, and the repelling branch runs the
-scan backwards, on the inverses, where it contracts.  propagate keeps the
-step loop for arbitrary seeds and any dimension, and is the oracle the scan
-is tested against.  Recutting (vertex reflection in the bisector of its
-neighbours) and the permutability construction both reduce to the same
-trapezoid step.
+scan backwards, on the inverses, where it contracts.  A companion through
+a given seed point (transform --seed-angle, the permutability square) comes
+from the scan when the seed is on a fixed direction, else from propagate's
+step loop (any dimension; the scan's oracle), under one closure bound.
+Recutting reflects a vertex in its neighbours' bisector, the same step.
 
 Length convention: the public parameter L is always the full frame segment
 length |V_i W_i|.  Formulas that are naturally written in terms of the half
@@ -144,6 +144,27 @@ def _transform(
     return Polygon(w, name=v.name), klass, fd, defect
 
 
+def _seeded_companion(v: Polygon, length: float, seed: np.ndarray, tol: Tolerance) -> tuple[Polygon, float]:
+    """The closed companion of v at frame length L through the seed point W_0,
+    and its closing defect.  In the plane (L validated as by transform), a
+    seed within _closure_bound of a fixed direction's frame point gets that
+    branch's _companion, run in its contracting direction; every other seed,
+    in any dimension, is propagated and must close within the same bound, or
+    ClosureFailure is raised."""
+    bound = _closure_bound(v, length, tol)
+    if v.dim == 2:
+        leaves = _rescale(_side_matrices(v, np.array([length], dtype=float)))
+        for i, fd in enumerate(_summary_at(v, length, tol, leaves)[2] or ()):
+            frame = v.vertex(0) + length * np.array([math.cos(fd.angle), math.sin(fd.angle)])
+            if np.linalg.norm(seed - frame) <= bound:
+                w, defect = _companion(v, length, fd.angle, leaves[0][0], i > 0, tol)
+                return Polygon(w, name=v.name), defect
+    res = propagate(v, seed, tol)
+    if not res.closure_defect <= bound:
+        raise ClosureFailure(f"seeded companion does not close: defect {res.closure_defect:.3e} > {bound:.3e}")
+    return res.closed_polygon(name=v.name), res.closure_defect
+
+
 def transform(
     v: Polygon, length: float, branch: Branch = Branch.ATTRACTING, tol: Tolerance = DEFAULT_TOL
 ) -> Polygon:
@@ -206,37 +227,28 @@ def butterfly_fourth(v1, w1, s1, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return perp_bisector_reflect(as_vec(v1), as_vec(w1), as_vec(s1), tol)
 
 
-def bianchi_fourth_polygon(
-    v: Polygon,
-    w: Polygon,
-    s: Polygon,
-    tol: Tolerance = DEFAULT_TOL,
-    propagate_along: str = "s",
-) -> Polygon:
+def bianchi_fourth_polygon(v: Polygon, w: Polygon, s: Polygon, tol: Tolerance = DEFAULT_TOL) -> Polygon:
     """Fourth polygon of the permutability square: T with S ~ T at the W
-    parameter's partner length and W ~ T at the S parameter.
+    parameter's length |V_0 W_0| and W ~ T at the S parameter.
 
-    Seeds t1 from the butterfly through (v1, w1, s1) and propagates along S
-    (or along W with propagate_along="w"); closure is verified rather than
-    assumed, so inconsistent inputs surface as ClosureFailure.
+    T is the closed companion of S through the butterfly point t1 of (v1, w1,
+    s1), built as _seeded_companion builds it; W ~ T is then checked, so
+    inconsistent inputs surface as ClosureFailure, never as a non-pair.
     """
     check_same_dim(v.vertex(0), w.vertex(0), s.vertex(0))
     if not (len(v) == len(w) == len(s)):
         raise DimensionMismatch("the three polygons must have the same vertex count")
     v1, w1, s1 = v.vertex(0), w.vertex(0), s.vertex(0)
-    scale = max(float(np.linalg.norm(w1 - v1)), float(np.linalg.norm(s1 - v1)))
-    if np.linalg.norm(w1 - s1) <= tol.eps_geom * scale:
-        # equal length parameters degenerate the butterfly; its limit is t1 = v1
+    length = float(np.linalg.norm(w1 - v1))
+    # equal length parameters degenerate the butterfly; its limit is t1 = v1
+    if np.linalg.norm(w1 - s1) <= tol.eps_geom * max(length, float(np.linalg.norm(s1 - v1))):
         t1 = v1
     else:
         t1 = butterfly_fourth(v1, w1, s1, tol)
-    base = s if propagate_along == "s" else w
-    res = propagate(base, t1, tol)
-    if res.closure_defect > max(tol.eps_geom * base.perimeter(), 1e-12):
-        raise ClosureFailure(
-            f"permutability propagation did not close: defect {res.closure_defect:.3e}"
-        )
-    return res.closed_polygon()
+    t = _seeded_companion(s, length, t1, tol)[0]
+    if not correspondence_check(w, t, tol):
+        raise ClosureFailure("permutability: the companion of S through t1 is not a companion of W")
+    return t
 
 
 class BicyclePair:

@@ -222,15 +222,16 @@ def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> M
     later sides on the left.
 
     Raises DegenerateMonodromy when ell coincides with a side length (the
-    determinant prod(ell^2 - a_i^2) vanishes there), and ValueError where the
-    raw product leaves the double range: its entries overflow, or its
-    largest entry underflows to 0 or a subnormal (naming the length).
+    determinant prod(ell^2 - a_i^2) vanishes there), and ValueError, naming
+    the length, where the raw product leaves the double range: its entries
+    overflow, or its largest entry underflows to 0 or a subnormal.
     """
     m, e, logdet = _product_at(v, ell, tol)
     with np.errstate(over="ignore"):
         raw = np.ldexp(m, e)
-    if np.abs(raw).max() < _TINY:
-        raise ValueError(f"monodromy entries underflow at length {ell!r}")
+    top = float(np.abs(raw).max())
+    if not _TINY <= top < math.inf:
+        raise ValueError(f"monodromy entries {'over' if top > 1 else 'under'}flow at length {float(ell)!r}")
     return Mobius2(raw, logdet)
 
 

@@ -132,9 +132,10 @@ class TestJsonWriter:
 class TestSeedAngleClosure:
     def test_written_companions_are_pairs(self, tmp_path):
         """Seeded at each fixed direction of the reference-hyperbolic survey
-        cases, transform --seed-angle writes only polygons that pass
-        correspondence_check; seven repelling seeds close to between the
-        step bound and eps perimeter and now exit 1."""
+        cases, transform --seed-angle writes a polygon that passes
+        correspondence_check for every seed: a seed on a fixed direction gets
+        that branch's companion in its contracting direction, the repelling
+        one included."""
         ref = bench_reference()
         path, out = tmp_path / "v.json", tmp_path / "w.json"
         written = 0
@@ -148,4 +149,4 @@ class TestSeedAngleClosure:
                 if main([*argv, "-o", str(out)]) == 0:
                     written += 1
                     assert bg.correspondence_check(v, load_polygon(out))
-        assert written >= 275 + 261
+        assert written == 2 * 275

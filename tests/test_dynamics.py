@@ -428,10 +428,91 @@ class TestBianchi:
                 continue
             if np.linalg.norm(w.vertex(0) - s.vertex(0)) < 1e-6:
                 continue
-            t1 = bg.bianchi_fourth_polygon(v, w, s, propagate_along="s")
-            t2 = bg.bianchi_fourth_polygon(v, w, s, propagate_along="w")
+            t1 = bg.bianchi_fourth_polygon(v, w, s)
+            t2 = bg.bianchi_fourth_polygon(v, s, w)
             assert np.abs(t1.vertices - t2.vertices).max() < 1e-8 * v.perimeter()
             done += 1
+
+    def test_inconsistent_inputs_raise(self, rng):
+        """S a butterfly unrelated to V: its companion through t1 closes (every
+        seed does), but it is no companion of W, so ClosureFailure is raised
+        rather than a non-pair returned."""
+        for _ in range(10):
+            v, w, _ = random_hyperbolic_pair(rng)
+            with pytest.raises(bg.ClosureFailure):
+                bg.bianchi_fourth_polygon(v, w, random_butterfly(rng))
+
+    @staticmethod
+    def _squares(cases):
+        """(case index, W branch, S branch, V, W, S, T) for each case and all
+        four branch orders, W at L and S at 1.15 L; T is None where
+        bianchi_fourth_polygon raised ClosureFailure.  Cases where either
+        transform raises are skipped."""
+        branches = (bg.Branch.ATTRACTING, bg.Branch.REPELLING)
+        for index, (v, L) in enumerate(cases):
+            for b1 in branches:
+                for b2 in branches:
+                    try:
+                        w, s = bg.transform(v, L, b1), bg.transform(v, 1.15 * L, b2)
+                    except bg.GeometryError:
+                        continue
+                    try:
+                        t = bg.bianchi_fourth_polygon(v, w, s)
+                    except bg.ClosureFailure:
+                        t = None
+                    yield index, b1, b2, v, w, s, t
+
+    def test_repelling_w_survey_gives_pairs(self):
+        """The fourth polygon is S's companion through t1 from the prefix scan
+        in its contracting direction, so a repelling W (S's repelling companion
+        at W's length) closes as the attracting one does: every branch order
+        of the 257 survey cases that transform on both lengths is a pair."""
+        pairs = 0
+        for _, _, _, _, w, s, t in self._squares(survey_cases()):
+            assert t is not None
+            assert bg.correspondence_check(s, t) and bg.correspondence_check(w, t)
+            pairs += 1
+        assert pairs == 4 * 257
+
+    def test_generic_200gons_pairs_or_the_scan_miss(self):
+        """On the generic 200-gons every result is a pair; the one
+        ClosureFailure is the prefix scan missing its step bound on draw 1
+        with W attracting and S repelling, never a non-pair returned."""
+        pairs, failures = 0, []
+        for index, b1, b2, _, w, s, t in self._squares(generic_200gons()):
+            if t is None:
+                failures.append((index, b1, b2))
+                continue
+            assert bg.correspondence_check(s, t) and bg.correspondence_check(w, t)
+            pairs += 1
+        assert pairs == 119
+        assert failures == [(1, bg.Branch.ATTRACTING, bg.Branch.REPELLING)]
+
+    def test_space_squares_through_the_loop(self):
+        """Survey squares embedded in R^3 by a random rotation go through the
+        step loop.  With W attracting, T is the rotated plane T; with W
+        repelling, each result is a pair or raises ClosureFailure."""
+        q = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+
+        def lift(p):
+            return bg.Polygon(np.pad(p.vertices, ((0, 0), (0, 1))) @ q.T)
+
+        outcomes = {"match": 0, "pair": 0, "failure": 0}
+        for _, b1, _, v, w, s, t in self._squares(survey_cases()[:120]):
+            w3, s3 = lift(w), lift(s)
+            try:
+                t3 = bg.bianchi_fourth_polygon(lift(v), w3, s3)
+            except bg.ClosureFailure:
+                assert b1 is bg.Branch.REPELLING
+                outcomes["failure"] += 1
+                continue
+            assert bg.correspondence_check(s3, t3) and bg.correspondence_check(w3, t3)
+            if b1 is bg.Branch.ATTRACTING:
+                assert np.abs(t3.vertices - lift(t).vertices).max() <= 1e-9 * v.perimeter()
+                outcomes["match"] += 1
+            else:
+                outcomes["pair"] += 1
+        assert outcomes == {"match": 212, "pair": 185, "failure": 27}
 
 
 class TestAngleSequence:

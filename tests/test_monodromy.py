@@ -500,12 +500,12 @@ class TestScan:
     )
     def test_overflowing_product_raises_without_warnings(self, call, failing_length):
         """ROADMAP overflow recipe at k = 500: the raw-valued results leave the
-        double range and raise ValueError (the discriminant's names the
-        length), and the overflow warns nobody."""
+        double range and raise ValueError naming the length, and the overflow
+        warns nobody."""
         v = bg.Polygon(np.random.default_rng(2).normal(size=(500, 2)) * 2)
         L = 3.0 * float(v.side_lengths().max())
         if failing_length is None:
-            message = "matrix entries must be finite"
+            message = f"monodromy entries overflow at length {L!r}"
         else:
             message = f"discriminant is not finite at length {failing_length(L)!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -538,6 +538,17 @@ class TestScan:
         v = circle_polygon(np.random.default_rng(0), 2000)
         with pytest.raises(ValueError, match=re.escape("monodromy entries underflow at length 0.5")):
             bg.polygon_monodromy(v, 0.5)
+
+    @pytest.mark.parametrize("case, word", [("circle", "underflow"), ("overflow", "overflow")])
+    def test_monodromy_errors_name_a_numpy_length_as_a_float(self, case, word):
+        """A numpy length is named as the plain float it holds, as
+        lorentz_monodromy names it, not as np.float64(...)."""
+        if case == "circle":
+            v, L = circle_polygon(np.random.default_rng(0), 2000), 0.5
+        else:
+            v, L = overflow_recipe(500)
+        with pytest.raises(ValueError, match=re.escape(f"monodromy entries {word} at length {L!r}")):
+            bg.polygon_monodromy(v, np.float64(L))
 
     def test_refine_rejects_non_finite_midpoint(self, monkeypatch):
         real = monodromy._monodromy_product
