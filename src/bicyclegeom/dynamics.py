@@ -4,12 +4,13 @@ Propagation carries a frame segment around a closed polygon one isosceles
 trapezoid at a time; when the seed direction is fixed under the monodromy
 the trace closes up and defines the transformation T_L.  transform does not
 loop: the frame direction at each vertex is the seed direction pushed
-through a partial product of the side matrices, so one prefix scan of the
-side stack gives every frame at once, and the repelling branch runs the
-scan backwards, on the inverses, where it contracts.  A companion through
-a given seed point (transform --seed-angle, the permutability square) comes
-from the scan when the seed is on a fixed direction, else from propagate's
-step loop (any dimension; the scan's oracle), under one closure bound.
+through a partial product of the side matrices, so one down-sweep of the
+side tree that classifies the monodromy gives every frame, the repelling
+branch swept backwards, on the adjugates, where it contracts.  A companion
+through a seed point (transform --seed-angle, the permutability square)
+comes from the sweep when the seed is on a fixed direction, else from
+propagate's step loop (any dimension; the sweep's oracle), under one
+closure bound.
 Recutting reflects a vertex in its neighbours' bisector, the same step.
 
 Length convention: the public parameter L is always the full frame segment
@@ -30,7 +31,7 @@ from .geometry import (
     DEFAULT_TOL, Polygon, Tolerance, _angle_at, _bisector_reflect, _coincident, _cyc, as_vec,
     check_same_dim, perp_bisector_reflect,
 )
-from .monodromy import FixedDirection, MonodromyClass, _rescale, _side_matrices, _summary_at
+from .monodromy import FixedDirection, MonodromyClass, _summary_at, _tree
 
 
 @dataclass(frozen=True)
@@ -82,36 +83,43 @@ _HALF_ANGLE = np.array([1j, 1.0])  # (p, q) -> z = q + i p
 
 
 def _companion(
-    v: Polygon, length: float, angle: float, sides: np.ndarray, backwards: bool, tol: Tolerance
+    v: Polygon, length: float, angle: float, tree: list, backwards: bool, tol: Tolerance
 ) -> tuple[np.ndarray, float]:
     """Unchecked kernel behind transform: the companion of plane polygon v
     seeded from the fixed direction at angle, and its closing-step residual.
 
-    sides is the rescaled side stack (k, 2, 2), overwritten here.  The frame
-    direction alpha_i at V_i is h_i = (sin alpha_i/2, cos alpha_i/2) up to
-    scale, and h_{i+1} ~ S_i h_i, so every h_i is a prefix product of the side
-    matrices applied to h_0; a Hillis-Steele doubling scan computes all of
-    them in ceil(log2(k - 1)) rescaled matmul levels.  backwards runs the same
-    scan on the reversed adjugates (the projective inverses) from the closing
-    vertex down, the contracting direction of the repelling branch.  Raises
-    DegenerateLine on a zero frame or a step with no bisector, and
-    ClosureFailure where any step misses the bisector reflection by more
-    than _closure_bound.
+    tree is the _tree of v at length.  The frame direction
+    alpha_i at V_i is h_i = (sin alpha_i/2, cos alpha_i/2) up to scale, and
+    h_{i+1} ~ S_i h_i, so h_i is the seed pushed through a partial product.
+    One down-sweep of the tree, a batched matvec per level, gives them all:
+    forwards h is carried at node starts, a right child starting at its left
+    sibling times h; backwards, the repelling branch's contracting direction,
+    at node ends, a left child ending at the adjugate (projective inverse) of
+    its right sibling times h.  Raises DegenerateLine on a zero frame or a
+    step with no bisector, and ClosureFailure where a step misses the
+    bisector reflection by more than _closure_bound.
     """
     k = len(v)
-    # h_0 is the seed and W_k = W_0 is checked, so S_0 ... S_{k-2} forwards,
-    # or the adjugates [[d, -b], [-b, a]] of S_{k-1} ... S_1 backwards
-    s = sides[:0:-1, ::-1, ::-1] * _ADJUGATE_SIGNS if backwards else sides[:-1]
-    d = 1
-    while d < len(s):
-        s[d:] = _rescale(s[d:] @ s[:-d])[0]
-        d *= 2
     h = np.empty((k + 1, 2))
     h[0] = h[k] = (math.sin(0.5 * angle), math.cos(0.5 * angle))
-    h[1:k] = s[::-1] @ h[0] if backwards else s @ h[0]
+    # h per node of a level: a parent's h passes to one child, the other's is computed
+    kept, computed = (1, 0) if backwards else (0, 1)
+    node_h = h[:1]
     # V_0 ... V_{k-1}, V_0, V_0: rows i and i + 1 are step i's V_i and V_{i+1}
     at = np.concatenate([v.vertices, v.vertices[:1], v.vertices[:1]])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a, _ in tree[-2::-1]:
+            a, up = a[0], node_h[: len(a[0]) // 2]  # a pad node has no children
+            node_h = np.empty((len(a), 2))
+            node_h[kept::2] = up
+            if backwards:  # adj(R) h = h adj(R)^t, adj [[a, b], [c, d]] = [[d, -b], [-c, a]]
+                step = np.vecmat(up, a[1::2, ::-1, ::-1] * _ADJUGATE_SIGNS)
+            else:
+                step = np.matvec(a[0::2], up)
+            x = np.abs(step)
+            node_h[computed::2] = step / (x[:, :1] + x[:, 1:])
+        # leaf i starts at h_i and ends at h_{i+1}; h_k = h_0 is the seed, and W_k = W_0 is checked
+        h[1:k] = node_h[: k - 1] if backwards else node_h[1:k]
         z = h @ _HALF_ANGLE  # e^(i alpha/2) up to scale, so e^(i alpha) = z / conj(z)
         w = at[:-1] + length * (z / z.conj()).view(float).reshape(-1, 2)
         # rows (V_{i+1}, W_i): step i has no bisector; the last row is the seed frame
@@ -133,14 +141,14 @@ def _transform(
     direction and the closure defect it computed on the way."""
     if v.dim != 2:
         raise DimensionMismatch("the closed transformation is defined for plane polygons")
-    leaves = _rescale(_side_matrices(v, np.array([length], dtype=float)))
-    klass, _, dirs = _summary_at(v, length, tol, leaves)
+    tree = _tree(v, np.array([length], dtype=float))
+    klass, _, dirs = _summary_at(v, length, tol, tree)
     if klass is MonodromyClass.ELLIPTIC:
         raise EllipticMonodromy(f"monodromy is elliptic at L={length}; no real fixed direction")
     if dirs is None:  # identity (every seed closes; propagate from one) or singular
         raise DegenerateMonodromy(f"{klass.value} monodromy at L={length}: no isolated fixed direction")
     fd = dirs[0] if branch is Branch.ATTRACTING else dirs[-1]
-    w, defect = _companion(v, length, fd.angle, leaves[0][0], branch is Branch.REPELLING, tol)
+    w, defect = _companion(v, length, fd.angle, tree, branch is Branch.REPELLING, tol)
     return Polygon(w, name=v.name), klass, fd, defect
 
 
@@ -148,20 +156,21 @@ def _seeded_companion(v: Polygon, length: float, seed: np.ndarray, tol: Toleranc
     """The closed companion of v at frame length L through the seed point W_0,
     and its closing defect.  In the plane (L validated as by transform), a
     seed within _closure_bound of a fixed direction's frame point gets that
-    branch's _companion, run in its contracting direction; every other seed,
-    in any dimension, is propagated and must close within the same bound, or
-    ClosureFailure is raised."""
+    branch's _companion, swept down the tree that gave the direction; every
+    other seed, in any dimension, is propagated and must close within the
+    same bound, or ClosureFailure is raised."""
     bound = _closure_bound(v, length, tol)
     if v.dim == 2:
-        leaves = _rescale(_side_matrices(v, np.array([length], dtype=float)))
-        for i, fd in enumerate(_summary_at(v, length, tol, leaves)[2] or ()):
+        tree = _tree(v, np.array([length], dtype=float))
+        for i, fd in enumerate(_summary_at(v, length, tol, tree)[2] or ()):
             frame = v.vertex(0) + length * np.array([math.cos(fd.angle), math.sin(fd.angle)])
             if np.linalg.norm(seed - frame) <= bound:
-                w, defect = _companion(v, length, fd.angle, leaves[0][0], i > 0, tol)
+                w, defect = _companion(v, length, fd.angle, tree, i > 0, tol)
                 return Polygon(w, name=v.name), defect
     res = propagate(v, seed, tol)
     if not res.closure_defect <= bound:
-        raise ClosureFailure(f"seeded companion does not close: defect {res.closure_defect:.3e} > {bound:.3e}")
+        raise ClosureFailure(f"seeded companion does not close: defect {res.closure_defect:.3e} > {bound:.3e}; "
+                             "only a seed on a fixed direction, or any seed on a butterfly polygon, closes")
     return res.closed_polygon(name=v.name), res.closure_defect
 
 
@@ -171,8 +180,8 @@ def transform(
     """The closed bicycle transformation T_L of a plane polygon.
 
     The monodromy's class and the branch's fixed direction come from the
-    pairwise side-matrix tree; the companion comes from one prefix scan of
-    the same side stack, the repelling branch run backwards, so both
+    root of the pairwise side-matrix tree, and the companion from one
+    down-sweep of the same tree, the repelling branch run backwards, so both
     branches are computed in their contracting direction.  Every step is
     checked against the bisector reflection (correspondence_check's rule and
     bound), so the result is a pair with v under tol.  Requires the

@@ -174,24 +174,31 @@ def _log2_det(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return np.sign(mant[:, 0]).prod(axis=1), np.log2(np.abs(mant)).sum(axis=(1, 2)), exp.sum(axis=(1, 2))
 
 
-def _monodromy_product(v: Polygon, ells: np.ndarray, leaves=None) -> tuple[np.ndarray, np.ndarray]:
-    """Unchecked side-matrix products m 2**e per length, m (lengths, 2, 2) rescaled:
-    a pairwise tree, later sides on the left, an identity pad on odd levels,
-    every level rescaled, so any finite polygon gives a finite m.  leaves, when
-    given, is the stack _rescale(_side_matrices(v, ells)) already built; the
-    tree does not write to it."""
-    if leaves is None:
-        if len(ells) > 1 and len(ells) * len(v) > 1 << 16:  # bound the side stack's memory
-            halves = zip(*(_monodromy_product(v, h) for h in np.array_split(ells, 2)))
-            return tuple(np.concatenate(parts) for parts in halves)
-        leaves = _rescale(_side_matrices(v, ells))
-    a, e = leaves
+def _tree(v: Polygon, ells: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Levels (a, e), nodes a (lengths, nodes, 2, 2) times 2**e, of the pairwise
+    tree of v's side matrices per length, the sides first and the one-node
+    root last: an odd level gets an identity pad, and its pairs, later sides
+    on the left, are rescaled into the next, so any finite polygon gives finite a."""
+    a, e = _rescale(_side_matrices(v, ells))
+    levels = []
     while a.shape[1] > 1:
         if a.shape[1] % 2:
             a = np.concatenate([a, np.broadcast_to(np.eye(2), (len(a), 1, 2, 2))], axis=1)
             e = np.concatenate([e, np.zeros_like(e[:, :1])], axis=1)
+        levels.append((a, e))
         a, shift = _rescale(a[:, 1::2] @ a[:, 0::2])
         e = e[:, 1::2] + e[:, 0::2] + shift
+    levels.append((a, e))
+    return levels
+
+
+def _monodromy_product(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked side-matrix products m 2**e per length, m (lengths, 2, 2)
+    rescaled: the root of _tree."""
+    if len(ells) > 1 and len(ells) * len(v) > 1 << 16:  # bound the side stack's memory
+        halves = zip(*(_monodromy_product(v, h) for h in np.array_split(ells, 2)))
+        return tuple(np.concatenate(parts) for parts in halves)
+    a, e = _tree(v, ells)[-1]
     return a[:, 0], e[:, 0]
 
 
@@ -201,10 +208,10 @@ def _pole_hits(v: Polygon, ells: np.ndarray, tol: Tolerance) -> np.ndarray:
     return np.abs(ell - a) <= tol.eps_geom * np.maximum(ell, a)
 
 
-def _product_at(v: Polygon, ell: float, tol: Tolerance, leaves=None):
+def _product_at(v: Polygon, ell: float, tol: Tolerance, tree=None):
     """The (m, e) of the monodromy at one length, validated as polygon_monodromy,
-    and the (sign, mant, exp) of its raw determinant from _log2_det; leaves as
-    for _monodromy_product."""
+    and the (sign, mant, exp) of its raw determinant from _log2_det; tree, when
+    given, is the _tree already built at that length."""
     if v.dim != 2:
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
     if ell <= 0.0:
@@ -212,9 +219,9 @@ def _product_at(v: Polygon, ell: float, tol: Tolerance, leaves=None):
     ells = np.array([ell], dtype=float)
     if _pole_hits(v, ells, tol).any():
         raise DegenerateMonodromy(f"length parameter {ell} coincides with a side length")
-    m, e = _monodromy_product(v, ells, leaves)
+    m, e = (tree or _tree(v, ells))[-1]
     sign, mant, exp = _log2_det(v, ells)
-    return m[0], int(e[0]), (float(sign[0]), float(mant[0]), int(exp[0]))
+    return m[0, 0], int(e[0, 0]), (float(sign[0]), float(mant[0]), int(exp[0]))
 
 
 def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> Mobius2:
@@ -361,10 +368,10 @@ def _row_summary(row, tol: Tolerance, det: tuple[float, float]):
     return klass, _tr2_over_det(row, det), dirs
 
 
-def _summary_at(v: Polygon, ell: float, tol: Tolerance, leaves=None):
+def _summary_at(v: Polygon, ell: float, tol: Tolerance, tree=None):
     """_row_summary of the monodromy at one length, validated as polygon_monodromy;
-    leaves as for _monodromy_product."""
-    m, e, (sign, mant, exp) = _product_at(v, ell, tol, leaves)
+    tree as for _product_at."""
+    m, e, (sign, mant, exp) = _product_at(v, ell, tol, tree)
     return _row_summary(m.ravel().tolist(), tol, (sign, mant + (exp - 2 * e)))
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bicyclegeom as bg
-from bicyclegeom import dynamics, monodromy
+from bicyclegeom import cli, dynamics, monodromy
 from bicyclegeom.cli import main
 from bicyclegeom.fileio import load_polygon, polygon_from_dict, save_polygon
 
@@ -107,7 +107,7 @@ class TestTransformCommand:
         assert f"monodromy class: {bg.classify(mob).value}\n" in out
         assert f"branch eigenvalue: {fd.derivative:.12g}\n" in out
         assert f"closure defect: {defect:.6e}\n" in out
-        assert len(calls) == 0  # the companion comes from the prefix scan, not the loop
+        assert len(calls) == 0  # the companion comes from the tree's down-sweep, not the loop
 
 
 class TestPolygonStdout:
@@ -286,23 +286,45 @@ class TestOverflowRecipe:
 
 
 class TestBianchiCommand:
-    def test_valid_triple(self, tmp_path, capsys):
+    @staticmethod
+    def _triple(tmp_path):
+        """Files of a pentagon V and its rotation companions W and S."""
         ang = 2 * math.pi * np.arange(5) / 5
         v = bg.Polygon(np.stack([np.cos(ang), np.sin(ang)], axis=1) * 2.0)
-        w = bg.rotation_transform(v, 1.0)
-        s = bg.rotation_transform(v, 1.6)
+        polys = (v, bg.rotation_transform(v, 1.0), bg.rotation_transform(v, 1.6))
         paths = []
-        for name, poly in (("v", v), ("w", w), ("s", s)):
+        for name, poly in zip("vws", polys):
             p = tmp_path / f"{name}.json"
             save_polygon(p, poly)
             paths.append(str(p))
+        return polys, paths
+
+    def test_valid_triple(self, tmp_path, capsys):
+        (_, w, s), paths = self._triple(tmp_path)
         out = tmp_path / "t.json"
         code = main(["bianchi", *paths, "-o", str(out)])
         assert code == 0
-        assert "PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"correspondence S~T and W~T: PASS\nwrote {out}\n"
         t = load_polygon(out)
         assert bg.correspondence_check(s, t)
         assert bg.correspondence_check(w, t)
+
+    def test_three_pair_checks_per_call(self, tmp_path, monkeypatch):
+        """V ~ W and V ~ S are checked on input and W ~ T inside
+        bianchi_fourth_polygon, which builds S ~ T under the step bound; the
+        command checks nothing again."""
+        _, paths = self._triple(tmp_path)
+        calls = []
+        real = dynamics.correspondence_check
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "correspondence_check", counted)
+        monkeypatch.setattr(cli, "correspondence_check", counted)
+        assert main(["bianchi", *paths, "-o", str(tmp_path / "t.json")]) == 0
+        assert len(calls) == 3
 
     def test_non_pair_inputs_exit_2(self, tmp_path, rng):
         paths = []

@@ -150,3 +150,20 @@ class TestSeedAngleClosure:
                     written += 1
                     assert bg.correspondence_check(v, load_polygon(out))
         assert written == 2 * 275
+
+    def test_hint_only_where_the_seed_is_propagated(self, square_file, tmp_path, capsys):
+        """A seed on no fixed direction is propagated, and its ClosureFailure
+        says which seeds close; a seed on a fixed direction is swept down the
+        side tree, and its ClosureFailure (a step past the bound of --tol
+        1e-16) carries no such hint."""
+        assert main(["transform", square_file, "-l", "1.2", "--seed-angle", "30"]) == 1
+        err = capsys.readouterr().err
+        assert "seeded companion does not close" in err and "only a seed on a fixed direction" in err
+        v, L = circle_polygon(np.random.default_rng(0), 2000, 0.02), 0.95
+        path = tmp_path / "v.json"
+        save_polygon(path, v)
+        for fd in bg.fixed_directions(bg.polygon_monodromy(v, L)):
+            seed = ["--seed-angle", repr(math.degrees(fd.angle)), "--tol", "1e-16"]
+            assert main(["transform", str(path), "-l", repr(L), *seed]) == 1
+            err = capsys.readouterr().err
+            assert "companion step misses" in err and "fixed direction" not in err
