@@ -1,17 +1,24 @@
-"""JSON polygon files.
+"""JSON polygon files, and the one JSON codec of the CLI.
 
 Schema: {"dim": n, "vertices": [[x, y, ...], ...], "name": optional string}.
-Files are compact JSON from one writer, ``to_json``, which the CLI's
-reports share.  Floats are serialized with shortest round-trip precision,
-so load(save(p)) == p exactly.
+Files are compact JSON (no spaces) from one writer, ``to_json``, which the
+CLI's reports share; ``load_polygon`` is the one reader.  Both run on
+orjson.  Floats are written shortest round-trip (Ryu), so
+load(save(p)) == p exactly; 1e16 is written ``1e16`` and 1e-05 ``0.00001``.
+
+JSON has no NaN or Infinity.  ``to_json`` raises ``ValueError`` naming the
+path of the first non-finite value (``$.grid[0].trace_sq_over_det is inf``)
+instead of writing it, and the reader refuses ``NaN``, ``Infinity`` and
+literals beyond the double range.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .geometry import Polygon
 
@@ -21,17 +28,47 @@ class PolygonFileError(ValueError):
 
 
 def _jsonable(x):
+    """What orjson refuses natively: non-C-contiguous or 0-d arrays and
+    numpy scalars such as float16 and longdouble."""
     if isinstance(x, np.ndarray):
         return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
+    if isinstance(x, np.generic):
         return x.item()
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
+def _non_finite_at(obj, path: str = "$") -> str | None:
+    """'<JSON path> is <value>' for the first non-finite float of obj in
+    document order, or None."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = _jsonable(obj)
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else f"{path} is {obj!r}"
+    if isinstance(obj, dict):
+        children = ((f"{path}.{key}", value) for key, value in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        children = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    for at, value in children:
+        where = _non_finite_at(value, at)
+        if where is not None:
+            return where
+    return None
+
+
 def to_json(obj) -> str:
-    """Compact JSON of obj, numpy arrays and scalars included; without an
-    indent json.dumps runs its C encoder."""
-    return json.dumps(obj, default=_jsonable)
+    """Compact JSON of obj, numpy arrays and scalars included.
+
+    orjson writes a non-finite float as ``null``, so a document holding
+    ``null`` is walked for one; a document without it cannot hold one.
+    """
+    data = orjson.dumps(obj, default=_jsonable, option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"null" in data:
+        where = _non_finite_at(obj)
+        if where is not None:
+            raise ValueError(f"JSON has no NaN or Infinity: {where}")
+    return data.decode()
 
 
 def polygon_to_dict(v: Polygon) -> dict:
@@ -57,9 +94,8 @@ def polygon_from_dict(data: dict) -> Polygon:
 
 def load_polygon(path) -> Polygon:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        data = orjson.loads(Path(path).read_bytes())
+    except (OSError, orjson.JSONDecodeError) as exc:
         raise PolygonFileError(f"cannot read polygon file {path}: {exc}") from exc
     return polygon_from_dict(data)
 

@@ -1,20 +1,23 @@
 """The CLI's fixed costs: one argparse parser per process, reused by every
 in-process main() call without carrying state between calls, and one
-compact JSON writer for polygon files and --json reports; and the closure
-rule that transform --seed-angle shares with the library."""
+compact JSON writer and one reader for polygon files and --json reports,
+which refuse non-finite values; and the closure rule that transform
+--seed-angle shares with the library."""
 
 import json
 import math
+import re
 
 import numpy as np
+import orjson
 import pytest
 
 import bicyclegeom as bg
 from bicyclegeom import cli
 from bicyclegeom.cli import main
-from bicyclegeom.fileio import load_polygon, save_polygon, to_json
+from bicyclegeom.fileio import PolygonFileError, load_polygon, polygon_to_dict, save_polygon, to_json
 
-from conftest import bench_reference, circle_polygon, random_polygon, survey_cases
+from conftest import bench_reference, circle_polygon, overflow_recipe, random_polygon, survey_cases
 
 SQUARE = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)], name="square")
 
@@ -94,9 +97,52 @@ class TestJsonWriter:
         assert back["scalar"] == 1e300 and back["count"] == 3
 
     def test_writer_key_order_and_unknown_types(self):
-        assert to_json({"b": 1, "a": [1.5, None]}) == '{"b": 1, "a": [1.5, null]}'
+        assert to_json({"b": 1, "a": [1.5, None]}) == '{"b":1,"a":[1.5,null]}'
         with pytest.raises(TypeError):
             to_json({"x": object()})
+
+    def test_writer_round_trips_random_bit_patterns(self):
+        """Random finite float64 bit patterns, and values spread over the
+        decimal exponents where the writer switches between plain and
+        exponent notation, read back bit for bit through both readers."""
+        rng = np.random.default_rng(20261018)
+        bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        values = np.concatenate([values[np.isfinite(values)], 10.0 ** rng.uniform(-30, 30, 20_000)])
+        text = to_json({"x": values})
+        for loads in (json.loads, orjson.loads):
+            assert _bits(loads(text)["x"]) == _bits(values)
+
+    def test_polygon_file_round_trips_exponent_forms(self, tmp_path):
+        v = bg.Polygon([(1e-05, 0.0), (1e16, 5e-324), (2.0 ** -1022, 1.0), (-0.0, 1e16)])
+        path = tmp_path / "v.json"
+        save_polygon(path, v)
+        assert _bits(load_polygon(path).vertices) == _bits(v.vertices)
+        assert path.read_text(encoding="utf-8") == (
+            '{"dim":2,"vertices":[[0.00001,0.0],[1e16,5e-324],'
+            '[2.2250738585072014e-308,1.0],[-0.0,1e16]]}\n'
+        )
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_spaced_stdlib_files_still_load(self, tmp_path, indent):
+        """Files written by json.dumps with its default separators (and
+        \\u escapes) load bit for bit."""
+        v = circle_polygon(np.random.default_rng(3), 200, 0.02)
+        v = bg.Polygon(v.vertices, name='ring "200" ω')
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(polygon_to_dict(v), indent=indent), encoding="utf-8")
+        w = load_polygon(path)
+        assert w.name == v.name
+        assert _bits(w.vertices) == _bits(v.vertices)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_reader_refuses_non_finite_literals(self, tmp_path, capsys, literal):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dim": 2, "vertices": [[0, 0], [1, 0], [{literal}, 1]]}}')
+        with pytest.raises(PolygonFileError, match=f"cannot read polygon file {re.escape(str(path))}"):
+            load_polygon(path)
+        assert main(["invariants", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -127,6 +173,59 @@ class TestJsonWriter:
         assert [p["L"] for p in data["grid"]] == [p.ell for p in points]
         assert [p["class"] for p in data["grid"]] == [p.klass.value for p in points]
         assert data["boundaries"] == bg.refine_class_boundaries(SQUARE, 1.05, 2.2, steps=64)
+
+
+class TestNonFiniteRefused:
+    """JSON has no NaN or Infinity: to_json names the first non-finite
+    value's path instead of writing it, and the CLI exits 2."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "make, where",
+        [
+            (lambda x: {"x": x}, "$.x"),
+            (lambda x: {"x": np.float64(x)}, "$.x"),
+            (lambda x: {"a": [1.0, {"b": [2.0, x]}]}, "$.a[1].b[1]"),
+            (lambda x: {"m": np.array([[1.0, 2.0], [3.0, x]])}, "$.m[1][1]"),
+            (lambda x: {"m": np.array([[1.0, x], [2.0, 3.0]]).T}, "$.m[1][0]"),
+        ],
+        ids=["float", "float64", "nested", "ndarray", "transposed-ndarray"],
+    )
+    def test_path_is_named(self, make, where, value):
+        with pytest.raises(ValueError, match=re.escape(f"{where} is {value!r}")):
+            to_json(make(value))
+
+    def test_legitimate_nulls_still_serialize(self):
+        data = {"center": None, "radius": [None, 1.0], "name": "null"}
+        assert to_json(data) == '{"center":null,"radius":[null,1.0],"name":"null"}'
+
+    def _cli(self, capsys, argv):
+        capsys.readouterr()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_scan_of_the_k2000_recipe_exits_2(self, tmp_path, capsys):
+        """Tr^2/det and the derivatives of this 2000-gon leave the double
+        range at the mean side."""
+        v = bg.Polygon(np.random.default_rng(9).normal(size=(2000, 2)) * 1.5)
+        ell = float(v.side_lengths().mean())
+        path = tmp_path / "v.json"
+        save_polygon(path, v)
+        code, out, err = self._cli(capsys, ["scan", str(path), "--grid", f"{ell!r}:{2 * ell!r}:2", "--json"])
+        assert code == 2
+        assert out == ""
+        assert "$.grid[0]." in err
+
+    def test_invariants_of_the_overflow_recipe_exits_2(self, tmp_path, capsys):
+        v, _ = overflow_recipe(2000)
+        path = tmp_path / "v.json"
+        save_polygon(path, v)
+        with pytest.warns(RuntimeWarning):
+            code, out, err = self._cli(capsys, ["invariants", str(path), "--json"])
+        assert code == 2
+        assert out == ""
+        assert "$.polygon.trace_poly_coeffs" in err
 
 
 class TestSeedAngleClosure:
