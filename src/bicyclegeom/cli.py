@@ -42,11 +42,9 @@ from .svg import PALETTE, Figure
 
 
 def _tolerance(args) -> Tolerance:
-    eps = getattr(args, "tol", None)
-    if eps is None:
-        env = os.environ.get("BICYCLE_TOL")
-        if env:
-            eps = float(env)
+    eps = args.tol
+    if eps is None and os.environ.get("BICYCLE_TOL"):
+        eps = float(os.environ["BICYCLE_TOL"])
     if eps is None:
         return DEFAULT_TOL
     return Tolerance(eps_geom=eps, eps_class=DEFAULT_TOL.eps_class)
@@ -89,6 +87,12 @@ def _render_report(data: dict, as_json: bool) -> str:
                 lines.append(prefix)
             for key, sub in obj.items():
                 emit(("  " if prefix else "") + str(key), sub)
+        elif isinstance(obj, list) and obj and all(isinstance(rec, dict) for rec in obj):
+            rows = [list(obj[0])] + [[_scalar(x) for x in rec.values()] for rec in obj]
+            widths = [max(map(len, col)) for col in zip(*rows)]
+            lines.append(prefix)
+            for row in rows:
+                lines.append("  " + "  ".join(c.ljust(n) for c, n in zip(row, widths)).rstrip())
         else:
             lines.append(f"{prefix:<28} {_scalar(obj)}")
 
@@ -97,11 +101,12 @@ def _render_report(data: dict, as_json: bool) -> str:
 
 
 def _scalar(x) -> str:
+    if x is None:
+        return "-"
     if isinstance(x, float):
         return f"{x:.12g}"
     if isinstance(x, (list, tuple, np.ndarray)):
-        items = np.asarray(x, dtype=object).ravel()
-        return "[" + ", ".join("line" if v is None else _scalar(float(v)) for v in items) + "]"
+        return "[" + ", ".join("line" if v is None else _scalar(v) for v in x) + "]"
     return str(x)
 
 
@@ -207,9 +212,12 @@ def cmd_invariants(args) -> int:
             float(np.abs(np.sort(v.side_lengths()) - np.sort(w.side_lengths())).max()), tol
         )
         report["deltas"] = deltas
-        report["is_bicycle_pair"] = correspondence_check(v, w, tol)
-        if report["is_bicycle_pair"]:
-            pair = BicyclePair(v, w, tol, check=False)
+        try:
+            pair = BicyclePair(v, w, tol)
+        except ValueError:  # not in the bicycle correspondence
+            pair = None
+        report["is_bicycle_pair"] = pair is not None
+        if pair is not None:
             report["frame_length"] = _val(pair.length, tol)
             if v.dim == 2:
                 track = rear_track(pair, tol)
@@ -234,27 +242,19 @@ def cmd_scan(args) -> int:
     lmin, lmax, steps = _parse_grid(args.grid)
     points = classification_scan(v, lmin, lmax, steps, tol)
     boundaries = refine_class_boundaries(v, lmin, lmax, steps=max(steps, 64), tol=tol)
-    if args.json:
-        payload = {
-            "grid": [
-                {
-                    "L": p.ell,
-                    "class": p.klass.value,
-                    "trace_sq_over_det": p.invariant,
-                    "eigenvalues": p.derivatives,
-                }
-                for p in points
-            ],
-            "boundaries": boundaries,
-        }
-        sys.stdout.write(to_json(payload) + "\n")
-        return 0
-    print(f"{'L':>14}  {'class':<11} {'Tr^2/det':>16}  eigenvalues")
-    for p in points:
-        eig = "-" if p.derivatives is None else ", ".join(f"{d:.9g}" for d in p.derivatives)
-        print(f"{p.ell:>14.9g}  {p.klass.value:<11} {p.invariant:>16.9g}  {eig}")
-    for b in boundaries:
-        print(f"boundary (parabolic): L = {b:.12g}")
+    payload = {
+        "grid": [
+            {
+                "L": p.ell,
+                "class": p.klass.value,
+                "trace_sq_over_det": p.invariant,
+                "eigenvalues": p.derivatives,
+            }
+            for p in points
+        ],
+        "boundaries": boundaries,
+    }
+    sys.stdout.write(_render_report(payload, args.json))
     return 0
 
 
@@ -336,38 +336,29 @@ def cmd_rear_track(args) -> int:
     tol = _tolerance(args)
     v = load_polygon(args.front)
     w = load_polygon(args.companion)
-    if not correspondence_check(v, w, tol):
-        _err("polygons are not in the bicycle correspondence")
+    try:
+        pair = BicyclePair(v, w, tol)
+    except ValueError as exc:  # not in the bicycle correspondence
+        _err(str(exc))
         return 1
-    pair = BicyclePair(v, w, tol, check=False)
     track = rear_track(pair, tol)
     lam_vw, lam_chain = eigenvalue_products(pair, track, tol)
-    if args.json:
-        payload = {
-            "frame_length": pair.length,
-            "circles": [
-                {
-                    "center": None if c.is_line else c.center,
-                    "curvature": c.curvature,
-                    "radius": None if c.is_line else c.radius,
-                    "line_direction": c.direction,
-                }
-                for c in track.circles
-            ],
-            "tangency_points": track.q,
-            "eigenvalue_vw": lam_vw,
-            "eigenvalue_chain": lam_chain,
-        }
-        sys.stdout.write(to_json(payload) + "\n")
-        return 0
-    print(f"frame length: {pair.length:.12g}")
-    print(f"{'slot':>7}  {'center':<32} {'radius':>16}  {'curvature':>14}")
-    for i, c in enumerate(track.circles):
-        where = "line" if c.is_line else f"({c.center[0]:.9g}, {c.center[1]:.9g})"
-        rad = "inf" if c.is_line else f"{c.radius:.9g}"
-        print(f"{i:>3}+1/2  {where:<32} {rad:>16}  {c.curvature:>14.9g}")
-    print(f"eigenvalue (diagonal products): {lam_vw:.12g}")
-    print(f"eigenvalue (chain products):    {lam_chain:.12g}")
+    payload = {
+        "frame_length": pair.length,
+        "circles": [
+            {
+                "center": c.center,
+                "curvature": c.curvature,
+                "radius": None if c.is_line else c.radius,
+                "line_direction": c.direction,
+            }
+            for c in track.circles
+        ],
+        "tangency_points": track.q,
+        "eigenvalue_vw": lam_vw,
+        "eigenvalue_chain": lam_chain,
+    }
+    sys.stdout.write(_render_report(payload, args.json))
     return 0
 
 

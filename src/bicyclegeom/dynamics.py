@@ -272,8 +272,8 @@ class BicyclePair:
     unambiguous.
     """
 
-    def __init__(self, v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL, check: bool = True):
-        if check and not correspondence_check(v, w, tol):
+    def __init__(self, v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL):
+        if not correspondence_check(v, w, tol):
             raise ValueError("polygons are not in the bicycle correspondence")
         self.v = v
         self.w = w
@@ -302,7 +302,7 @@ def angle_sequence(pair: BicyclePair, tol: Tolerance | None = None) -> np.ndarra
     return pair.alphas.copy()
 
 
-def verify_difference_equation(pair: BicyclePair, tol: Tolerance | None = None) -> float:
+def verify_difference_equation(pair: BicyclePair) -> float:
     """Max residual of the first-order difference equation tying consecutive
     frame angles along the polygon:
 

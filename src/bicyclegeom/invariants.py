@@ -5,11 +5,13 @@ J(V) = sum (|V_{i+1}|^2 - |V_{i-1}|^2) V_i are preserved by both maps.
 In the plane, rotating J by 90 degrees and dividing by four times the
 signed area yields a translation-equivariant conserved point, the
 circumcenter of mass.  _conserved computes all three of a polygon once, as
-one record that circumcenter_of_mass and the CLI's invariants report read,
-so the zero-area rule is written in one place.  The rear track realizes a
-corresponding pair as a chain of mutually tangent circles touching at the
-segment midpoints, with centres where consecutive frame lines meet (one
-line-meet kernel call).
+one record that circumcenter_of_mass and the CLI's invariants report read.
+The circumcenter of mass and the triangulation oracle both work in the frame
+of _ccm_frame, relative to the vertex centroid and with a zero-area bound
+taken from the polygon's own size, so neither depends on where the polygon
+lies.  The rear track realizes a corresponding pair as a chain of mutually
+tangent circles touching at the segment midpoints, with centres where
+consecutive frame lines meet (one line-meet kernel call).
 """
 
 from __future__ import annotations
@@ -95,9 +97,13 @@ def area_bivector(v: Polygon) -> Bivector:
     In dimension 2 the scalar component equals twice the shoelace signed
     area of the polygon.
     """
-    pts = v.vertices
+    return Bivector.from_matrix(_wedges(v.vertices))
+
+
+def _wedges(pts: np.ndarray) -> np.ndarray:
+    """The area bivector of the closed polygon pts as an antisymmetric matrix."""
     m = pts.T @ _cyc(pts, 1)  # sum of outer(V_i, V_{i+1})
-    return Bivector.from_matrix(m - m.T)
+    return m - m.T
 
 
 def signed_area(v: Polygon) -> float:
@@ -114,7 +120,10 @@ def j_vector(v: Polygon) -> np.ndarray:
     translation invariant, but its translation defect is controlled by the
     area bivector, which makes the circumcenter of mass equivariant.
     """
-    pts = v.vertices
+    return _j(v.vertices)
+
+
+def _j(pts: np.ndarray) -> np.ndarray:
     sq = np.einsum("ij,ij->i", pts, pts)
     return ((_cyc(sq, 1) - _cyc(sq, -1))[:, None] * pts).sum(axis=0)
 
@@ -128,14 +137,30 @@ class _Conserved(NamedTuple):
     ccm: np.ndarray | None
 
 
+def _ccm_frame(v: Polygon, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, float]:
+    """The vertex centroid c, the vertices less c, and the area at or below
+    which the circumcenter of mass of v is undefined.
+
+    The circumcenter of mass is translation-equivariant, so it is taken as
+    c plus that of V - c: on raw coordinates far from the origin J cancels.
+    The zero-area bound is eps_geom * max |V_i - c|**2, from the polygon's
+    own size, not from the size of its coordinates.
+    """
+    origin = v.vertices.mean(axis=0)
+    rel = v.vertices - origin
+    return origin, rel, tol.eps_geom * float(np.einsum("ij,ij->i", rel, rel).max())
+
+
 def _conserved(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> _Conserved:
     """area_bivector, j_vector and the circumcenter of mass of v, each computed once."""
     biv, j = area_bivector(v), j_vector(v)
     ccm = None
     if v.dim == 2:
-        area = 0.5 * biv.scalar
-        if not abs(area) <= tol.eps_geom * v.scale() ** 2:
-            ccm = np.array([-j[1], j[0]]) / (4.0 * area)
+        origin, rel, min_area = _ccm_frame(v, tol)
+        area = 0.5 * _wedges(rel)[0, 1]
+        if abs(area) > min_area:
+            j_rel = _j(rel)
+            ccm = origin + np.array([-j_rel[1], j_rel[0]]) / (4.0 * area)
     return _Conserved(biv, j, ccm)
 
 
@@ -171,22 +196,25 @@ def triangle_circumcenter(a, b, c, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def ccm_triangulation_oracle(v: Polygon, fan_apex: int = 0, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Independent construction of the circumcenter of mass: fan-triangulate
     from one vertex and average the triangle circumcenters weighted by
-    oriented triangle area.  The result does not depend on the apex."""
+    oriented triangle area.  The result does not depend on the apex.
+
+    Each triangle enters as its area times its circumcenter, in closed form:
+    that product stays finite on a collinear fan triangle, whose circumcenter
+    goes to infinity as its area goes to 0, so no triangle is skipped.
+    """
     if v.dim != 2:
         raise DimensionMismatch("triangulation oracle is a plane construction")
-    apex = v.vertex(fan_apex)
-    total = 0.0
-    acc = np.zeros(2)
-    for i in range(1, len(v) - 1):
-        b, c = v.vertex(fan_apex + i), v.vertex(fan_apex + i + 1)
-        weight = 0.5 * ((b[0] - apex[0]) * (c[1] - apex[1]) - (b[1] - apex[1]) * (c[0] - apex[0]))
-        if abs(weight) <= (tol.eps_geom * v.scale()) ** 2:
-            continue  # collinear fan triangle: zero weight, skip
-        acc = acc + weight * triangle_circumcenter(apex, b, c, tol)
-        total += weight
-    if abs(total) <= tol.eps_geom * v.scale() ** 2:
+    origin, rel, min_area = _ccm_frame(v, tol)
+    fan = _cyc(rel, fan_apex)
+    apex, b, c = fan[0], fan[1:-1] - fan[0], fan[2:] - fan[0]
+    weight = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    nb, nc = np.einsum("ij,ij->i", b, b), np.einsum("ij,ij->i", c, c)
+    # weight * (circumcenter - apex), from triangle_circumcenter's formula
+    moment = 0.25 * np.stack([c[:, 1] * nb - b[:, 1] * nc, b[:, 0] * nc - c[:, 0] * nb], axis=1)
+    total = float(weight.sum())
+    if not abs(total) > min_area:
         raise ZeroArea("zero signed area: circumcenter of mass undefined")
-    return acc / total
+    return origin + apex + moment.sum(axis=0) / total
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line driver: file round trips, exit codes, report output, SVG
 determinism."""
 
+import itertools
 import json
 import math
 import sys
@@ -66,6 +67,16 @@ class TestTransformCommand:
         assert "elliptic" in err
         assert f"{math.sqrt(2):.6f}"[:6] in err  # names the boundary
 
+    @pytest.mark.parametrize("branch", list(bg.Branch))
+    def test_3d_polygon_exits_2(self, tmp_path, rng, capsys, branch):
+        v = random_polygon(rng, k=5, dim=3)
+        with pytest.raises(bg.DimensionMismatch):
+            bg.transform(v, 0.3, branch)
+        path = tmp_path / "v3.json"
+        save_polygon(path, v)
+        assert main(["transform", str(path), "--ell", "0.3", "--branch", branch.value]) == 2
+        assert capsys.readouterr().err == "error: the closed transformation is defined for plane polygons\n"
+
     def test_butterfly_any_seed_closes(self, tmp_path, rng, capsys):
         path = tmp_path / "fly.json"
         save_polygon(path, random_butterfly(rng))
@@ -110,6 +121,35 @@ class TestTransformCommand:
         assert len(calls) == 0  # the companion comes from the tree's down-sweep, not the loop
 
 
+PENTAGON = np.stack([np.cos(0.4 * math.pi * np.arange(5)), np.sin(0.4 * math.pi * np.arange(5))], axis=1)
+
+
+def _two_ranges(v):
+    info = bg.classify_quadrilateral(v)
+    return f"elliptic for L in (0, {info.r1 - info.r2:.12g}) and ({info.r1 + info.r2:.12g}, inf)"
+
+
+class TestEllipticHint:
+    """The error of an elliptic transform names where the class is elliptic."""
+
+    @pytest.mark.parametrize(
+        "vertices, ell, hint",
+        [
+            ([(0, 0), (3, 0.5), (2.5, 2), (0.2, 1.5)], 0.05, _two_ranges),
+            ([(0, 0), (0.3, 1), (2, 0), (1.5, 1)], 0.5, lambda v: "elliptic for L in (0, 1)"),
+            (PENTAGON, 2.5, lambda v: "elliptic for L > 2 (circumdiameter)"),
+            (PENTAGON * [[1], [1.2], [1], [0.9], [1.1]], 2.5, lambda v: "no real fixed direction at this length"),
+        ],
+        ids=["generic-quadrilateral", "parallel-diagonals", "cyclic", "other"],
+    )
+    def test_message(self, tmp_path, capsys, vertices, ell, hint):
+        v = bg.Polygon(vertices)
+        path = tmp_path / "v.json"
+        save_polygon(path, v)
+        assert main(["transform", str(path), "--ell", str(ell)]) == 2
+        assert capsys.readouterr().err == f"error: monodromy is elliptic at L={ell}: {hint(v)}\n"
+
+
 class TestPolygonStdout:
     @pytest.mark.parametrize("command", [["transform", "--ell", "1.2"], ["recut", "-i", "1"]])
     def test_stdout_matches_output_file(self, square_file, tmp_path, capsys, command):
@@ -142,6 +182,13 @@ class TestInvariantsCommand:
         data = json.loads(capsys.readouterr().out)
         coeffs = data["polygon"]["trace_poly_coeffs"]["value"]
         assert abs(coeffs[1]) < 1e-12 and abs(coeffs[3]) < 1e-12
+
+    def test_ccm_of_far_translated_square(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        save_polygon(path, bg.Polygon(SQUARE.vertices + 1e8))
+        assert main(["invariants", str(path), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["polygon"]["circumcenter_of_mass"]["value"] == [1e8 + 0.5, 1e8 + 0.5]
 
     def test_zero_area_ccm_reported_undefined(self, tmp_path, rng, capsys):
         path = tmp_path / "fly.json"
@@ -192,6 +239,20 @@ class TestSvgCommand:
         out = tmp_path / "ngon.svg"
         assert main(["svg", "--ngon", "12", "3", "-o", str(out)]) == 0
         assert "<polygon" in out.read_text()
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ([], "nothing to draw: give polygon files or --ngon N K"),
+            (["{sq}", "--rear-track"], "--rear-track needs two polygon files (the corresponding pair)"),
+        ],
+        ids=["nothing", "rear-track-one-file"],
+    )
+    def test_missing_inputs_exit_2(self, square_file, tmp_path, capsys, argv, error):
+        out = tmp_path / "fig.svg"
+        assert main(["svg", *[a.format(sq=square_file) for a in argv], "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
 
     def test_rejects_3d(self, tmp_path, rng):
         path = tmp_path / "v3.json"
@@ -264,6 +325,61 @@ class TestRearTrackCommand:
         save_polygon(paths[1], bg.rotation_transform(v, 0.005))
         assert main(["rear-track", *map(str, paths)]) == 2
         assert "eigenvalue outside the double range" in capsys.readouterr().err
+
+
+def _numeric_leaves(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [x for item in doc for x in _numeric_leaves(item)]
+    return [doc] if isinstance(doc, (int, float)) else []
+
+
+class TestTextReports:
+    """scan and rear-track print the document their --json writes, through
+    the one report renderer: lists of records as tables."""
+
+    def test_records_render_as_table(self):
+        doc = {
+            "rows": [
+                {"L": 0.5, "class": "hyperbolic", "eig": [1.0, 2.0]},
+                {"L": 1.25, "class": "elliptic", "eig": None},
+            ]
+        }
+        assert cli._render_report(doc, False) == (
+            "rows\n"
+            "  L     class       eig\n"
+            "  0.5   hyperbolic  [1, 2]\n"
+            "  1.25  elliptic    -\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, records",
+        [(["scan", "{v}", "--grid", "1.05:2.2:25"], "grid"), (["rear-track", "{v}", "{w}"], "circles")],
+        ids=["scan", "rear-track"],
+    )
+    @pytest.mark.parametrize("polygon", ["square", "noisy-circle"])
+    def test_text_shows_every_json_number(self, tmp_path, capsys, argv, records, polygon):
+        if polygon == "square":
+            v, ell = SQUARE, 1.2
+        else:
+            v, ell = circle_polygon(np.random.default_rng(0), 200, noise=0.02), 0.95
+        paths = {"v": tmp_path / "v.json", "w": tmp_path / "w.json"}
+        save_polygon(paths["v"], v)
+        save_polygon(paths["w"], bg.transform(v, ell))
+        argv = [a.format(**paths) for a in argv]
+        assert main([*argv, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert text == cli._render_report(doc, False)
+        leaves = _numeric_leaves(doc)
+        assert leaves and all(cli._scalar(x) in text for x in leaves)
+        lines = text.splitlines()
+        header = lines.index(records) + 1
+        assert lines[header].split() == list(doc[records][0])
+        rows = itertools.takewhile(lambda line: line.startswith("  "), lines[header + 1 :])
+        assert len(list(rows)) == len(doc[records])
 
 
 class TestOverflowRecipe:

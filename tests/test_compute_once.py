@@ -173,6 +173,22 @@ class TestComputedOnce:
         assert json.loads(capsys.readouterr().out)["tangency_points"]
         assert len(counts["correspondence_check"]) == 1
 
+    @pytest.mark.parametrize("command", ["invariants", "rear-track"])
+    def test_non_pair_checked_once(self, pair_files, counts, capsys, command):
+        """BicyclePair's own check decides: a non-pair is reported (invariants)
+        or refused with exit 1 (rear-track), after one correspondence_check."""
+        other = bg.Polygon(SQUARE.vertices * 1.5)
+        code = main([command, *pair_files(SQUARE, other), "--json"])
+        captured = capsys.readouterr()
+        if command == "invariants":
+            assert code == 0
+            data = json.loads(captured.out)
+            assert data["is_bicycle_pair"] is False and "frame_length" not in data
+        else:
+            assert code == 1 and captured.out == ""
+            assert captured.err == "error: polygons are not in the bicycle correspondence\n"
+        assert len(counts["correspondence_check"]) == 1
+
     def test_circumcenter_of_mass_reads_one_record(self, counts):
         assert _bits(bg.circumcenter_of_mass(SQUARE)) == _bits([0.5, 0.5])
         assert [len(counts[name]) for name in counts] == [1, 1, 0]

@@ -116,6 +116,46 @@ class TestCircumcenterOfMass:
             bg.circumcenter_of_mass(flat)
 
 
+UNIT_SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+FLAT_BUTTERFLY = np.array([(0.0, 0.0), (1.0, 1.0), (4.0, 0.0), (3.0, 1.0)])  # zero area
+
+
+class TestCircumcenterAwayFromUnitScale:
+    """Both constructions are translation-equivariant and decide zero area
+    against the polygon's own size, at any scale and any distance from the
+    origin."""
+
+    @pytest.mark.parametrize("scale, shift", [(1.0, 1e8), (1e-5, 0.0), (1e-3, 1e4)])
+    def test_scaled_translated_square(self, scale, shift):
+        v = bg.Polygon(scale * UNIT_SQUARE + shift)
+        want = np.full(2, 0.5 * scale + shift)
+        atol = 1e-12 * scale + 2.0 * np.spacing(shift)
+        assert np.abs(bg.circumcenter_of_mass(v) - want).max() <= atol
+        for apex in range(4):
+            assert np.abs(bg.ccm_triangulation_oracle(v, apex) - want).max() <= atol
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_butterfly_stays_undefined(self, scale, shift):
+        v = bg.Polygon(scale * FLAT_BUTTERFLY + shift)
+        with pytest.raises(bg.ZeroArea):
+            bg.circumcenter_of_mass(v)
+        for apex in range(4):
+            with pytest.raises(bg.ZeroArea):
+                bg.ccm_triangulation_oracle(v, apex)
+
+    def test_collinear_fan_triangle_counts(self):
+        """A vertex in the middle of a side makes one fan triangle collinear;
+        its area times circumcenter is finite and is not dropped."""
+        v = bg.Polygon([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)])
+        want = bg.circumcenter_of_mass(v)
+        assert np.abs(want - (0.5, 0.5625)).max() < 1e-15
+        for apex in range(5):
+            assert np.abs(bg.ccm_triangulation_oracle(v, apex) - want).max() < 1e-15
+        bent = bg.Polygon([(0, 0), (0.5, 1e-9), (1, 0), (1, 1), (0, 1)])
+        assert np.abs(bg.ccm_triangulation_oracle(bent) - want).max() < 1e-8
+
+
 class TestTriangulationOracle:
     def test_triangle_any_apex(self):
         tri = bg.Polygon([(0, 0), (2, 0), (0, 2)])
