@@ -67,7 +67,7 @@ def _save_or_print(v: Polygon, output: str | None) -> None:
         save_polygon(output, v)
         print(f"wrote {output}")
     else:
-        print(to_json(polygon_to_dict(v)))
+        print(to_json(polygon_to_dict(v, lists=False)))
 
 
 def _val(x, tol: Tolerance):
@@ -286,7 +286,11 @@ def cmd_svg(args) -> int:
         if len(polys) < 2:
             _err("--rear-track needs two polygon files (the corresponding pair)")
             return 2
-        pair = BicyclePair(polys[0], polys[1], tol)
+        try:
+            pair = BicyclePair(polys[0], polys[1], tol)
+        except ValueError as exc:  # not in the bicycle correspondence: exit 1, as rear-track
+            _err(str(exc))
+            return 1
         track = rear_track(pair, tol)
         for i, circle in enumerate(track.circles):
             if circle.is_line:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ClosureFailure, DegenerateLine, DegenerateMonodromy, DimensionMismatch, EllipticMonodromy
 from .geometry import (
-    DEFAULT_TOL, Polygon, Tolerance, _angle_at, _bisector_reflect, _coincident, _cyc, as_vec,
+    DEFAULT_TOL, Polygon, Tolerance, _angle_at, _bisector_reflect, _coincident, _cyc, _dot, _norm, as_vec,
     check_same_dim, perp_bisector_reflect,
 )
 from .monodromy import FixedDirection, MonodromyClass, _summary_at, _tree
@@ -126,7 +126,7 @@ def _companion(
         if _coincident(at[1:], w, tol).any():
             raise DegenerateLine("zero frame segment or reflection axis through coincident points")
         miss = w[1:] - _bisector_reflect(at[:-2], at[1:-1], w[:-1])
-        sq = np.vecdot(miss, miss)
+        sq = _dot(miss, miss)
     bound = _closure_bound(v, length, tol)
     worst = float(sq.max())
     if not worst <= bound * bound:
@@ -201,7 +201,7 @@ def correspondence_check(v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL) -
     """
     if len(v) != len(w) or v.dim != w.dim:
         return False
-    gaps = np.linalg.norm(v.vertices - w.vertices, axis=1)
+    gaps = _norm(v.vertices - w.vertices)
     seg = float(gaps.mean())
     if np.abs(gaps - seg).max() > tol.eps_geom * max(seg, 1.0):
         return False
@@ -211,13 +211,13 @@ def correspondence_check(v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL) -
         return False
     scale = max(seg, float(v.side_lengths().max()))
     expected = _bisector_reflect(v.vertices, ahead, w.vertices)
-    misfit = np.linalg.norm(_cyc(w.vertices, 1) - expected, axis=1)
+    misfit = _norm(_cyc(w.vertices, 1) - expected)
     return bool(misfit.max() <= tol.eps_geom * scale)
 
 
 def frame_length(v: Polygon, w: Polygon) -> float:
     """Common segment length |V_i W_i| of a corresponding pair."""
-    return float(np.linalg.norm(v.vertices - w.vertices, axis=1).mean())
+    return float(_norm(v.vertices - w.vertices).mean())
 
 
 def recut(v: Polygon, i: int) -> Polygon:

@@ -24,7 +24,7 @@ from .errors import (
     WrongArity,
 )
 from .geometry import (
-    DEFAULT_TOL, Polygon, Tolerance, _bisector_reflect, _coincident, _cross, _cyc, _meet,
+    DEFAULT_TOL, Polygon, Tolerance, _bisector_reflect, _coincident, _cross, _cyc, _dot, _meet, _norm,
     is_darboux_butterfly,
 )
 from .invariants import triangle_circumcenter
@@ -70,7 +70,7 @@ def classify_cyclic(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> CyclicClassific
         center = triangle_circumcenter(v.vertex(0), v.vertex(1), v.vertex(2), tol)
     except DegenerateTriangle:
         return no
-    radii = np.linalg.norm(v.vertices - center, axis=1)
+    radii = _norm(v.vertices - center)
     r = float(radii.mean())
     if np.abs(radii - r).max() > tol.eps_geom * max(r, 1.0):
         return no
@@ -80,7 +80,7 @@ def classify_cyclic(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> CyclicClassific
     # every turn after the first must share the first one's orientation
     if (cross[1:] * math.copysign(1.0, cross[0]) <= 0.0).any():
         return no
-    if abs(abs(np.arctan2(cross, np.vecdot(s0, s1)).sum()) - 2.0 * math.pi) > 1e-9:
+    if abs(abs(np.arctan2(cross, _dot(s0, s1)).sum()) - 2.0 * math.pi) > 1e-9:
         return no
     d = 2.0 * r
     regime = _banded_regime(
@@ -130,7 +130,7 @@ def concentric_transform(v: Polygon, w1_angle: float, tol: Tolerance = DEFAULT_T
     center = _bisector_intersection(v.vertex(0), v.vertex(2), v.vertex(1), v.vertex(3), tol)
     if center is None:
         raise NotConcentricAlternating("same-parity vertices lie on parallel chords")
-    radii = np.linalg.norm(v.vertices - center, axis=1)
+    radii = _norm(v.vertices - center)
     r_even = float(radii[0::2].mean())
     r_odd = float(radii[1::2].mean())
     spread = max(np.abs(radii[0::2] - r_even).max(), np.abs(radii[1::2] - r_odd).max())
@@ -253,11 +253,11 @@ def ngon_residuals(v: Polygon, k: int, tol: Tolerance = DEFAULT_TOL) -> tuple[fl
     sides = v.side_lengths()
     across = _cyc(pts, k)
     far = _cyc(pts, k + 1)
-    diags = np.linalg.norm(across - pts, axis=1)
+    diags = _norm(across - pts)
     scale = float(sides.mean())
     with np.errstate(divide="ignore", invalid="ignore"):
         mirrored = _bisector_reflect(_cyc(pts, 1), pts, far)
-    fly_dev = np.linalg.norm(across - mirrored, axis=1) / scale
+    fly_dev = _norm(across - mirrored) / scale
     fly_dev[_coincident(pts, far, tol)] = math.inf
     side_dev = np.abs(sides - sides.mean()) / scale
     diag_dev = np.abs(diags - diags.mean()) / max(float(diags.mean()), scale)
@@ -292,7 +292,7 @@ def _regularity_residual(v: Polygon) -> float:
     """Distance from being a regular polygon: spread of radii about the
     centroid plus spread of angular gaps (closing gap included)."""
     center = v.vertices.mean(axis=0)
-    radii = np.linalg.norm(v.vertices - center, axis=1)
+    radii = _norm(v.vertices - center)
     ang = np.unwrap(np.arctan2(v.vertices[:, 1] - center[1], v.vertices[:, 0] - center[0]))
     gaps = np.diff(np.append(ang, ang[0] + math.copysign(2.0 * math.pi, ang[-1] - ang[0])))
     return float(
@@ -339,7 +339,7 @@ def rigid_check(k: int, trials: int = 1000, rng=None, residual: float = 1e-7) ->
         if ngon_verify(cand, k, tol):
             verified += 1
         center = cand.vertices.mean(axis=0)
-        radii = np.linalg.norm(cand.vertices - center, axis=1)
+        radii = _norm(cand.vertices - center)
         fit = max(
             float(np.abs(radii[0::2] - radii[0::2].mean()).max()),
             float(np.abs(radii[1::2] - radii[1::2].mean()).max()),

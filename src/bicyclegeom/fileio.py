@@ -15,6 +15,7 @@ literals beyond the double range.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +72,9 @@ def to_json(obj) -> str:
     return data.decode()
 
 
-def polygon_to_dict(v: Polygon) -> dict:
-    out = {"dim": v.dim, "vertices": v.vertices.tolist()}
+def polygon_to_dict(v: Polygon, lists: bool = True) -> dict:
+    """The polygon file's document; lists=False keeps the array, which to_json writes as the same bytes."""
+    out = {"dim": v.dim, "vertices": v.vertices.tolist() if lists else v.vertices}
     if v.name:
         out["name"] = v.name
     return out
@@ -83,6 +85,8 @@ def polygon_from_dict(data: dict) -> Polygon:
         raise PolygonFileError("polygon file must be an object with a 'vertices' field")
     vertices = data["vertices"]
     try:
+        if isinstance(vertices, list) and {*map(type, vertices)} == {list} and len({*map(len, vertices)}) == 1:
+            vertices = np.fromiter(chain.from_iterable(vertices), float).reshape(len(vertices), -1)
         poly = Polygon(vertices, name=data.get("name"))
     except Exception as exc:
         raise PolygonFileError(f"invalid polygon data: {exc}") from exc
@@ -101,4 +105,4 @@ def load_polygon(path) -> Polygon:
 
 
 def save_polygon(path, v: Polygon) -> None:
-    Path(path).write_text(to_json(polygon_to_dict(v)) + "\n", encoding="utf-8")
+    Path(path).write_text(to_json(polygon_to_dict(v, lists=False)) + "\n", encoding="utf-8")

@@ -72,10 +72,10 @@ class Polygon:
             raise WrongArity("a polygon needs at least 3 vertices")
         if pts.shape[1] < 2:
             raise DimensionMismatch("vertices must live in dimension >= 2")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("vertex coordinates must be finite")
         sides = _cyc(pts, 1) - pts
-        gaps = np.linalg.norm(sides, axis=1)
+        gaps = _norm(sides)
         if gaps.min() <= 1e-12 * max(1.0, float(np.abs(pts).max())):
             raise DegenerateLine("consecutive vertices must be distinct")
         for arr in (pts, sides, gaps):
@@ -134,12 +134,26 @@ class Polygon:
         return f"<Polygon{label} k={len(self)} dim={self.dim}>"
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row dot products over the last axis as column multiply-adds, in column
+    order (so _norm is bit-equal to np.linalg.norm(x, axis=-1)), without
+    np.vecdot's per-row dispatch; tests/test_row_dot.py lists where it stays."""
+    out = x[..., 0] * y[..., 0]
+    for j in range(1, x.shape[-1]):
+        out += x[..., j] * y[..., j]
+    return out
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Row lengths over the last axis."""
+    return np.sqrt(_dot(x, x))
+
+
 def _coincident(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Row mask of the degeneracy rule |b - a| <= eps_geom * max(|a|, |b|, 1);
     a NaN row counts as coincident."""
-    d = b - a
-    reach = np.sqrt(np.maximum(np.maximum(np.vecdot(a, a), np.vecdot(b, b)), 1.0))
-    return ~(np.sqrt(np.vecdot(d, d)) > tol.eps_geom * reach)
+    reach = np.sqrt(np.maximum(np.maximum(_dot(a, a), _dot(b, b)), 1.0))
+    return ~(_norm(b - a) > tol.eps_geom * reach)
 
 
 def _bisector_reflect(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,7 +191,7 @@ def _meet(p: np.ndarray, d: np.ndarray, q: np.ndarray, e: np.ndarray, tol: Toler
     q + s e, and the parallel mask |d x e| <= eps_geom |d| |e|; parallel
     rows come out inf or NaN."""
     cross = _cross(d, e)
-    parallel = np.abs(cross) <= tol.eps_geom * np.sqrt(np.vecdot(d, d)) * np.sqrt(np.vecdot(e, e))
+    parallel = np.abs(cross) <= tol.eps_geom * _norm(d) * _norm(e)
     with np.errstate(divide="ignore", invalid="ignore"):
         return p + (_cross(q - p, e) / cross)[..., None] * d, parallel
 

@@ -31,7 +31,7 @@ from .errors import (
     SignAssignmentFailure,
     ZeroArea,
 )
-from .geometry import DEFAULT_TOL, Polygon, Tolerance, _cyc, _meet
+from .geometry import DEFAULT_TOL, Polygon, Tolerance, _cyc, _dot, _meet, _norm
 
 _LOG_NORMAL_MIN, _LOG_MAX = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 
@@ -124,7 +124,7 @@ def j_vector(v: Polygon) -> np.ndarray:
 
 
 def _j(pts: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", pts, pts)
+    sq = _dot(pts, pts)
     return ((_cyc(sq, 1) - _cyc(sq, -1))[:, None] * pts).sum(axis=0)
 
 
@@ -148,7 +148,7 @@ def _ccm_frame(v: Polygon, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, floa
     """
     origin = v.vertices.mean(axis=0)
     rel = v.vertices - origin
-    return origin, rel, tol.eps_geom * float(np.einsum("ij,ij->i", rel, rel).max())
+    return origin, rel, tol.eps_geom * float(_dot(rel, rel).max())
 
 
 def _conserved(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> _Conserved:
@@ -208,7 +208,7 @@ def ccm_triangulation_oracle(v: Polygon, fan_apex: int = 0, tol: Tolerance = DEF
     fan = _cyc(rel, fan_apex)
     apex, b, c = fan[0], fan[1:-1] - fan[0], fan[2:] - fan[0]
     weight = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    nb, nc = np.einsum("ij,ij->i", b, b), np.einsum("ij,ij->i", c, c)
+    nb, nc = _dot(b, b), _dot(c, c)
     # weight * (circumcenter - apex), from triangle_circumcenter's formula
     moment = 0.25 * np.stack([c[:, 1] * nb - b[:, 1] * nc, b[:, 0] * nc - c[:, 0] * nb], axis=1)
     total = float(weight.sum())
@@ -283,7 +283,7 @@ def rear_track(pair: BicyclePair, tol: Tolerance | None = None) -> RearTrack:
         )
         flat = ~parallel & (np.abs(r) <= tol.eps_geom * scale)
     # straight members need opposite frame orientations; else the parallelogram branch
-    aligned = parallel & (np.sqrt(np.vecdot(e + e_next, e + e_next)) > math.sqrt(tol.eps_geom))
+    aligned = parallel & (_norm(e + e_next) > math.sqrt(tol.eps_geom))
     bad = aligned | mismatch | flat
     if bad.any():
         i = int(bad.argmax())
@@ -305,25 +305,26 @@ def rear_track(pair: BicyclePair, tol: Tolerance | None = None) -> RearTrack:
 
 
 def chain_reconstruct(track: RearTrack, half_length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the two polygons from the chain: the points at distance
-    half_length from each tangency point along the frame line,
-
-        ((r_after - l) P_before + (r_before + l) P_after) / (r_before + r_after),
-
-    the positive sign giving the front polygon V and the negative sign W.
-    Straight members fall back to the limit q_i +- l e_i.
+    """Recover the two polygons from the chain: V_i, W_i = q_i +- l e_i with
+    l = half_length, read off the two centres on frame line i.  There
+    c_after - c_before = (r_after + r_before) e_i, so e_i is that difference
+    over its norm, signed by the radius sum (never divided by: it nearly
+    vanishes where neighbouring circles nearly coincide), and q_i the mean of
+    c_after - r_after e_i and c_before + r_before e_i.  Straight members keep
+    the track's own q_i +- l e_i.
     """
-    l, q, e, circles = half_length, track.q, track.e, track.circles
+    l, circles = half_length, track.circles
     line = np.array([c.is_line for c in circles])
     straight = (line | _cyc(line, -1))[:, None]
     # slot i sits after vertex i, slot i - 1 before it; straight slots get NaN centers
     ra = np.array([c.radius for c in circles])[:, None]
-    ca = np.array([np.full(q.shape[1], np.nan) if c.is_line else c.center for c in circles])
+    ca = np.array([np.full(track.q.shape[1], np.nan) if c.is_line else c.center for c in circles])
     rb, cb = _cyc(ra, -1), _cyc(ca, -1)
-    with np.errstate(invalid="ignore"):
-        vs = np.where(straight, q + l * e, ((ra - l) * cb + (rb + l) * ca) / (rb + ra))
-        ws = np.where(straight, q - l * e, ((ra + l) * cb + (rb - l) * ca) / (rb + ra))
-    return vs, ws
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e = (ca - cb) * (np.sign(ra + rb) / _norm(ca - cb)[:, None])
+        q = np.where(straight, track.q, 0.5 * ((ca - ra * e) + (cb + rb * e)))
+        e = np.where(straight, track.e, e)
+    return q + l * e, q - l * e
 
 
 def eigenvalue_products(
@@ -347,8 +348,8 @@ def eigenvalue_products(
         track = rear_track(pair, tol)
     v, w = pair.v, pair.w
     # products of k factors over- and underflow past k ~ 100: sum logs instead
-    diag_in = np.linalg.norm(w.vertices - _cyc(v.vertices, -1), axis=1)
-    diag_out = np.linalg.norm(_cyc(w.vertices, -1) - v.vertices, axis=1)
+    diag_in = _norm(w.vertices - _cyc(v.vertices, -1))
+    diag_out = _norm(_cyc(w.vertices, -1) - v.vertices)
     half_curv = 0.5 * pair.length * np.array([circle.curvature for circle in track.circles])
     f_plus, f_minus = np.abs(1.0 + half_curv), np.abs(1.0 - half_curv)
     if min(f_plus.min(), f_minus.min()) <= tol.eps_geom:

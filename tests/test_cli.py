@@ -259,6 +259,19 @@ class TestSvgCommand:
         save_polygon(path, random_polygon(rng, dim=3))
         assert main(["svg", str(path)]) == 2
 
+    def test_rear_track_of_a_non_pair_exits_1(self, square_file, tmp_path, capsys):
+        """A verification failure, as in rear-track: the unit square against
+        its translate by 1e4, with BicyclePair's message and no figure."""
+        other = tmp_path / "far.json"
+        save_polygon(other, load_polygon(square_file).translated((1e4, 0.0)))
+        out = tmp_path / "chain.svg"
+        assert main(["rear-track", square_file, str(other)]) == 1
+        expected = capsys.readouterr().err
+        assert expected == "error: polygons are not in the bicycle correspondence\n"
+        assert main(["svg", square_file, str(other), "--rear-track", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
 
 class TestNgonCommand:
     def test_construct_and_write(self, tmp_path, capsys):

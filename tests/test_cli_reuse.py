@@ -15,7 +15,9 @@ import pytest
 import bicyclegeom as bg
 from bicyclegeom import cli
 from bicyclegeom.cli import main
-from bicyclegeom.fileio import PolygonFileError, load_polygon, polygon_to_dict, save_polygon, to_json
+from bicyclegeom.fileio import (
+    PolygonFileError, load_polygon, polygon_from_dict, polygon_to_dict, save_polygon, to_json,
+)
 
 from conftest import bench_reference, circle_polygon, overflow_recipe, random_polygon, survey_cases
 
@@ -134,6 +136,54 @@ class TestJsonWriter:
         w = load_polygon(path)
         assert w.name == v.name
         assert _bits(w.vertices) == _bits(v.vertices)
+
+    def test_array_and_lists_write_the_same_bytes(self):
+        """Files and stdout pass the vertex array to orjson; it writes the
+        bytes of the lists polygon_to_dict returns, plain and exponent forms,
+        subnormals, signed zero and a Fortran-ordered array included."""
+        rng = np.random.default_rng(16)
+        special = np.array([[0.00001, 1e16], [5e-324, -0.0], [1e-300, 1e22], [0.1, 123456789.0]])
+        arrays = [special, np.asfortranarray(special)]
+        for _ in range(300):
+            k, n = int(rng.integers(3, 40)), int(rng.integers(2, 4))
+            pts = rng.normal(size=(k, n))
+            arrays.append((100.0 * pts).round(int(rng.integers(0, 4))) if rng.random() < 0.3
+                          else pts * 10.0 ** int(rng.integers(-10, 150)))
+        for pts in arrays:
+            v = bg.Polygon(pts, name="p")
+            assert to_json(polygon_to_dict(v, lists=False)) == to_json(polygon_to_dict(v))
+
+    def test_reader_matches_the_nested_array(self):
+        """The flat pass over equal-length rows gives np.array's bits, ints
+        and floats mixed."""
+        rows = np.random.default_rng(5).normal(size=(2000, 3)).tolist()
+        rows[7] = [1, -2, 3]
+        got = polygon_from_dict({"vertices": rows})
+        assert _bits(got.vertices) == _bits(np.array(rows, dtype=float))
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [[0, 0], [1, 0], [1]],
+            [[0, 0], [1, 0], [1, 1, 1]],
+            [[0, 0], [1, 0], ["a", 1]],
+            [[0, 0], [1, 0], [None, 1]],
+            [[0, 0], [1, 0], [math.nan, 1]],
+            [[0, 0], [1, 0], [[1, 1]]],
+            ["00", "10", "01"],
+            [{"x": 0, "y": 0}, {"x": 1, "y": 0}, {"x": 0, "y": 1}],
+            [[], [], []],
+            [],
+            5,
+        ],
+        ids=[
+            "short-row", "long-row", "string", "null", "nan", "nested",
+            "string-rows", "dict-rows", "empty-rows", "empty", "number",
+        ],
+    )
+    def test_reader_refuses_malformed_vertices(self, vertices):
+        with pytest.raises(PolygonFileError):
+            polygon_from_dict({"dim": 2, "vertices": vertices})
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_reader_refuses_non_finite_literals(self, tmp_path, capsys, literal):

@@ -549,6 +549,18 @@ class TestBianchi:
             pairs += 1
         assert pairs == 4 * 30
 
+    @pytest.mark.parametrize("k, noise, L", LARGE_CIRCLES)
+    def test_large_circles_give_pairs(self, rng, k, noise, L):
+        """All four branch orders on the large circles, S at min(1.15 L, 0.97)
+        (the circles have diameter 1, above which the monodromy is elliptic):
+        each fourth polygon is a pair with both W and S."""
+        v = circle_polygon(rng, k, noise)
+        for b1 in bg.Branch:
+            for b2 in bg.Branch:
+                w, s = bg.transform(v, L, b1), bg.transform(v, min(1.15 * L, 0.97), b2)
+                t = bg.bianchi_fourth_polygon(v, w, s)
+                assert bg.correspondence_check(s, t) and bg.correspondence_check(w, t)
+
     def test_space_squares_through_the_loop(self):
         """Survey squares embedded in R^3 by a random rotation go through the
         step loop.  With W attracting, T is the rotated plane T; with W

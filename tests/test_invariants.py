@@ -277,6 +277,22 @@ class TestRearTrack:
         bg.angle_sequence(pair)
         assert bg.verify_difference_equation(pair) <= 1e-12
 
+    @pytest.mark.parametrize("k, noise, L", LARGE_CIRCLES)
+    def test_large_circles_chain_reconstructs_the_pair(self, rng, k, noise, L):
+        """The attracting companions of the large circles come back from their
+        chain to 1e-9 x max(L, longest side).  On the noisy circles some
+        neighbouring radii nearly cancel, and dividing by their sum, as the
+        interpolation ((r_after - l) c_before + (r_before + l) c_after) /
+        (r_before + r_after) did, missed by up to 8.2e-8 here (7.2e-6 on the
+        circles of default_rng(1)); read off the centre line the worst is
+        1.6e-11 (1.1e-10)."""
+        v = circle_polygon(rng, k, noise)
+        pair = bg.BicyclePair(v, bg.transform(v, L))
+        vs, ws = bg.chain_reconstruct(bg.rear_track(pair), L / 2)
+        bound = 1e-9 * max(L, float(v.side_lengths().max()))
+        assert np.abs(vs - pair.v.vertices).max() <= bound
+        assert np.abs(ws - pair.w.vertices).max() <= bound
+
     def test_parallelogram_branch_rejected(self):
         v = bg.Polygon([(0, 0), (2, 0), (2.5, 1.5), (0.4, 1.8)])
         w = v.translated((0.7, 0.4))

@@ -1,0 +1,114 @@
+"""One spelling of the row dot product in the package: geometry._dot, column
+multiply-adds over the last axis.  np.vecdot, np.einsum with the same
+subscripts on both operands ("ij,ij->i") and np.linalg.norm along an axis
+dispatch per row; they may appear under src/ only at the sites allowed
+below, each with the reason it keeps that spelling."""
+
+import ast
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+from bicyclegeom.geometry import _dot, _norm
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bicyclegeom"
+
+# (module, enclosing function) -> why the site keeps np.vecdot, which rounds differently from _dot
+ALLOWED = {
+    ("geometry", "_bisector_reflect"): "returned values keep their bits (propagate, recut, bicycle_step); "
+    "in column form the defect of test_defect_between_old_and_step_bound_fails[266] leaves its window",
+    ("geometry", "_angle_at"): "returned values keep their bits: BicyclePair's frame angles (no tier-1 "
+    "test pins them; the column form passes too)",
+    ("geometry", "reflect_in_line"): "one point, not rows: no per-row dispatch to save",
+    ("invariants", "rear_track"): "returned values keep their bits: the chain radii and line directions (no "
+    "tier-1 test pins them; the column form passes too)",
+}
+SAME_OPERANDS = re.compile(r"^\s*([\w.]+)\s*,\s*\1\s*->")
+
+
+def _np_attr(node: ast.expr) -> str | None:
+    """'vecdot' for np.vecdot, 'linalg.norm' for np.linalg.norm, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join(reversed(parts)) if isinstance(node, ast.Name) and node.id == "np" else None
+
+
+def _is_row_dot(call: ast.Call) -> bool:
+    name = _np_attr(call.func)
+    if name == "vecdot":
+        return True
+    if name == "einsum" and call.args and isinstance(call.args[0], ast.Constant):
+        return bool(SAME_OPERANDS.match(str(call.args[0].value)))
+    if name == "linalg.norm":
+        return len(call.args) >= 3 or any(kw.arg == "axis" for kw in call.keywords)
+    return False
+
+
+def _row_dot_sites() -> dict[tuple[str, str], int]:
+    """(module, innermost enclosing function or '<module>') -> number of row-dot calls."""
+    sites: dict[tuple[str, str], int] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if isinstance(node, ast.Call) and _is_row_dot(node):
+                key = (path.stem, where)
+                sites[key] = sites.get(key, 0) + 1
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, "<module>")
+    return sites
+
+
+def test_the_detector_sees_every_spelling():
+    calls = [
+        "np.vecdot(a, b)",
+        'np.einsum("ij,ij->i", a, a)',
+        'np.einsum("...i,...i->...", a, b)',
+        "np.linalg.norm(a, axis=1)",
+        "np.linalg.norm(a, None, 1)",
+    ]
+    for text in calls:
+        assert _is_row_dot(ast.parse(text, mode="eval").body), text
+    for text in ["np.linalg.norm(a)", 'np.einsum("ij,jk->ik", a, b)', "np.dot(a, b)", "_dot(a, b)"]:
+        assert not _is_row_dot(ast.parse(text, mode="eval").body), text
+
+
+def test_row_dots_only_at_allowed_sites():
+    sites = _row_dot_sites()
+    stray = sorted(site for site in sites if site not in ALLOWED)
+    assert not stray, f"use geometry._dot / _norm, or allow the site with its reason: {stray}"
+
+
+def test_every_allowed_site_is_still_used():
+    stale = sorted(set(ALLOWED) - set(_row_dot_sites()))
+    assert not stale, f"remove these from ALLOWED: {stale}"
+
+
+class TestDot:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_norm_bit_equal_to_linalg_norm(self, n, scale):
+        x = np.random.default_rng(n).normal(size=(2000, n)) * scale
+        assert _norm(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+        assert _norm(x[0]).tobytes() == np.linalg.norm(x[0], axis=-1).tobytes()
+
+    def test_rows_broadcast(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(3, 7, 2)), rng.normal(size=2)
+        got = _dot(a, b)
+        assert got.shape == (3, 7)
+        assert np.allclose(got, a @ b, rtol=1e-14, atol=0.0)
+        assert float(_dot(b, b)) == b[0] * b[0] + b[1] * b[1]
+
+    def test_non_finite_rows_pass_through(self):
+        x = np.array([[np.nan, 1.0], [np.inf, 0.0], [3.0, 4.0]])
+        got = _norm(x)
+        assert np.isnan(got[0]) and got[1] == np.inf and got[2] == 5.0
