@@ -34,7 +34,7 @@ from .families import (
     ngon_construct,
     ngon_residuals,
 )
-from .fileio import PolygonFileError, load_polygon, polygon_to_dict, save_polygon, to_json
+from .fileio import PolygonFileError, load_polygon, polygon_json, save_polygon, to_json
 from .geometry import DEFAULT_TOL, Polygon, Tolerance
 from .invariants import _conserved, eigenvalue_products, rear_track
 from .monodromy import _summary_at, classification_scan, refine_class_boundaries, trace_polynomial
@@ -67,7 +67,7 @@ def _save_or_print(v: Polygon, output: str | None) -> None:
         save_polygon(output, v)
         print(f"wrote {output}")
     else:
-        print(to_json(polygon_to_dict(v, lists=False)))
+        print(polygon_json(v))
 
 
 def _val(x, tol: Tolerance):

@@ -72,12 +72,17 @@ def to_json(obj) -> str:
     return data.decode()
 
 
-def polygon_to_dict(v: Polygon, lists: bool = True) -> dict:
-    """The polygon file's document; lists=False keeps the array, which to_json writes as the same bytes."""
-    out = {"dim": v.dim, "vertices": v.vertices.tolist() if lists else v.vertices}
+def polygon_to_dict(v: Polygon) -> dict:
+    out = {"dim": v.dim, "vertices": v.vertices.tolist()}
     if v.name:
         out["name"] = v.name
     return out
+
+
+def polygon_json(v: Polygon) -> str:
+    """The polygon file's text: the bytes of to_json(polygon_to_dict(v)), the
+    vertex array handed to orjson whole instead of as lists."""
+    return to_json({"dim": v.dim, "vertices": v.vertices} | ({"name": v.name} if v.name else {}))
 
 
 def polygon_from_dict(data: dict) -> Polygon:
@@ -105,4 +110,4 @@ def load_polygon(path) -> Polygon:
 
 
 def save_polygon(path, v: Polygon) -> None:
-    Path(path).write_text(to_json(polygon_to_dict(v, lists=False)) + "\n", encoding="utf-8")
+    Path(path).write_text(polygon_json(v) + "\n", encoding="utf-8")

@@ -165,18 +165,13 @@ _MINUS_PLUS = np.array([[-1.0], [1.0]])  # rows ell - a_j and ell + a_j
 _IDENTITY = np.eye(2)[None, None]  # the pad node of an odd tree level
 
 
-def _factors(v: Polygon, ells: np.ndarray) -> np.ndarray:
-    """ell - a_j and ell + a_j per length, shape (lengths, 2, sides)."""
-    return ells[:, None, None] + _MINUS_PLUS * v.side_lengths()
-
-
-def _log2_det(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sign and log2 |det| = mant + exp of the raw side product per length, its
-    determinant being exactly the product of the _factors f: the log2 of their
-    frexp mantissas and the integer sum of their exponents, so no partial
-    product leaves the double range and a power-of-two scale of the polygon
-    changes exp alone.  The lengths must be off the poles ell = a_j."""
-    mant, exp = np.frexp(f)
+def _log2_det(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Determinant of the raw side product per length, exactly prod (ell - a_j)
+    (ell + a_j), as its sign and log2 |det| = mant + exp: the log2 of the
+    factors' frexp mantissas and the integer sum of their exponents, so no
+    partial product leaves the double range and a power-of-two scale of the
+    polygon changes exp alone.  The lengths must be off the poles ell = a_j."""
+    mant, exp = np.frexp(ells[:, None, None] + _MINUS_PLUS * v.side_lengths())
     return np.sign(mant[:, 0]).prod(axis=1), np.log2(np.abs(mant)).sum(axis=(1, 2)), exp.sum(axis=(1, 2))
 
 
@@ -208,10 +203,10 @@ def _monodromy_product(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.nda
     return a[:, 0], e[:, 0]
 
 
-def _pole_hits(v: Polygon, ells: np.ndarray, tol: Tolerance, f: np.ndarray | None = None) -> np.ndarray:
-    """(lengths x sides) mask of |ell - a| <= eps_geom max(ell, a); f, if given, is _factors(v, ells)."""
+def _pole_hits(v: Polygon, ells: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """(lengths x sides) mask of |ell - a| <= eps_geom max(ell, a)."""
     a, ell = v.side_lengths(), ells[:, None]
-    return np.abs(ell - a if f is None else f[:, 0]) <= tol.eps_geom * np.maximum(ell, a)
+    return np.abs(ell - a) <= tol.eps_geom * np.maximum(ell, a)
 
 
 def _product_at(v: Polygon, ell: float, tol: Tolerance, tree=None):
@@ -223,11 +218,10 @@ def _product_at(v: Polygon, ell: float, tol: Tolerance, tree=None):
     if ell <= 0.0:
         raise ValueError("length parameter must be positive")
     ells = np.array([ell], dtype=float)
-    f = _factors(v, ells)
-    if _pole_hits(v, ells, tol, f).any():
+    if _pole_hits(v, ells, tol).any():
         raise DegenerateMonodromy(f"length parameter {ell} coincides with a side length")
     m, e = (tree or _tree(v, ells))[-1]
-    sign, mant, exp = _log2_det(f)
+    sign, mant, exp = _log2_det(v, ells)
     return m[0, 0], int(e[0, 0]), (float(sign[0]), float(mant[0]), int(exp[0]))
 
 
@@ -611,7 +605,7 @@ def classification_scan(
     nudge = np.maximum(1e-9 * v.side_lengths()[hits.argmax(axis=1)], 1e-6 * spacing)
     ells = np.where(hits.any(axis=1), ells + nudge, ells)
     m, e = _monodromy_product(v, ells)
-    sign, mant, exp = _log2_det(_factors(v, ells))
+    sign, mant, exp = _log2_det(v, ells)
     dets = zip(sign.tolist(), (mant + (exp - 2 * e)).tolist())
     out = []
     for ell, row, det in zip(ells.tolist(), m.reshape(-1, 4).tolist(), dets):

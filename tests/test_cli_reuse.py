@@ -16,7 +16,7 @@ import bicyclegeom as bg
 from bicyclegeom import cli
 from bicyclegeom.cli import main
 from bicyclegeom.fileio import (
-    PolygonFileError, load_polygon, polygon_from_dict, polygon_to_dict, save_polygon, to_json,
+    PolygonFileError, load_polygon, polygon_from_dict, polygon_json, polygon_to_dict, save_polygon, to_json,
 )
 
 from conftest import bench_reference, circle_polygon, overflow_recipe, random_polygon, survey_cases
@@ -149,9 +149,9 @@ class TestJsonWriter:
             pts = rng.normal(size=(k, n))
             arrays.append((100.0 * pts).round(int(rng.integers(0, 4))) if rng.random() < 0.3
                           else pts * 10.0 ** int(rng.integers(-10, 150)))
-        for pts in arrays:
-            v = bg.Polygon(pts, name="p")
-            assert to_json(polygon_to_dict(v, lists=False)) == to_json(polygon_to_dict(v))
+        for i, pts in enumerate(arrays):
+            v = bg.Polygon(pts, name="p" if i % 2 else None)
+            assert polygon_json(v) == to_json(polygon_to_dict(v))
 
     def test_reader_matches_the_nested_array(self):
         """The flat pass over equal-length rows gives np.array's bits, ints
