@@ -34,7 +34,7 @@ from .families import (
     ngon_construct,
     ngon_residuals,
 )
-from .fileio import PolygonFileError, load_polygon, polygon_json, save_polygon, to_json
+from .fileio import PolygonFileError, check_finite, load_polygon, polygon_json, save_polygon, to_json
 from .geometry import DEFAULT_TOL, Polygon, Tolerance
 from .invariants import _conserved, eigenvalue_products, rear_track
 from .monodromy import _summary_at, classification_scan, refine_class_boundaries, trace_polynomial
@@ -77,6 +77,7 @@ def _val(x, tol: Tolerance):
 def _render_report(data: dict, as_json: bool) -> str:
     if as_json:
         return to_json(data) + "\n"
+    check_finite(data)
     lines: list[str] = []
 
     def emit(prefix: str, obj) -> None:

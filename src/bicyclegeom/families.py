@@ -273,76 +273,46 @@ def ngon_verify(v: Polygon, k: int, tol: Tolerance = DEFAULT_TOL) -> bool:
     return worst <= tol.eps_geom
 
 
+RANK_CUT = 1e-12  # a Jacobian singular value at most this times the largest counts as zero
+
+
 @dataclass(frozen=True)
 class RigidReport:
-    """Falsification-harness summary for equal-diagonal polygons with n = 4k.
+    """Deformations of the regular n-gon among (n, k)-polygons, similarities excluded, and the
+    gap that decided the count: the largest zero and smallest nonzero singular value, over the largest."""
 
-    Not a proof: random perturbation search (even k) plus a two-circle
-    family fit (odd k)."""
-
-    k: int
     n: int
-    trials: int
-    verified: int
-    nonregular_verified: int
-    family_fit_residual: float | None
+    k: int
+    deformations: int
+    zero_sv: float
+    nonzero_sv: float
 
 
-def _regularity_residual(v: Polygon) -> float:
-    """Distance from being a regular polygon: spread of radii about the
-    centroid plus spread of angular gaps (closing gap included)."""
-    center = v.vertices.mean(axis=0)
-    radii = _norm(v.vertices - center)
-    ang = np.unwrap(np.arctan2(v.vertices[:, 1] - center[1], v.vertices[:, 0] - center[0]))
-    gaps = np.diff(np.append(ang, ang[0] + math.copysign(2.0 * math.pi, ang[-1] - ang[0])))
-    return float(
-        np.abs(radii - radii.mean()).max() / max(radii.mean(), 1e-300)
-        + np.abs(gaps - gaps.mean()).max()
-    )
+def _rigidity_jacobian(n: int, k: int) -> np.ndarray:
+    """Jacobian of |s_i|^2 = |s_0|^2 and |d_i|^2 = |d_0|^2, i = 1..n-1, with s_i =
+    V_{i+1} - V_i and d_i = V_{i+k} - V_i, in (x_0, y_0, x_1, ...) at the
+    regular n-gon of ngon_construct."""
+    ang = 2.0 * math.pi * np.arange(n) / n
+    pts, eye = np.stack([np.cos(ang), np.sin(ang)], axis=1), np.eye(n)
+    # row i of a block: the gradient of |V_{i+m} - V_i|^2, 2 (V_{i+m} - V_i) at V_{i+m}, its negative at V_i
+    grads = [
+        ((_cyc(eye, m) - eye)[:, :, None] * 2.0 * (_cyc(pts, m) - pts)[:, None, :]).reshape(n, 2 * n)
+        for m in (1, k)
+    ]
+    return np.concatenate([g[1:] - g[0] for g in grads])
 
 
-def rigid_check(k: int, trials: int = 1000, rng=None, residual: float = 1e-7) -> RigidReport:
-    """Search for non-regular equal-diagonal polygons with n = 4k.
-
-    Even k: random radial and angular perturbations of the regular 4k-gon
-    (amplitudes down to the verification residual) must produce no verified
-    non-regular instance.  Odd k: constructed two-circle instances across a
-    range of radius ratios must all verify, and each must fit the
-    alternating two-circle family.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    rng = rng or np.random.default_rng(0)
-    n = 4 * k
-    tol = Tolerance(eps_geom=residual, eps_class=DEFAULT_TOL.eps_class)
-    verified = 0
-    nonregular = 0
-    if k % 2 == 0:
-        base = ngon_construct(NGonSpec(n=n, k=1, r1=1.0, r2=1.0)).vertices
-        for _ in range(trials):
-            amp = 10.0 ** rng.uniform(math.log10(residual), -1.0)
-            dr = rng.normal(scale=amp, size=n)
-            da = rng.normal(scale=amp, size=n)
-            ang = np.arctan2(base[:, 1], base[:, 0]) + da
-            rad = 1.0 + dr
-            cand = Polygon(np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1))
-            if ngon_verify(cand, k, tol):
-                verified += 1
-                if _regularity_residual(cand) > 10.0 * residual:
-                    nonregular += 1
-        return RigidReport(k, n, trials, verified, nonregular, None)
-    worst_fit = 0.0
-    for _ in range(trials):
-        ratio = rng.uniform(0.3, 0.95)
-        spec = NGonSpec(n=n, k=k, r1=1.0, r2=ratio, phase=rng.uniform(0.0, 2.0 * math.pi))
-        cand = ngon_construct(spec)
-        if ngon_verify(cand, k, tol):
-            verified += 1
-        center = cand.vertices.mean(axis=0)
-        radii = _norm(cand.vertices - center)
-        fit = max(
-            float(np.abs(radii[0::2] - radii[0::2].mean()).max()),
-            float(np.abs(radii[1::2] - radii[1::2].mean()).max()),
-        )
-        worst_fit = max(worst_fit, fit)
-    return RigidReport(k, n, trials, verified, 0, worst_fit)
+def rigid_check(n: int, k: int) -> RigidReport:
+    """Kernel dimension of the constraint Jacobian at the regular n-gon less the 4 similarities (two
+    translations, a rotation, a scale).  0 certifies local rigidity: the solution set is then smooth
+    there and is the similarity orbit.  ValueError when a singular value is within 100x of RANK_CUT."""
+    if not 1 <= k < n / 2:
+        raise ValueError(f"need 1 <= k < n/2, got n={n}, k={k}")
+    rel = np.linalg.svd(_rigidity_jacobian(n, k), compute_uv=False)
+    rel /= rel[0]
+    rank = int(np.count_nonzero(rel > RANK_CUT))  # descending; the similarities keep rank < len(rel)
+    zero_sv, nonzero_sv = float(rel[rank]), float(rel[rank - 1])
+    if not zero_sv * 100.0 <= RANK_CUT <= nonzero_sv / 100.0:
+        raise ValueError(f"rank undecided at n={n}, k={k}: largest zero singular value {zero_sv:.3g}, "
+                         f"smallest nonzero {nonzero_sv:.3g}, cut {RANK_CUT:g}")
+    return RigidReport(n, k, 2 * n - rank - 4, zero_sv, nonzero_sv)

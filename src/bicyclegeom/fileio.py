@@ -38,24 +38,20 @@ def _jsonable(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
-def _non_finite_at(obj, path: str = "$") -> str | None:
-    """'<JSON path> is <value>' for the first non-finite float of obj in
-    document order, or None."""
+def check_finite(obj, path: str = "$") -> None:
+    """Raise ValueError naming the path of obj's first non-finite float in
+    document order: JSON has none, and the CLI's text reports refuse what
+    their JSON refuses."""
     if isinstance(obj, (np.ndarray, np.generic)):
         obj = _jsonable(obj)
-    if isinstance(obj, float):
-        return None if math.isfinite(obj) else f"{path} is {obj!r}"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"non-finite value: {path} is {obj!r}")
     if isinstance(obj, dict):
-        children = ((f"{path}.{key}", value) for key, value in obj.items())
+        for key, value in obj.items():
+            check_finite(value, f"{path}.{key}")
     elif isinstance(obj, (list, tuple)):
-        children = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
-    else:
-        return None
-    for at, value in children:
-        where = _non_finite_at(value, at)
-        if where is not None:
-            return where
-    return None
+        for i, value in enumerate(obj):
+            check_finite(value, f"{path}[{i}]")
 
 
 def to_json(obj) -> str:
@@ -66,9 +62,7 @@ def to_json(obj) -> str:
     """
     data = orjson.dumps(obj, default=_jsonable, option=orjson.OPT_SERIALIZE_NUMPY)
     if b"null" in data:
-        where = _non_finite_at(obj)
-        if where is not None:
-            raise ValueError(f"JSON has no NaN or Infinity: {where}")
+        check_finite(obj)
     return data.decode()
 
 

@@ -178,11 +178,11 @@ def _angle_at(base: np.ndarray, p: np.ndarray, q: np.ndarray, signed: bool = Fal
     equation together, so the branch cut is harmless.
     """
     u, w = p - base, q - base
-    dot = np.vecdot(u, w)
+    dot = _dot(u, w)
     if base.shape[-1] == 2:
         cross = _cross(u, w)
         return np.arctan2(cross if signed else np.abs(cross), dot)
-    rej = np.vecdot(u, u) * np.vecdot(w, w) - dot * dot
+    rej = _dot(u, u) * _dot(w, w) - dot * dot
     return np.arctan2(np.sqrt(np.maximum(rej, 0.0)), dot)
 
 

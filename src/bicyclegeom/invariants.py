@@ -274,8 +274,8 @@ def rear_track(pair: BicyclePair, tol: Tolerance | None = None) -> RearTrack:
     centers, parallel = _meet(pts, d, _cyc(pts, 1), _cyc(d, 1), tol)
     e_next = _cyc(e, 1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        r_from_i = np.vecdot(e, centers - q)
-        r_from_j = -np.vecdot(e_next, centers - _cyc(q, 1))
+        r_from_i = _dot(e, centers - q)
+        r_from_j = -_dot(e_next, centers - _cyc(q, 1))
         r = 0.5 * (r_from_i + r_from_j)
         curvature = np.where(parallel, 0.0, 1.0 / r).tolist()
         mismatch = ~parallel & (
@@ -294,7 +294,7 @@ def rear_track(pair: BicyclePair, tol: Tolerance | None = None) -> RearTrack:
         else:
             message = "zero-radius chain member"
         raise SignAssignmentFailure(message)
-    directions = d / np.sqrt(np.vecdot(d, d))[:, None]
+    directions = d / _norm(d)[:, None]
     circles = tuple(
         ChainCircle(center=None, curvature=0.0, direction=directions[i])
         if parallel[i]

@@ -399,18 +399,19 @@ def test_c12_rear_track_chain():
 
 
 def test_c13_equal_diagonal_polygons_with_n_equals_4k():
-    rng = np.random.default_rng(113)
     fam_ok = True
     for k in (1, 3, 5):
         for ratio in np.linspace(0.25, 0.95, 10):
             v = bg.ngon_construct(bg.NGonSpec(n=4 * k, k=k, r1=1.0, r2=float(ratio)))
             if not bg.ngon_verify(v, k):
                 fam_ok = False
-    report = bg.rigid_check(k=2, trials=10_000, rng=np.random.default_rng(1313), residual=1e-7)
-    ok = fam_ok and report.nonregular_verified == 0
+    octagon = bg.rigid_check(8, 2)
+    odd = [bg.rigid_check(4 * k, k).deformations for k in (1, 3, 5)]
+    ok = fam_ok and octagon.deformations == 0 and odd == [1, 1, 1]
     _report(13, "odd-k two-circle families verify; the regular octagon is rigid", ok,
-            f"families: {fam_ok}, octagon search: {report.verified} verified, "
-            f"{report.nonregular_verified} non-regular in {report.trials} trials")
+            f"families: {fam_ok}, octagon: {octagon.deformations} deformations "
+            f"(singular-value gap {octagon.zero_sv:.1e} / {octagon.nonzero_sv:.1e}), "
+            f"(4k, k) for k = 1, 3, 5: {odd}")
 
 
 def test_c14_recutting_group_relations():

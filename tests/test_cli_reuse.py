@@ -257,15 +257,17 @@ class TestNonFiniteRefused:
 
     def test_scan_of_the_k2000_recipe_exits_2(self, tmp_path, capsys):
         """Tr^2/det and the derivatives of this 2000-gon leave the double
-        range at the mean side."""
+        range at the mean side; the text report refuses what --json refuses."""
         v = bg.Polygon(np.random.default_rng(9).normal(size=(2000, 2)) * 1.5)
         ell = float(v.side_lengths().mean())
         path = tmp_path / "v.json"
         save_polygon(path, v)
-        code, out, err = self._cli(capsys, ["scan", str(path), "--grid", f"{ell!r}:{2 * ell!r}:2", "--json"])
+        argv = ["scan", str(path), "--grid", f"{ell!r}:{2 * ell!r}:2"]
+        code, out, err = self._cli(capsys, argv + ["--json"])
         assert code == 2
         assert out == ""
-        assert "$.grid[0]." in err
+        assert "$.grid[0].trace_sq_over_det is inf" in err
+        assert self._cli(capsys, argv) == (code, out, err)
 
     def test_invariants_of_the_overflow_recipe_exits_2(self, tmp_path, capsys):
         v, _ = overflow_recipe(2000)

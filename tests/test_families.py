@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bicyclegeom as bg
+from bicyclegeom.families import RANK_CUT, _rigidity_jacobian
 
 from conftest import (
     congruent,
@@ -289,21 +290,77 @@ class TestNGon:
                     assert bg.ngon_verify(bg.ngon_construct(spec), k)
 
 
+# (n, k) -> deformations of the regular n-gon, for 5 <= n <= 40 and 2 <= k < n/2, where it is not 0
+# (0 for odd n and for even k, 1 for even n and odd k: the two-circle family of ngon_construct)
+EXTRA_DEFORMATIONS = {(30, 4): 2, (24, 5): 3, (24, 7): 3, (30, 11): 3, (40, 9): 3, (40, 11): 3}
+
+
+def _regular(n: int) -> np.ndarray:
+    """The regular n-gon of rigid_check: vertex i at angle 2 pi i / n on the unit circle."""
+    ang = 2.0 * math.pi * np.arange(n) / n
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
 class TestRigidity:
     def test_k1_two_circle_family(self):
-        report = bg.rigid_check(k=1, trials=200)
-        assert report.n == 4
-        assert report.verified == report.trials
-        assert report.family_fit_residual < 1e-9
+        """Equilateral quadrilaterals are the rhombi: one deformation, the two-circle family."""
+        report = bg.rigid_check(4, 1)
+        assert (report.n, report.k, report.deformations) == (4, 1, 1)
 
     def test_k2_regular_octagon_rigid(self):
-        report = bg.rigid_check(k=2, trials=2000)
-        assert report.nonregular_verified == 0
+        assert bg.rigid_check(8, 2).deformations == 0
 
     def test_k3_figure_family(self):
-        report = bg.rigid_check(k=3, trials=100)
-        assert report.verified == report.trials
-        assert report.family_fit_residual < 1e-9
+        assert bg.rigid_check(12, 3).deformations == 1
+
+    def test_table_to_n40(self):
+        counts = {}
+        for n in range(5, 41):
+            for k in range(2, (n + 1) // 2):
+                report = bg.rigid_check(n, k)
+                assert report.zero_sv <= 1e-3 * RANK_CUT, (n, k, report)
+                assert report.nonzero_sv >= 1e3 * RANK_CUT, (n, k, report)
+                counts[n, k] = report.deformations
+        assert len(counts) == 342
+        expected = {
+            (n, k): EXTRA_DEFORMATIONS.get((n, k), int(n % 2 == 0 and k % 2 == 1)) for n, k in counts
+        }
+        assert counts == expected
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+    def test_two_circle_tangent_in_kernel(self, k):
+        """The radius r2 of the two-circle family is a deformation of the regular 4k-gon, and not a
+        similarity: the tangent is far from the span of translations, rotation and scale."""
+        n = 4 * k
+        pts = _regular(n)
+        assert np.abs(bg.ngon_construct(bg.NGonSpec(n=n, k=k, r1=1.0, r2=1.0)).vertices - pts).max() < 1e-15
+        t = (pts * (np.arange(n) % 2)[:, None]).ravel()  # odd vertices sit at radius r2
+        t /= np.linalg.norm(t)
+        jac = _rigidity_jacobian(n, k)
+        assert np.linalg.norm(jac @ t) <= 1e-14 * np.linalg.norm(jac, 2)
+        rotation = (pts[:, ::-1] * (-1.0, 1.0)).ravel()
+        similarities = np.stack([np.tile([1.0, 0.0], n), np.tile([0.0, 1.0], n), rotation, pts.ravel()], axis=1)
+        coef = np.linalg.lstsq(similarities, t, rcond=None)[0]
+        assert np.linalg.norm(t - similarities @ coef) > 0.5
+
+    @pytest.mark.parametrize("n, k", [(11, 3), (12, 5), (30, 4)])
+    def test_jacobian_matches_central_differences(self, n, k):
+        """The constraints are quadratic, so central differences are exact up to rounding."""
+        h = 1e-4
+
+        def constraints(x):
+            pts = x.reshape(n, 2)
+            sq = [np.sum((np.roll(pts, -m, axis=0) - pts) ** 2, axis=1) for m in (1, k)]
+            return np.concatenate([q[1:] - q[0] for q in sq])
+
+        x = _regular(n).ravel()
+        fd = np.stack([constraints(x + h * e) - constraints(x - h * e) for e in np.eye(2 * n)], axis=1) / (2 * h)
+        assert np.abs(fd - _rigidity_jacobian(n, k)).max() <= 1e-10
+
+    @pytest.mark.parametrize("n, k", [(8, 0), (8, -1), (8, 4), (9, 5), (4, 2), (3, 2)])
+    def test_k_out_of_range(self, n, k):
+        with pytest.raises(ValueError, match=f"n={n}, k={k}"):
+            bg.rigid_check(n, k)
 
     def test_rhombus_orbit_congruent(self):
         """The four k-spaced vertices of a verified polygon form a rhombus

@@ -19,11 +19,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bicyclegeom"
 ALLOWED = {
     ("geometry", "_bisector_reflect"): "returned values keep their bits (propagate, recut, bicycle_step); "
     "in column form the defect of test_defect_between_old_and_step_bound_fails[266] leaves its window",
-    ("geometry", "_angle_at"): "returned values keep their bits: BicyclePair's frame angles (no tier-1 "
-    "test pins them; the column form passes too)",
     ("geometry", "reflect_in_line"): "one point, not rows: no per-row dispatch to save",
-    ("invariants", "rear_track"): "returned values keep their bits: the chain radii and line directions (no "
-    "tier-1 test pins them; the column form passes too)",
 }
 SAME_OPERANDS = re.compile(r"^\s*([\w.]+)\s*,\s*\1\s*->")
 
