@@ -83,15 +83,16 @@ _HALF_ANGLE = np.array([1j, 1.0])  # (p, q) -> z = q + i p
 
 
 def _companion(
-    v: Polygon, length: float, angle: float, tree: list, backwards: bool, tol: Tolerance
+    v: Polygon, length: float, angle: float, tree: tuple, backwards: bool, tol: Tolerance
 ) -> tuple[np.ndarray, float]:
     """Unchecked kernel behind transform: the companion of plane polygon v
     seeded from the fixed direction at angle, and its closing-step residual.
 
-    tree is the _tree of v at length.  The frame direction
-    alpha_i at V_i is h_i = (sin alpha_i/2, cos alpha_i/2) up to scale, and
-    h_{i+1} ~ S_i h_i, so h_i is the seed pushed through a partial product.
-    One down-sweep of the tree, a batched matvec per level, gives them all:
+    tree is the _tree of v at length.  The frame direction alpha_i at V_i is
+    h_i = (sin alpha_i/2, cos alpha_i/2) up to scale, and h_{i+1} ~ S_i h_i,
+    so h_i is the seed pushed through a partial product.  One down-sweep of
+    the tree's levels, a batched matvec per level, each h over its abs-sum
+    (so a node's power-of-two scale changes no bit), gives them all:
     forwards h is carried at node starts, a right child starting at its left
     sibling times h; backwards, the repelling branch's contracting direction,
     at node ends, a left child ending at the adjugate (projective inverse) of
@@ -108,7 +109,7 @@ def _companion(
     # V_0 ... V_{k-1}, V_0, V_0: rows i and i + 1 are step i's V_i and V_{i+1}
     at = np.concatenate([v.vertices, v.vertices[:1], v.vertices[:1]])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for a, _ in tree[-2::-1]:
+        for a in tree[0][-2::-1]:
             a, up = a[0], node_h[: len(a[0]) // 2]  # a pad node has no children
             node_h = np.empty((len(a), 2))
             node_h[kept::2] = up

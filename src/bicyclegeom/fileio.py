@@ -85,7 +85,8 @@ def polygon_from_dict(data: dict) -> Polygon:
     vertices = data["vertices"]
     try:
         if isinstance(vertices, list) and {*map(type, vertices)} == {list} and len({*map(len, vertices)}) == 1:
-            vertices = np.fromiter(chain.from_iterable(vertices), float).reshape(len(vertices), -1)
+            sum(flat := [*chain.from_iterable(vertices)], 0.0)  # TypeError on a string; fromiter parses "1"
+            vertices = np.fromiter(flat, float).reshape(len(vertices), -1)
         poly = Polygon(vertices, name=data.get("name"))
     except Exception as exc:
         raise PolygonFileError(f"invalid polygon data: {exc}") from exc

@@ -10,8 +10,8 @@ length a and direction phi acts as the 2x2 matrix
 
 with determinant ell^2 - a^2.  The whole-polygon monodromy is the product of
 these over the sides, later sides multiplying on the left, computed as a
-pairwise tree and kept as m 2**e (exact power-of-two rescaling, so it cannot
-overflow); scale-free answers are read off m by one row classifier and one
+pairwise tree kept as m 2**e (overflow-free: exact power-of-two scaling every
+third level); scale-free answers are read off m by one row classifier and one
 fixed-direction solver.  Where the polygon is known, the determinant is not
 taken from m but from the sides, as the sign and log2 of prod(ell^2 - a^2):
 on a strongly hyperbolic product a d - b c of m rounds to 0.  In dimension n
@@ -163,6 +163,7 @@ def _row_det(row) -> tuple[float, float]:
 
 _MINUS_PLUS = np.array([[-1.0], [1.0]])  # rows ell - a_j and ell + a_j
 _IDENTITY = np.eye(2)[None, None]  # the pad node of an odd tree level
+_RESCALE_EVERY = 3  # _tree rescales every third level; the products between stay below 2**7
 
 
 def _log2_det(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,22 +176,24 @@ def _log2_det(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return np.sign(mant[:, 0]).prod(axis=1), np.log2(np.abs(mant)).sum(axis=(1, 2)), exp.sum(axis=(1, 2))
 
 
-def _tree(v: Polygon, ells: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Levels (a, e), nodes a (lengths, nodes, 2, 2) times 2**e, of the pairwise
-    tree of v's side matrices per length, the sides first and the one-node
-    root last: an odd level gets an identity pad, and its pairs, later sides
-    on the left, are rescaled into the next, so any finite polygon gives finite a."""
-    a, e = _rescale(_side_matrices(v, ells))
-    levels = []
+def _tree(v: Polygon, ells: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Levels a (lengths, nodes, 2, 2) of the pairwise tree of v's side
+    matrices per length, sides first and the one-node root last, and e with
+    product = root 2**e: odd levels get an identity pad, and pairs, later
+    sides on the left, form the next.  Only the leaves, every _RESCALE_EVERY-th
+    level and the root are rescaled (exactly), so no entry reaches 2**7."""
+    a, shift = _rescale(_side_matrices(v, ells))
+    levels, e = [], shift.sum(axis=1)
     while a.shape[1] > 1:
         if a.shape[1] % 2:
             a = np.concatenate([a, _IDENTITY.repeat(len(a), axis=0)], axis=1)
-            e = np.concatenate([e, np.zeros_like(e[:, :1])], axis=1)
-        levels.append((a, e))
-        a, shift = _rescale(a[:, 1::2] @ a[:, 0::2])
-        e = e[:, 1::2] + e[:, 0::2] + shift
-    levels.append((a, e))
-    return levels
+        levels.append(a)
+        a = a[:, 1::2] @ a[:, 0::2]
+        if len(levels) % _RESCALE_EVERY == 0 or a.shape[1] == 1:
+            a, shift = _rescale(a)
+            e = e + shift.sum(axis=1)
+    levels.append(a)
+    return levels, e
 
 
 def _monodromy_product(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,8 +202,8 @@ def _monodromy_product(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.nda
     if len(ells) > 1 and len(ells) * len(v) > 1 << 16:  # bound the side stack's memory
         halves = zip(*(_monodromy_product(v, h) for h in np.array_split(ells, 2)))
         return tuple(np.concatenate(parts) for parts in halves)
-    a, e = _tree(v, ells)[-1]
-    return a[:, 0], e[:, 0]
+    levels, e = _tree(v, ells)
+    return levels[-1][:, 0], e
 
 
 def _pole_hits(v: Polygon, ells: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -220,9 +223,9 @@ def _product_at(v: Polygon, ell: float, tol: Tolerance, tree=None):
     ells = np.array([ell], dtype=float)
     if _pole_hits(v, ells, tol).any():
         raise DegenerateMonodromy(f"length parameter {ell} coincides with a side length")
-    m, e = (tree or _tree(v, ells))[-1]
+    levels, e = tree or _tree(v, ells)
     sign, mant, exp = _log2_det(v, ells)
-    return m[0, 0], int(e[0, 0]), (float(sign[0]), float(mant[0]), int(exp[0]))
+    return levels[-1][0, 0], int(e[0]), (float(sign[0]), float(mant[0]), int(exp[0]))
 
 
 def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> Mobius2:

@@ -185,6 +185,20 @@ class TestJsonWriter:
         with pytest.raises(PolygonFileError):
             polygon_from_dict({"dim": 2, "vertices": vertices})
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [["0", "0"], ["1", "0"], ["0", "1"]],
+            [[0, 0], [1, "0"], [0, 1]],
+            [[0.0, 0.0], [1.0, 0.0], [0.0, "1e0"]],
+        ],
+        ids=["all-strings", "one-string", "exponent-string"],
+    )
+    def test_reader_refuses_numeric_strings(self, vertices):
+        """The schema's coordinates are numbers; a string that parses as one is refused."""
+        with pytest.raises(PolygonFileError, match="invalid polygon data"):
+            polygon_from_dict({"vertices": vertices})
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_reader_refuses_non_finite_literals(self, tmp_path, capsys, literal):
         path = tmp_path / "bad.json"
