@@ -5,13 +5,14 @@ trapezoid at a time; when the seed direction is fixed under the monodromy
 the trace closes up and defines the transformation T_L.  transform does not
 loop: the frame direction at each vertex is the seed direction pushed
 through a partial product of the side matrices, so one down-sweep of the
-side tree that classifies the monodromy gives every frame, the repelling
-branch swept backwards, on the adjugates, where it contracts.  A companion
-through a seed point (transform --seed-angle, the permutability square)
-comes from the sweep when the seed is on a fixed direction, else from
-propagate's step loop (any dimension; the sweep's oracle), under one
-closure bound.
-Recutting reflects a vertex in its neighbours' bisector, the same step.
+side tree that classifies the monodromy, two column multiply-adds per
+level, gives every frame; the repelling branch is swept backwards, where
+it contracts, by transposes acting on J h (the adjugate step).  A
+companion through a seed point (transform --seed-angle, the permutability
+square) comes from the sweep when the seed is on a fixed direction, else
+from propagate's step loop (any dimension; the sweep's oracle), under one
+closure bound.  Recutting reflects a vertex in its neighbours' bisector,
+the same step.
 
 Length convention: the public parameter L is always the full frame segment
 length |V_i W_i|.  Formulas that are naturally written in terms of the half
@@ -78,8 +79,7 @@ class Branch(enum.Enum):
     REPELLING = "repelling"
 
 
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-_HALF_ANGLE = np.array([1j, 1.0])  # (p, q) -> z = q + i p
+_HALF_ANGLE = (np.array([1j, 1.0]), np.array([1.0, -1j]))  # (p, q), and J (p, q) = (q, -p), -> z = q + i p
 
 
 def _companion(
@@ -91,37 +91,37 @@ def _companion(
     tree is the _tree of v at length.  The frame direction alpha_i at V_i is
     h_i = (sin alpha_i/2, cos alpha_i/2) up to scale, and h_{i+1} ~ S_i h_i,
     so h_i is the seed pushed through a partial product.  One down-sweep of
-    the tree's levels, a batched matvec per level, each h over its abs-sum
-    (so a node's power-of-two scale changes no bit), gives them all:
-    forwards h is carried at node starts, a right child starting at its left
-    sibling times h; backwards, the repelling branch's contracting direction,
-    at node ends, a left child ending at the adjugate (projective inverse) of
-    its right sibling times h.  Raises DegenerateLine on a zero frame or a
-    step with no bisector, and ClosureFailure where a step misses the
-    bisector reflection by more than _closure_bound.
+    the tree gives them all in one array over leaf positions, node i of
+    level j spanning i 2**j ... (i + 1) 2**j (pads included): per level two
+    column multiply-adds, each h over its abs-sum (so a node's power-of-two
+    scale changes no bit).  Forwards h is carried at node starts, a right
+    child at its left sibling times h; backwards (the repelling branch's
+    contracting direction) g = J h, J = [[0, 1], [-1, 0]], at node ends, a
+    left child at its right sibling's transpose times g: J adj(R) = R^t J,
+    the adjugate step.  Raises DegenerateLine on a zero frame or a step with
+    no bisector, and ClosureFailure where a step misses the bisector
+    reflection by more than _closure_bound.
     """
-    k = len(v)
-    h = np.empty((k + 1, 2))
-    h[0] = h[k] = (math.sin(0.5 * angle), math.cos(0.5 * angle))
-    # h per node of a level: a parent's h passes to one child, the other's is computed
-    kept, computed = (1, 0) if backwards else (0, 1)
-    node_h = h[:1]
+    k, levels, half = len(v), tree[0], 0.5 * angle
+    seed = (math.cos(half), -math.sin(half)) if backwards else (math.sin(half), math.cos(half))
+    h = np.empty((2, (1 << len(levels) - 1) + 1))
+    h[:, 0] = h[:, -1] = seed  # the root starts at 0 and ends at 2**D
     # V_0 ... V_{k-1}, V_0, V_0: rows i and i + 1 are step i's V_i and V_{i+1}
     at = np.concatenate([v.vertices, v.vertices[:1], v.vertices[:1]])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for a in tree[0][-2::-1]:
-            a, up = a[0], node_h[: len(a[0]) // 2]  # a pad node has no children
-            node_h = np.empty((len(a), 2))
-            node_h[kept::2] = up
-            if backwards:  # adj(R) h = h adj(R)^t, adj [[a, b], [c, d]] = [[d, -b], [-c, a]]
-                step = np.vecmat(up, a[1::2, ::-1, ::-1] * _ADJUGATE_SIGNS)
-            else:
-                step = np.matvec(a[0::2], up)
+        for j in range(len(levels) - 2, -1, -1):
+            a, span, s = levels[j][0], 1 << j, 2 << j
+            n = len(a) * span  # c[q, r, i]: node i's weight on its parent's h_q in row r
+            if backwards:  # parents end at s, 2 s, ...; weights R[q, r] of the right sibling
+                c, up = a[1::2].transpose(1, 2, 0), slice(s, n + 1, s)
+            else:  # parents start at 0, s, ...; weights L[r, q] of the left sibling
+                c, up = a[0::2].T, slice(0, n, s)
+            step = c[0] * h[0, up] + c[1] * h[1, up]
             x = np.abs(step)
-            node_h[computed::2] = step / (x[:, :1] + x[:, 1:])
-        # leaf i starts at h_i and ends at h_{i+1}; h_k = h_0 is the seed, and W_k = W_0 is checked
-        h[1:k] = node_h[: k - 1] if backwards else node_h[1:k]
-        z = h @ _HALF_ANGLE  # e^(i alpha/2) up to scale, so e^(i alpha) = z / conj(z)
+            np.divide(step, x[0] + x[1], out=h[:, span:n:s])
+        # leaf i starts at position i and ends at i + 1; h_k = h_0 is the seed, and W_k = W_0 is checked
+        h[:, k] = seed
+        z = _HALF_ANGLE[backwards] @ h[:, : k + 1]  # e^(i alpha/2) up to scale, so e^(i alpha) = z / conj(z)
         w = at[:-1] + length * (z / z.conj()).view(float).reshape(-1, 2)
         # rows (V_{i+1}, W_i): step i has no bisector; the last row is the seed frame
         if _coincident(at[1:], w, tol).any():

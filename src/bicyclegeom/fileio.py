@@ -85,7 +85,9 @@ def polygon_from_dict(data: dict) -> Polygon:
     vertices = data["vertices"]
     try:
         if isinstance(vertices, list) and {*map(type, vertices)} == {list} and len({*map(len, vertices)}) == 1:
-            sum(flat := [*chain.from_iterable(vertices)], 0.0)  # TypeError on a string; fromiter parses "1"
+            # JSON numbers only: fromiter parses "1" and takes true as 1
+            if not {*map(type, flat := [*chain.from_iterable(vertices)])} <= {float, int}:
+                raise TypeError("coordinates must be numbers")
             vertices = np.fromiter(flat, float).reshape(len(vertices), -1)
         poly = Polygon(vertices, name=data.get("name"))
     except Exception as exc:

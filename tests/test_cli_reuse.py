@@ -199,6 +199,16 @@ class TestJsonWriter:
         with pytest.raises(PolygonFileError, match="invalid polygon data"):
             polygon_from_dict({"vertices": vertices})
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [[[False, False], [True, False], [False, True]], [[0.0, 0.0], [1.0, 0.5], [0.5, True]]],
+        ids=["all-booleans", "one-boolean"],
+    )
+    def test_reader_refuses_booleans(self, vertices):
+        """JSON true and false are not coordinates, though Python counts them as ints."""
+        with pytest.raises(PolygonFileError, match="invalid polygon data: coordinates must be numbers"):
+            polygon_from_dict({"vertices": vertices})
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_reader_refuses_non_finite_literals(self, tmp_path, capsys, literal):
         path = tmp_path / "bad.json"

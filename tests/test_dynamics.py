@@ -204,9 +204,10 @@ def _contracting_loop(v, w0, branch):
 
 class TestCompanionScan:
     """transform's companion is one down-sweep of the side tree that gives
-    its class and fixed direction, the repelling branch swept backwards on
-    the adjugates; the reflection loop and the 50-digit reference are its
-    oracles."""
+    its class and fixed direction, each level two column multiply-adds; the
+    repelling branch is swept backwards, carrying J h through transposes,
+    which is the adjugate step.  The reflection loop and the 50-digit
+    reference are its oracles."""
 
     @pytest.mark.parametrize("k, noise, L", LARGE_CIRCLES)
     def test_large_circles_match_reference_propagation(self, rng, k, noise, L):
@@ -250,6 +251,23 @@ class TestCompanionScan:
             points, defect = _contracting_loop(v, w.vertex(0), branch)
             assert defect <= dynamics._closure_bound(v, L, bg.DEFAULT_TOL)
             assert np.abs(points - w.vertices).max() <= 1e-12 * scale
+
+    def test_repelling_step_is_the_adjugate_step_bit_for_bit(self):
+        """The backwards sweep carries g = J h, J = [[0, 1], [-1, 0]], and steps
+        with the right sibling's transpose, as J adj(R) = R^t J.  Written as
+        the sweep writes it, R^t (J h) is J (adj(R) h) bit for bit, on entries
+        spread over 1e-20 ... 1e20."""
+        rng = np.random.default_rng(19)
+        n = 100_000
+        r = rng.normal(size=(n, 2, 2)) * 10.0 ** rng.uniform(-20.0, 20.0, size=(n, 2, 2))
+        h = rng.normal(size=(2, n))
+        g = np.stack([h[1], -h[0]])  # J h
+        c = r.transpose(1, 2, 0)  # the sweep's weights: c[q, row] = R[q, row]
+        step = c[0] * g[0] + c[1] * g[1]
+        (a, b), (cc, d) = r[:, 0].T, r[:, 1].T
+        adj_h = np.stack([d * h[0] - b * h[1], -cc * h[0] + a * h[1]])
+        want = np.stack([adj_h[1], -adj_h[0]])  # J (adj(R) h)
+        assert step.tobytes() == want.tobytes()
 
     def test_one_side_tree_per_call(self, monkeypatch):
         """transform classifies and sweeps on one tree; so does

@@ -45,8 +45,8 @@ def _added_in(name: str) -> tuple[int, int, int]:
 
 def test_names_are_found():
     names = _used_names()
-    assert {"matvec", "vecmat", "linalg.norm"} <= names
-    assert _added_in("matvec") == (2, 2, 0)
+    assert {"vecdot", "linalg.norm"} <= names
+    assert _added_in("vecdot") == (2, 0, 0)
     assert _added_in("array") < (2, 0, 0)  # only its parameters carry newer tags
 
 

@@ -2,7 +2,9 @@
 multiply-adds over the last axis.  np.vecdot, np.einsum with the same
 subscripts on both operands ("ij,ij->i") and np.linalg.norm along an axis
 dispatch per row; they may appear under src/ only at the sites allowed
-below, each with the reason it keeps that spelling."""
+below, each with the reason it keeps that spelling.  np.matvec and
+np.vecmat dispatch per 2x2 node of a stack; they may appear nowhere (the
+companion sweep spells its step as column multiply-adds)."""
 
 import ast
 import pathlib
@@ -21,6 +23,7 @@ ALLOWED = {
     "in column form the defect of test_defect_between_old_and_step_bound_fails[266] leaves its window",
     ("geometry", "reflect_in_line"): "one point, not rows: no per-row dispatch to save",
 }
+PER_NODE = {"matvec", "vecmat"}
 SAME_OPERANDS = re.compile(r"^\s*([\w.]+)\s*,\s*\1\s*->")
 
 
@@ -44,8 +47,12 @@ def _is_row_dot(call: ast.Call) -> bool:
     return False
 
 
-def _row_dot_sites() -> dict[tuple[str, str], int]:
-    """(module, innermost enclosing function or '<module>') -> number of row-dot calls."""
+def _is_per_node(call: ast.Call) -> bool:
+    return _np_attr(call.func) in PER_NODE
+
+
+def _flagged_sites(flagged=_is_row_dot) -> dict[tuple[str, str], int]:
+    """(module, innermost enclosing function or '<module>') -> number of flagged calls."""
     sites: dict[tuple[str, str], int] = {}
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -53,7 +60,7 @@ def _row_dot_sites() -> dict[tuple[str, str], int]:
         def visit(node, where):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 where = node.name
-            if isinstance(node, ast.Call) and _is_row_dot(node):
+            if isinstance(node, ast.Call) and flagged(node):
                 key = (path.stem, where)
                 sites[key] = sites.get(key, 0) + 1
             for child in ast.iter_child_nodes(node):
@@ -75,16 +82,25 @@ def test_the_detector_sees_every_spelling():
         assert _is_row_dot(ast.parse(text, mode="eval").body), text
     for text in ["np.linalg.norm(a)", 'np.einsum("ij,jk->ik", a, b)', "np.dot(a, b)", "_dot(a, b)"]:
         assert not _is_row_dot(ast.parse(text, mode="eval").body), text
+    for text in ["np.matvec(m, h)", "np.vecmat(h, m)"]:
+        assert _is_per_node(ast.parse(text, mode="eval").body), text
+    for text in ["np.vecdot(a, b)", "np.linalg.matmul(m, h)"]:
+        assert not _is_per_node(ast.parse(text, mode="eval").body), text
+
+
+def test_no_per_node_products():
+    sites = sorted(_flagged_sites(_is_per_node))
+    assert not sites, f"np.matvec / np.vecmat dispatch per 2x2 node; use column multiply-adds: {sites}"
 
 
 def test_row_dots_only_at_allowed_sites():
-    sites = _row_dot_sites()
+    sites = _flagged_sites()
     stray = sorted(site for site in sites if site not in ALLOWED)
     assert not stray, f"use geometry._dot / _norm, or allow the site with its reason: {stray}"
 
 
 def test_every_allowed_site_is_still_used():
-    stale = sorted(set(ALLOWED) - set(_row_dot_sites()))
+    stale = sorted(set(ALLOWED) - set(_flagged_sites()))
     assert not stale, f"remove these from ALLOWED: {stale}"
 
 
