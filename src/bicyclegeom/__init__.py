@@ -64,7 +64,6 @@ from .geometry import (
 )
 from .invariants import (
     Bivector,
-    ChainCircle,
     RearTrack,
     area_bivector,
     ccm_triangulation_oracle,

@@ -26,7 +26,7 @@ from .dynamics import (
     correspondence_check,
     recut,
 )
-from .errors import ClosureFailure, EllipticMonodromy, GeometryError
+from .errors import ClosureFailure, DimensionMismatch, EllipticMonodromy, GeometryError
 from .families import (
     NGonSpec,
     classify_cyclic,
@@ -36,9 +36,14 @@ from .families import (
 )
 from .fileio import PolygonFileError, check_finite, load_polygon, polygon_json, save_polygon, to_json
 from .geometry import DEFAULT_TOL, Polygon, Tolerance
-from .invariants import _conserved, eigenvalue_products, rear_track
+from .invariants import RearTrack, _conserved, eigenvalue_products, rear_track
 from .monodromy import _summary_at, classification_scan, refine_class_boundaries, trace_polynomial
 from .svg import PALETTE, Figure
+
+
+def _radii(track: RearTrack) -> list[float | None]:
+    """The signed radii of the chain, None at its straight members."""
+    return [None if c == 0.0 else 1.0 / c for c in track.curvature.tolist()]
 
 
 def _tolerance(args) -> Tolerance:
@@ -134,6 +139,8 @@ def cmd_transform(args) -> int:
     v = load_polygon(args.input)
     length = args.ell
     if args.seed_angle is not None:
+        if v.dim != 2:
+            raise DimensionMismatch(f"--seed-angle is a plane angle; the polygon has dimension {v.dim}")
         ang = math.radians(args.seed_angle)
         seed = v.vertex(0) + length * np.array([math.cos(ang), math.sin(ang)])
         try:
@@ -221,10 +228,7 @@ def cmd_invariants(args) -> int:
         if pair is not None:
             report["frame_length"] = _val(pair.length, tol)
             if v.dim == 2:
-                track = rear_track(pair, tol)
-                report["rear_track_radii"] = _val(
-                    [None if c.is_line else c.radius for c in track.circles], tol
-                )
+                report["rear_track_radii"] = _val(_radii(rear_track(pair, tol)), tol)
     sys.stdout.write(_render_report(report, args.json))
     return 0
 
@@ -293,12 +297,12 @@ def cmd_svg(args) -> int:
             _err(str(exc))
             return 1
         track = rear_track(pair, tol)
-        for i, circle in enumerate(track.circles):
-            if circle.is_line:
+        for i, (center, radius) in enumerate(zip(track.center, _radii(track))):
+            if radius is None:
                 q0, q1 = track.q[i], track.q[(i + 1) % len(track.q)]
                 fig.segment(q0, q1, color=PALETTE[1], width=1.0)
             else:
-                fig.circle(circle.center, abs(circle.radius), color=PALETTE[1], width=1.0)
+                fig.circle(center, abs(radius), color=PALETTE[1], width=1.0)
         for i in range(len(polys[0])):
             fig.segment(polys[0].vertex(i), polys[1].vertex(i), color="#9aa0a6", width=0.6)
             fig.dot(track.q[i], radius=2.0, color=PALETTE[1])
@@ -352,12 +356,14 @@ def cmd_rear_track(args) -> int:
         "frame_length": pair.length,
         "circles": [
             {
-                "center": c.center,
-                "curvature": c.curvature,
-                "radius": None if c.is_line else c.radius,
-                "line_direction": c.direction,
+                "center": None if radius is None else center,
+                "curvature": curvature,
+                "radius": radius,
+                "line_direction": direction if radius is None else None,
             }
-            for c in track.circles
+            for center, curvature, radius, direction in zip(
+                track.center, track.curvature.tolist(), _radii(track), track.direction
+            )
         ],
         "tangency_points": track.q,
         "eigenvalue_vw": lam_vw,

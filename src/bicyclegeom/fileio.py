@@ -93,8 +93,9 @@ def polygon_from_dict(data: dict) -> Polygon:
     except Exception as exc:
         raise PolygonFileError(f"invalid polygon data: {exc}") from exc
     declared = data.get("dim")
-    if declared is not None and int(declared) != poly.dim:
-        raise PolygonFileError(f"declared dim {declared} does not match vertices of dim {poly.dim}")
+    # a JSON number equal to the dimension; type(), not isinstance, so true is not 1
+    if declared is not None and not (type(declared) in (int, float) and declared == poly.dim):
+        raise PolygonFileError(f"declared dim {declared!r} does not match vertices of dim {poly.dim}")
     return poly
 
 

@@ -11,7 +11,10 @@ of _ccm_frame, relative to the vertex centroid and with a zero-area bound
 taken from the polygon's own size, so neither depends on where the polygon
 lies.  The rear track realizes a corresponding pair as a chain of mutually
 tangent circles touching at the segment midpoints, with centres where
-consecutive frame lines meet (one line-meet kernel call).
+consecutive frame lines meet (one line-meet kernel call).  RearTrack holds
+the chain as arrays, one row per slot: centres, signed curvatures and the
+directions of straight members; rear_track, chain_reconstruct and
+eigenvalue_products are row expressions over them.
 """
 
 from __future__ import annotations
@@ -218,39 +221,24 @@ def ccm_triangulation_oracle(v: Polygon, fan_apex: int = 0, tol: Tolerance = DEF
 
 
 @dataclass(frozen=True)
-class ChainCircle:
-    """One member of the rear-track chain: a circle with signed curvature,
-    or a straight line (curvature 0, center at infinity along `direction`,
-    the common direction of the two parallel frame lines)."""
-
-    center: np.ndarray | None
-    curvature: float
-    direction: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.center is None) != (self.curvature == 0.0):
-            raise ValueError("finite center iff nonzero curvature")
-
-    @property
-    def is_line(self) -> bool:
-        return self.curvature == 0.0
-
-    @property
-    def radius(self) -> float:
-        """Signed radius; +-inf for a straight member."""
-        return math.inf if self.is_line else 1.0 / self.curvature
-
-
-@dataclass(frozen=True)
 class RearTrack:
     """Chain of mutually tangent circles whose tangency points q[i] are the
     midpoints of the frame segments; e[i] is the unit vector from q[i]
-    toward the front polygon vertex V_i.  circles[i] sits between segments
-    i and i+1 (the half-integer slot)."""
+    toward the front polygon vertex V_i.  Row i of the chain sits between
+    segments i and i+1 (the half-integer slot): a circle with signed
+    curvature[i] about center[i], or a straight member (curvature 0, a NaN
+    center row) along direction[i], the common direction of the two parallel
+    frame lines; direction rows are NaN at the circles."""
 
-    circles: tuple[ChainCircle, ...]
+    center: np.ndarray
+    curvature: np.ndarray
+    direction: np.ndarray
     q: np.ndarray
     e: np.ndarray
+
+    def __post_init__(self):
+        if (np.isfinite(self.center).all(axis=1) != (self.curvature != 0.0)).any():
+            raise ValueError("finite center iff nonzero curvature")
 
 
 def rear_track(pair: BicyclePair, tol: Tolerance | None = None) -> RearTrack:
@@ -277,7 +265,7 @@ def rear_track(pair: BicyclePair, tol: Tolerance | None = None) -> RearTrack:
         r_from_i = _dot(e, centers - q)
         r_from_j = -_dot(e_next, centers - _cyc(q, 1))
         r = 0.5 * (r_from_i + r_from_j)
-        curvature = np.where(parallel, 0.0, 1.0 / r).tolist()
+        curvature = np.where(parallel, 0.0, 1.0 / r)
         mismatch = ~parallel & (
             np.abs(r_from_i - r_from_j) > math.sqrt(tol.eps_geom) * np.maximum(np.abs(r_from_i), scale)
         )
@@ -294,14 +282,10 @@ def rear_track(pair: BicyclePair, tol: Tolerance | None = None) -> RearTrack:
         else:
             message = "zero-radius chain member"
         raise SignAssignmentFailure(message)
-    directions = d / _norm(d)[:, None]
-    circles = tuple(
-        ChainCircle(center=None, curvature=0.0, direction=directions[i])
-        if parallel[i]
-        else ChainCircle(center=centers[i], curvature=curvature[i])
-        for i in range(len(v))
-    )
-    return RearTrack(circles=circles, q=q, e=e)
+    line = parallel[:, None]
+    center = np.where(line, np.nan, centers)
+    direction = np.where(line, d / _norm(d)[:, None], np.nan)
+    return RearTrack(center=center, curvature=curvature, direction=direction, q=q, e=e)
 
 
 def chain_reconstruct(track: RearTrack, half_length: float) -> tuple[np.ndarray, np.ndarray]:
@@ -313,14 +297,13 @@ def chain_reconstruct(track: RearTrack, half_length: float) -> tuple[np.ndarray,
     c_after - r_after e_i and c_before + r_before e_i.  Straight members keep
     the track's own q_i +- l e_i.
     """
-    l, circles = half_length, track.circles
-    line = np.array([c.is_line for c in circles])
+    l, line = half_length, track.curvature == 0.0
     straight = (line | _cyc(line, -1))[:, None]
-    # slot i sits after vertex i, slot i - 1 before it; straight slots get NaN centers
-    ra = np.array([c.radius for c in circles])[:, None]
-    ca = np.array([np.full(track.q.shape[1], np.nan) if c.is_line else c.center for c in circles])
-    rb, cb = _cyc(ra, -1), _cyc(ca, -1)
+    # slot i sits after vertex i, slot i - 1 before it
+    ca, cb = track.center, _cyc(track.center, -1)
     with np.errstate(invalid="ignore", divide="ignore"):
+        ra = (1.0 / track.curvature)[:, None]
+        rb = _cyc(ra, -1)
         e = (ca - cb) * (np.sign(ra + rb) / _norm(ca - cb)[:, None])
         q = np.where(straight, track.q, 0.5 * ((ca - ra * e) + (cb + rb * e)))
         e = np.where(straight, track.e, e)
@@ -350,12 +333,14 @@ def eigenvalue_products(
     # products of k factors over- and underflow past k ~ 100: sum logs instead
     diag_in = _norm(w.vertices - _cyc(v.vertices, -1))
     diag_out = _norm(_cyc(w.vertices, -1) - v.vertices)
-    half_curv = 0.5 * pair.length * np.array([circle.curvature for circle in track.circles])
+    half_curv = 0.5 * pair.length * track.curvature
     f_plus, f_minus = np.abs(1.0 + half_curv), np.abs(1.0 - half_curv)
     if min(f_plus.min(), f_minus.min()) <= tol.eps_geom:
         raise PoleOnChain("a chain radius equals the half frame length")
-    logs = math.fsum(np.log(diag_in / diag_out)), math.fsum(np.log(f_minus / f_plus))
-    if not all(_LOG_NORMAL_MIN <= x <= _LOG_MAX for x in logs):
-        msg = "eigenvalue outside the double range: log10 lambda_vw = {:.6g}, log10 lambda_chain = {:.6g}"
-        raise ValueError(msg.format(*(x / math.log(10.0) for x in logs)))
-    return math.exp(logs[0]), math.exp(logs[1])
+    log_vw, log_chain = math.fsum(np.log(diag_in / diag_out)), math.fsum(np.log(f_minus / f_plus))
+    if not (_LOG_NORMAL_MIN <= log_vw <= _LOG_MAX and _LOG_NORMAL_MIN <= log_chain <= _LOG_MAX):
+        raise ValueError(
+            f"eigenvalue outside the double range: log10 lambda_vw = {log_vw / math.log(10.0):.6g}, "
+            f"log10 lambda_chain = {log_chain / math.log(10.0):.6g}"
+        )
+    return math.exp(log_vw), math.exp(log_chain)

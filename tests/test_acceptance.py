@@ -378,14 +378,12 @@ def test_c12_rear_track_chain():
             worst_mid, float(np.abs(track.q - 0.5 * (v.vertices + w.vertices)).max()) / scale
         )
         for i in range(k):
-            before = track.circles[(i - 1) % k]
-            after = track.circles[i]
-            if before.is_line or after.is_line:
+            before, after = (i - 1) % k, i
+            if track.curvature[before] == 0.0 or track.curvature[after] == 0.0:
                 continue
-            gap = float(np.linalg.norm(before.center - after.center))
-            worst_tangency = max(
-                worst_tangency, abs(gap - abs(before.radius + after.radius)) / max(gap, 1.0)
-            )
+            gap = float(np.linalg.norm(track.center[before] - track.center[after]))
+            radii = 1.0 / track.curvature[before] + 1.0 / track.curvature[after]
+            worst_tangency = max(worst_tangency, abs(gap - abs(radii)) / max(gap, 1.0))
         vs, ws = bg.chain_reconstruct(track, L / 2)
         worst_rec = max(
             worst_rec,

@@ -4,6 +4,7 @@ determinism."""
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 import bicyclegeom as bg
 from bicyclegeom import cli, dynamics, monodromy
 from bicyclegeom.cli import main
-from bicyclegeom.fileio import load_polygon, polygon_from_dict, save_polygon
+from bicyclegeom.fileio import PolygonFileError, load_polygon, polygon_from_dict, save_polygon
+from bicyclegeom.svg import PALETTE
 
 from conftest import bench_reference, circle_polygon, overflow_recipe, random_butterfly, random_polygon
 
@@ -46,6 +48,22 @@ class TestFileRoundTrip:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"dim": 3, "vertices": [[0, 0], [1, 0], [0, 1]]}))
         assert main(["invariants", str(bad)]) == 2
+
+    @pytest.mark.parametrize("dim", [[2], "2", 2.9, True], ids=["list", "string", "fraction", "bool"])
+    def test_declared_dim_must_be_the_number(self, tmp_path, capsys, dim):
+        """Only a JSON number equal to the vertex dimension passes: a list, a
+        numeric string, a fraction or a boolean exits 2 naming the value."""
+        data = {"dim": dim, "vertices": [[0, 0], [1, 0], [0, 1]]}
+        with pytest.raises(PolygonFileError, match="does not match vertices of dim 2"):
+            polygon_from_dict(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["invariants", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: declared dim {dim!r} does not match vertices of dim 2\n"
+
+    @pytest.mark.parametrize("dim", [2, 2.0])
+    def test_declared_dim_as_a_number_passes(self, dim):
+        assert polygon_from_dict({"dim": dim, "vertices": [[0, 0], [1, 0], [0, 1]]}).dim == 2
 
 
 class TestTransformCommand:
@@ -86,6 +104,14 @@ class TestTransformCommand:
         )
         assert code == 0
         assert "closure defect" in capsys.readouterr().out
+
+    def test_seed_angle_on_3d_polygon_exits_2(self, tmp_path, rng, capsys):
+        """The seed angle is a plane angle: refused by name before any seed
+        is built, not with numpy's broadcast error."""
+        path = tmp_path / "v3.json"
+        save_polygon(path, random_polygon(rng, k=5, dim=3))
+        assert main(["transform", str(path), "--ell", "0.3", "--seed-angle", "30"]) == 2
+        assert capsys.readouterr().err == "error: --seed-angle is a plane angle; the polygon has dimension 3\n"
 
     def test_generic_seed_fails_closure(self, square_file, capsys):
         code = main(["transform", square_file, "--ell", "1.2", "--seed-angle", "10.0"])
@@ -330,6 +356,52 @@ class TestRearTrackCommand:
         other = tmp_path / "other.json"
         save_polygon(other, random_polygon(rng, k=4))
         assert main(["rear-track", square_file, str(other)]) == 1
+
+    @pytest.fixture
+    def straight_files(self, tmp_path):
+        """The straight-member pair of TestRearTrack: vertices 0 and pi are
+        antipodal, so slot 0+1/2 of the chain is a straight line."""
+        angs = np.array([0.0, math.pi, 3.9, 4.7, 5.5])
+        v = bg.Polygon(2.0 * np.stack([np.cos(angs), np.sin(angs)], axis=1))
+        paths = [tmp_path / "v.json", tmp_path / "w.json"]
+        save_polygon(paths[0], v)
+        save_polygon(paths[1], bg.rotation_transform(v, 1.3))
+        return [str(path) for path in paths]
+
+    def test_straight_member_json(self, straight_files, capsys):
+        assert main(["rear-track", *straight_files, "--json"]) == 0
+        circles = json.loads(capsys.readouterr().out)["circles"]
+        assert [c["radius"] is None for c in circles] == [True, False, False, False, False]
+        for c in circles:
+            straight = c["radius"] is None
+            assert (c["center"] is None) == straight
+            assert (c["line_direction"] is None) != straight
+            assert (c["curvature"] == 0.0) == straight
+        assert abs(math.hypot(*circles[0]["line_direction"]) - 1.0) < 1e-15
+        assert main(["invariants", *straight_files, "--json"]) == 0
+        radii = json.loads(capsys.readouterr().out)["rear_track_radii"]["value"]
+        assert radii == [c["radius"] for c in circles]
+
+    def test_straight_member_text(self, straight_files, capsys):
+        assert main(["rear-track", *straight_files]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index("circles") + 1
+        assert lines[header].split() == ["center", "curvature", "radius", "line_direction"]
+        rows = [re.split(r"\s{2,}", line.strip()) for line in lines[header + 1 : header + 6]]
+        assert [row[0] == "-" and row[2] == "-" for row in rows] == [True, False, False, False, False]
+        for row in rows:
+            assert len(row) == 4
+            assert (row[3] == "-") != (row[0] == "-")
+        assert lines[header + 6].startswith("tangency_points")
+
+    def test_straight_member_figure(self, straight_files, tmp_path):
+        """One straight member drawn as a line between its tangency points,
+        four circles, all in the chain's colour."""
+        out = tmp_path / "chain.svg"
+        assert main(["svg", *straight_files, "--rear-track", "-o", str(out)]) == 0
+        text = out.read_text()
+        assert len(re.findall(f'<circle [^>]*fill="none" stroke="{PALETTE[1]}"', text)) == 4
+        assert len(re.findall(f'<line [^>]*stroke="{PALETTE[1]}"', text)) == 1
 
     def test_eigenvalue_outside_double_range_exits_2(self, tmp_path, capsys):
         v = circle_polygon(np.random.default_rng(1), 2000)

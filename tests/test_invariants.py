@@ -1,7 +1,11 @@
 """Conserved quantities, the circumcenter of mass, and the rear track."""
 
+import ast
+import dataclasses
+import inspect
 import math
 import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -215,37 +219,41 @@ class TestRearTrack:
         track = bg.rear_track(bg.BicyclePair(v, w))
         k = len(v)
         for i in range(k):
-            before = track.circles[(i - 1) % k]
-            after = track.circles[i]
-            if before.is_line or after.is_line:
+            before, after = (i - 1) % k, i
+            if track.curvature[before] == 0.0 or track.curvature[after] == 0.0:
                 continue
-            gap = np.linalg.norm(before.center - after.center)
-            assert abs(gap - abs(before.radius + after.radius)) < 1e-9 * max(1.0, gap)
+            gap = np.linalg.norm(track.center[before] - track.center[after])
+            radii = 1.0 / track.curvature[before] + 1.0 / track.curvature[after]
+            assert abs(gap - abs(radii)) < 1e-9 * max(1.0, gap)
 
     def test_tangency_points_on_both_circles(self, rng):
         v, w, _L = random_hyperbolic_pair(rng, k=5)
         track = bg.rear_track(bg.BicyclePair(v, w))
         k = len(v)
         for i in range(k):
-            after = track.circles[i]
-            if after.is_line:
+            if track.curvature[i] == 0.0:
                 continue
-            d0 = np.linalg.norm(after.center - track.q[i])
-            d1 = np.linalg.norm(after.center - track.q[(i + 1) % k])
-            assert abs(d0 - abs(after.radius)) < 1e-9 * max(1.0, d0)
-            assert abs(d1 - abs(after.radius)) < 1e-9 * max(1.0, d1)
+            radius = 1.0 / track.curvature[i]
+            d0 = np.linalg.norm(track.center[i] - track.q[i])
+            d1 = np.linalg.norm(track.center[i] - track.q[(i + 1) % k])
+            assert abs(d0 - abs(radius)) < 1e-9 * max(1.0, d0)
+            assert abs(d1 - abs(radius)) < 1e-9 * max(1.0, d1)
 
     def test_straight_members(self):
         """Antipodal vertices of a rotated cyclic polygon give parallel frame
-        segments; those chain slots become straight members and the
-        reconstruction still returns the pair."""
+        segments; those chain slots become straight members, with a NaN
+        centre row and a unit direction, and the reconstruction still
+        returns the pair."""
         angs = np.array([0.0, math.pi, 3.9, 4.7, 5.5])
         v = bg.Polygon(2.0 * np.stack([np.cos(angs), np.sin(angs)], axis=1))
         w = bg.rotation_transform(v, 1.3)
         pair = bg.BicyclePair(v, w)
         track = bg.rear_track(pair)
-        lines = [c for c in track.circles if c.is_line]
-        assert lines, "expected at least one straight chain member"
+        lines = track.curvature == 0.0
+        assert lines.any(), "expected at least one straight chain member"
+        assert (np.isnan(track.center).all(axis=1) == lines).all()
+        assert (np.isfinite(track.direction).all(axis=1) == lines).all()
+        assert np.abs(np.linalg.norm(track.direction[lines], axis=1) - 1.0).max() < 1e-15
         vs, ws = bg.chain_reconstruct(track, pair.length / 2)
         assert np.abs(vs - v.vertices).max() < 1e-9
         assert np.abs(ws - w.vertices).max() < 1e-9
@@ -269,7 +277,7 @@ class TestRearTrack:
         q, q_next = track.q, np.roll(track.q, -1, axis=0)
         delta = np.arctan2(np.abs(q[:, 0] * q_next[:, 1] - q[:, 1] * q_next[:, 0]), np.vecdot(q, q_next))
         want = math.sqrt(0.25 - 0.25 * L * L) * np.tan(0.5 * delta)
-        radii = np.abs([c.radius for c in track.circles])
+        radii = np.abs(1.0 / track.curvature)
         assert np.abs(radii / want - 1.0).max() <= 1e-9
         vs, ws = bg.chain_reconstruct(track, L / 2)
         assert np.abs(vs - pair.v.vertices).max() <= 1e-9
@@ -292,6 +300,21 @@ class TestRearTrack:
         bound = 1e-9 * max(L, float(v.side_lengths().max()))
         assert np.abs(vs - pair.v.vertices).max() <= bound
         assert np.abs(ws - pair.w.vertices).max() <= bound
+
+    def test_hand_built_track_needs_nan_centres_at_zero_curvature(self):
+        """A finite centre row exactly where the curvature is nonzero: a zero
+        curvature under a finite centre, or a NaN centre under a nonzero
+        curvature, is refused."""
+        angs = np.array([0.0, math.pi, 3.9, 4.7, 5.5])
+        v = bg.Polygon(2.0 * np.stack([np.cos(angs), np.sin(angs)], axis=1))
+        track = bg.rear_track(bg.BicyclePair(v, bg.rotation_transform(v, 1.3)))
+        line = int((track.curvature == 0.0).argmax())
+        flat, hollow = track.curvature.copy(), track.center.copy()
+        flat[line - 1] = 0.0
+        hollow[line - 1, 1] = np.nan
+        for change in ({"curvature": flat}, {"center": hollow}, {"curvature": np.ones(len(v))}):
+            with pytest.raises(ValueError, match="finite center iff nonzero curvature"):
+                dataclasses.replace(track, **change)
 
     def test_parallelogram_branch_rejected(self):
         v = bg.Polygon([(0, 0), (2, 0), (2.5, 1.5), (0.4, 1.8)])
@@ -316,6 +339,17 @@ class TestRearTrack:
             pair.v, pair.w, pair.length, pair.tol = v, bg.Polygon(pts), L, bg.DEFAULT_TOL
             with pytest.raises(bg.SignAssignmentFailure, match=re.escape(message)):
                 bg.rear_track(pair)
+
+
+@pytest.mark.parametrize("func", [bg.rear_track, bg.chain_reconstruct, bg.eigenvalue_products],
+                         ids=lambda f: f.__name__)
+def test_rear_track_layer_has_no_loop_over_slots(func):
+    """The chain layer is row expressions over RearTrack's arrays: no
+    comprehension or generator expression walks the slots one by one."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    loops = [type(node).__name__ for node in ast.walk(tree)
+             if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+    assert not loops, f"{func.__name__} loops over slots: {loops}"
 
 
 class TestEigenvalueProducts:
@@ -374,15 +408,7 @@ class TestEigenvalueProducts:
         v, w, L = random_hyperbolic_pair(rng)
         pair = bg.BicyclePair(v, w)
         track = bg.rear_track(pair)
-        doctored = bg.RearTrack(
-            circles=tuple(
-                bg.ChainCircle(center=c.center, curvature=2.0 / L if not c.is_line else 0.0,
-                               direction=c.direction)
-                for c in track.circles
-            ),
-            q=track.q,
-            e=track.e,
-        )
+        doctored = dataclasses.replace(track, curvature=np.where(track.curvature == 0.0, 0.0, 2.0 / L))
         with pytest.raises(bg.PoleOnChain):
             bg.eigenvalue_products(pair, doctored)
 
