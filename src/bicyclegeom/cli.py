@@ -184,7 +184,7 @@ def _polygon_report(v: Polygon, conserved, tol: Tolerance, ell: float | None) ->
         coeffs = trace_polynomial(v).coeffs
         rep["trace_poly_coeffs"] = _val(list(coeffs), tol)
         if ell is not None:
-            klass, invariant, dirs = _summary_at(v, ell, tol)
+            klass, invariant, dirs, _ = _summary_at(v, ell, tol)
             rep["monodromy_class_at_L"] = klass.value
             rep["trace_sq_over_det_at_L"] = _val(invariant, tol)
             if dirs is not None:

@@ -32,7 +32,7 @@ from .geometry import (
     DEFAULT_TOL, Polygon, Tolerance, _angle_at, _bisector_reflect, _coincident, _cyc, _dot, _norm, as_vec,
     check_same_dim, perp_bisector_reflect,
 )
-from .monodromy import FixedDirection, MonodromyClass, _summary_at, _tree
+from .monodromy import FixedDirection, MonodromyClass, _summary_at
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,26 @@ def _closure_bound(v: Polygon, length: float, tol: Tolerance) -> float:
     return tol.eps_geom * min(v.perimeter(), max(length, float(v.side_lengths().max())))
 
 
+def _closing_check(at: np.ndarray, w: np.ndarray, bound: float, tol: Tolerance) -> np.ndarray:
+    """Squared misses of plane frames W_0 ... W_k over at = V_0 ... V_{k-1}, V_0, V_0 from their
+    bisector reflections, in column dots: W_i - V_{i+1} is formed once for _coincident's rule
+    (DegenerateLine; row k is the seed frame), row by row only where the shortest does not clear
+    every row's radius (1e-12 spare for rounding), and _bisector_reflect's residual (ClosureFailure)."""
+    n = w - at[1:]
+    nn = _dot(n, n)
+    top = max(float(np.abs(w).max()), float(np.abs(at).max()))  # |V|^2, |W|^2 <= 2 top^2; NaN fails the test
+    if not nn.min() > tol.eps_geom**2 * max(2.0 * top * top, 1.0) * (1.0 + 1e-12):
+        reach = np.sqrt(np.maximum(np.maximum(_dot(at[1:], at[1:]), _dot(w, w)), 1.0))
+        if not (np.sqrt(nn) > tol.eps_geom * reach).all():
+            raise DegenerateLine("zero frame segment or reflection axis through coincident points")
+    p, n = at[:-2], n[:-1]
+    miss = w[1:] - (p - (_dot(2.0 * p - at[1:-1] - w[:-1], n) / nn[:-1])[:, None] * n)
+    sq = _dot(miss, miss)
+    if not sq.max() <= bound * bound:
+        raise ClosureFailure(f"companion step misses by {math.sqrt(sq.max()):.3e} > {bound:.3e}")
+    return sq
+
+
 class Branch(enum.Enum):
     ATTRACTING = "attracting"
     REPELLING = "repelling"
@@ -83,13 +103,13 @@ _HALF_ANGLE = (np.array([1j, 1.0]), np.array([1.0, -1j]))  # (p, q), and J (p, q
 
 
 def _companion(
-    v: Polygon, length: float, angle: float, tree: tuple, backwards: bool, tol: Tolerance
+    v: Polygon, length: float, angle: float, levels: list, backwards: bool, tol: Tolerance
 ) -> tuple[np.ndarray, float]:
     """Unchecked kernel behind transform: the companion of plane polygon v
     seeded from the fixed direction at angle, and its closing-step residual.
 
-    tree is the _tree of v at length.  The frame direction alpha_i at V_i is
-    h_i = (sin alpha_i/2, cos alpha_i/2) up to scale, and h_{i+1} ~ S_i h_i,
+    levels are the _tree of v at length.  The frame direction alpha_i at V_i
+    is h_i = (sin alpha_i/2, cos alpha_i/2) up to scale, h_{i+1} ~ S_i h_i,
     so h_i is the seed pushed through a partial product.  One down-sweep of
     the tree gives them all in one array over leaf positions, node i of
     level j spanning i 2**j ... (i + 1) 2**j (pads included): per level two
@@ -98,11 +118,10 @@ def _companion(
     child at its left sibling times h; backwards (the repelling branch's
     contracting direction) g = J h, J = [[0, 1], [-1, 0]], at node ends, a
     left child at its right sibling's transpose times g: J adj(R) = R^t J,
-    the adjugate step.  Raises DegenerateLine on a zero frame or a step with
-    no bisector, and ClosureFailure where a step misses the bisector
-    reflection by more than _closure_bound.
+    the adjugate step.  _closing_check then raises DegenerateLine and
+    ClosureFailure (a step missing its reflection by over _closure_bound).
     """
-    k, levels, half = len(v), tree[0], 0.5 * angle
+    k, half = len(v), 0.5 * angle
     seed = (math.cos(half), -math.sin(half)) if backwards else (math.sin(half), math.cos(half))
     h = np.empty((2, (1 << len(levels) - 1) + 1))
     h[:, 0] = h[:, -1] = seed  # the root starts at 0 and ends at 2**D
@@ -123,15 +142,7 @@ def _companion(
         h[:, k] = seed
         z = _HALF_ANGLE[backwards] @ h[:, : k + 1]  # e^(i alpha/2) up to scale, so e^(i alpha) = z / conj(z)
         w = at[:-1] + length * (z / z.conj()).view(float).reshape(-1, 2)
-        # rows (V_{i+1}, W_i): step i has no bisector; the last row is the seed frame
-        if _coincident(at[1:], w, tol).any():
-            raise DegenerateLine("zero frame segment or reflection axis through coincident points")
-        miss = w[1:] - _bisector_reflect(at[:-2], at[1:-1], w[:-1])
-        sq = _dot(miss, miss)
-    bound = _closure_bound(v, length, tol)
-    worst = float(sq.max())
-    if not worst <= bound * bound:
-        raise ClosureFailure(f"companion step misses by {math.sqrt(worst):.3e} > {bound:.3e}")
+        sq = _closing_check(at, w, _closure_bound(v, length, tol), tol)
     return w[:-1], math.sqrt(float(sq[0] if backwards else sq[-1]))
 
 
@@ -142,14 +153,13 @@ def _transform(
     direction and the closure defect it computed on the way."""
     if v.dim != 2:
         raise DimensionMismatch("the closed transformation is defined for plane polygons")
-    tree = _tree(v, np.array([length], dtype=float))
-    klass, _, dirs = _summary_at(v, length, tol, tree)
+    klass, _, dirs, levels = _summary_at(v, length, tol)
     if klass is MonodromyClass.ELLIPTIC:
         raise EllipticMonodromy(f"monodromy is elliptic at L={length}; no real fixed direction")
     if dirs is None:  # identity (every seed closes; propagate from one) or singular
         raise DegenerateMonodromy(f"{klass.value} monodromy at L={length}: no isolated fixed direction")
     fd = dirs[0] if branch is Branch.ATTRACTING else dirs[-1]
-    w, defect = _companion(v, length, fd.angle, tree, branch is Branch.REPELLING, tol)
+    w, defect = _companion(v, length, fd.angle, levels, branch is Branch.REPELLING, tol)
     return Polygon(w, name=v.name), klass, fd, defect
 
 
@@ -162,11 +172,11 @@ def _seeded_companion(v: Polygon, length: float, seed: np.ndarray, tol: Toleranc
     same bound, or ClosureFailure is raised."""
     bound = _closure_bound(v, length, tol)
     if v.dim == 2:
-        tree = _tree(v, np.array([length], dtype=float))
-        for i, fd in enumerate(_summary_at(v, length, tol, tree)[2] or ()):
+        _, _, dirs, levels = _summary_at(v, length, tol)
+        for i, fd in enumerate(dirs or ()):
             frame = v.vertex(0) + length * np.array([math.cos(fd.angle), math.sin(fd.angle)])
             if np.linalg.norm(seed - frame) <= bound:
-                w, defect = _companion(v, length, fd.angle, tree, i > 0, tol)
+                w, defect = _companion(v, length, fd.angle, levels, i > 0, tol)
                 return Polygon(w, name=v.name), defect
     res = propagate(v, seed, tol)
     if not res.closure_defect <= bound:

@@ -32,6 +32,7 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+_ROOT_HALF_MAX = float(np.sqrt(np.finfo(float).max / 2))  # below it a square stays in half the double range
 
 
 def as_vec(p) -> np.ndarray:
@@ -72,11 +73,13 @@ class Polygon:
             raise WrongArity("a polygon needs at least 3 vertices")
         if pts.shape[1] < 2:
             raise DimensionMismatch("vertices must live in dimension >= 2")
-        if not np.isfinite(pts).all():
-            raise ValueError("vertex coordinates must be finite")
+        # top is NaN or inf where a coordinate is; |V|^2 and |side|^2 <= dim (2 top)^2 are the largest squares
+        top, limit = float(np.abs(pts).max()), _ROOT_HALF_MAX / (2.0 * pts.shape[1] ** 0.5)
+        if not top <= limit:
+            raise ValueError(f"vertex coordinates must be finite and at most {limit:.6g}, got {top!r}")
         sides = _cyc(pts, 1) - pts
         gaps = _norm(sides)
-        if gaps.min() <= 1e-12 * max(1.0, float(np.abs(pts).max())):
+        if gaps.min() <= 1e-12 * max(1.0, top):
             raise DegenerateLine("consecutive vertices must be distinct")
         for arr in (pts, sides, gaps):
             arr.setflags(write=False)

@@ -166,13 +166,18 @@ _IDENTITY = np.eye(2)[None, None]  # the pad node of an odd tree level
 _RESCALE_EVERY = 3  # _tree rescales every third level; the products between stay below 2**7
 
 
-def _log2_det(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Determinant of the raw side product per length, exactly prod (ell - a_j)
-    (ell + a_j), as its sign and log2 |det| = mant + exp: the log2 of the
+def _factors(v: Polygon, ells: np.ndarray) -> np.ndarray:
+    """The side determinants' factors ell - a_j, ell + a_j, shape (lengths, 2, sides)."""
+    return ells[:, None, None] + _MINUS_PLUS * v.side_lengths()
+
+
+def _log2_det(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Determinant of the raw side product per length, exactly the product of
+    f = _factors, as its sign and log2 |det| = mant + exp: the log2 of the
     factors' frexp mantissas and the integer sum of their exponents, so no
     partial product leaves the double range and a power-of-two scale of the
     polygon changes exp alone.  The lengths must be off the poles ell = a_j."""
-    mant, exp = np.frexp(ells[:, None, None] + _MINUS_PLUS * v.side_lengths())
+    mant, exp = np.frexp(f)
     return np.sign(mant[:, 0]).prod(axis=1), np.log2(np.abs(mant)).sum(axis=(1, 2)), exp.sum(axis=(1, 2))
 
 
@@ -181,8 +186,11 @@ def _tree(v: Polygon, ells: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     matrices per length, sides first and the one-node root last, and e with
     product = root 2**e: odd levels get an identity pad, and pairs, later
     sides on the left, form the next.  Only the leaves, every _RESCALE_EVERY-th
-    level and the root are rescaled (exactly), so no entry reaches 2**7."""
-    a, shift = _rescale(_side_matrices(v, ells))
+    level and the root are rescaled (exactly), so no entry reaches 2**7.  A leaf's
+    largest entry is max(ell + |dx|, |dy|) as rounded, read off the side columns."""
+    side = np.abs(v.sides())
+    shift = np.frexp(np.maximum(ells[:, None] + side[:, 0], side[:, 1]))[1]
+    a = np.ldexp(_side_matrices(v, ells), -shift[..., None, None])  # exact at any scale
     levels, e = [], shift.sum(axis=1)
     while a.shape[1] > 1:
         if a.shape[1] % 2:
@@ -207,26 +215,25 @@ def _monodromy_product(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.nda
     return levels[-1][:, 0], e
 
 
-def _pole_hits(v: Polygon, ells: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """(lengths x sides) mask of |ell - a| <= eps_geom max(ell, a)."""
-    a, ell = v.side_lengths(), ells[:, None]
-    return np.abs(ell - a) <= tol.eps_geom * np.maximum(ell, a)
+def _pole_hits(v: Polygon, ells: np.ndarray, tol: Tolerance, f: np.ndarray) -> np.ndarray:
+    """(lengths x sides) mask of |ell - a| <= eps_geom max(ell, a), ell - a read from f = _factors."""
+    return np.abs(f[:, 0]) <= tol.eps_geom * np.maximum(ells[:, None], v.side_lengths())
 
 
-def _product_at(v: Polygon, ell: float, tol: Tolerance, tree=None):
-    """The (m, e) of the monodromy at one length, validated as polygon_monodromy,
-    and the (sign, mant, exp) of its raw determinant from _log2_det; tree, when
-    given, is the _tree already built at that length."""
+def _product_at(v: Polygon, ell: float, tol: Tolerance):
+    """The (m, e) of the monodromy at one length, validated as polygon_monodromy
+    before any tree is built, the (sign, mant, exp) of its raw determinant from
+    _log2_det (the pole rule's factors, formed once), and the _tree's levels."""
     if v.dim != 2:
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
-    if ell <= 0.0:
-        raise ValueError("length parameter must be positive")
+    if not 0.0 < ell < math.inf:
+        raise ValueError(f"length parameter must be positive and finite, got {float(ell)!r}")
     ells = np.array([ell], dtype=float)
-    if _pole_hits(v, ells, tol).any():
+    if _pole_hits(v, ells, tol, f := _factors(v, ells)).any():
         raise DegenerateMonodromy(f"length parameter {ell} coincides with a side length")
-    levels, e = tree or _tree(v, ells)
-    sign, mant, exp = _log2_det(v, ells)
-    return levels[-1][0, 0], int(e[0]), (float(sign[0]), float(mant[0]), int(exp[0]))
+    levels, e = _tree(v, ells)
+    sign, mant, exp = _log2_det(f)
+    return levels[-1][0, 0], int(e[0]), (float(sign[0]), float(mant[0]), int(exp[0])), levels
 
 
 def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> Mobius2:
@@ -235,10 +242,10 @@ def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> M
 
     Raises DegenerateMonodromy when ell coincides with a side length (the
     determinant prod(ell^2 - a_i^2) vanishes there), and ValueError, naming
-    the length, where the raw product leaves the double range: its entries
-    overflow, or its largest entry underflows to 0 or a subnormal.
+    the length, outside 0 < ell < inf or where the raw product leaves the double
+    range: its entries overflow, or its largest entry underflows to 0 or a subnormal.
     """
-    m, e, logdet = _product_at(v, ell, tol)
+    m, e, logdet, _ = _product_at(v, ell, tol)
     with np.errstate(over="ignore"):
         raw = np.ldexp(m, e)
     top = float(np.abs(raw).max())
@@ -373,11 +380,11 @@ def _row_summary(row, tol: Tolerance, det: tuple[float, float]):
     return klass, _tr2_over_det(row, det), dirs
 
 
-def _summary_at(v: Polygon, ell: float, tol: Tolerance, tree=None):
-    """_row_summary of the monodromy at one length, validated as polygon_monodromy;
-    tree as for _product_at."""
-    m, e, (sign, mant, exp) = _product_at(v, ell, tol, tree)
-    return _row_summary(m.ravel().tolist(), tol, (sign, mant + (exp - 2 * e)))
+def _summary_at(v: Polygon, ell: float, tol: Tolerance):
+    """_row_summary of the monodromy at one length, validated as polygon_monodromy,
+    and the levels of the _tree it was read from."""
+    m, e, (sign, mant, exp), levels = _product_at(v, ell, tol)
+    return *_row_summary(m.ravel().tolist(), tol, (sign, mant + (exp - 2 * e))), levels
 
 
 class TracePoly:
@@ -536,9 +543,9 @@ def lorentz_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> L
     Raises PoleAtEllEqualsA when ell coincides with a side length, and
     ValueError, naming the length, where the product overflows.
     """
-    if ell <= 0.0:
-        raise ValueError("length parameter must be positive")
-    if _pole_hits(v, np.array([ell], dtype=float), tol).any():
+    if not 0.0 < ell < math.inf:
+        raise ValueError(f"length parameter must be positive and finite, got {float(ell)!r}")
+    if _pole_hits(v, ells := np.array([ell], dtype=float), tol, _factors(v, ells)).any():
         raise PoleAtEllEqualsA("edge matrix has a pole at ell = a")
     a = v.side_lengths()
     m = np.eye(v.dim + 1)
@@ -599,17 +606,17 @@ def classification_scan(
 
     Grid points within eps of a side length are nudged off the pole.
     """
-    if steps < 2 or lmin <= 0 or lmax <= lmin:
-        raise ValueError("need lmax > lmin > 0 and steps >= 2")
+    if steps < 2 or not 0 < lmin < lmax < math.inf:
+        raise ValueError(f"need 0 < lmin < lmax < inf and steps >= 2, got lmin={lmin!r} lmax={lmax!r}")
     if v.dim != 2:
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
     spacing = (lmax - lmin) / (steps - 1)
     ells = np.linspace(lmin, lmax, steps)
-    hits = _pole_hits(v, ells, tol)
+    hits = _pole_hits(v, ells, tol, _factors(v, ells))
     nudge = np.maximum(1e-9 * v.side_lengths()[hits.argmax(axis=1)], 1e-6 * spacing)
     ells = np.where(hits.any(axis=1), ells + nudge, ells)
     m, e = _monodromy_product(v, ells)
-    sign, mant, exp = _log2_det(v, ells)
+    sign, mant, exp = _log2_det(_factors(v, ells))
     dets = zip(sign.tolist(), (mant + (exp - 2 * e)).tolist())
     out = []
     for ell, row, det in zip(ells.tolist(), m.reshape(-1, 4).tolist(), dets):
@@ -655,8 +662,8 @@ def refine_class_boundaries(
     Returns the length parameters of the parabolic boundaries to within xtol.
     Bisects the sign of the rescaled discriminant, which stays finite.
     """
-    if steps < 2 or lmin <= 0 or lmax <= lmin or not xtol > 0:
-        raise ValueError("need lmax > lmin > 0, steps >= 2 and xtol > 0")
+    if steps < 2 or not 0 < lmin < lmax < math.inf or not xtol > 0:
+        raise ValueError(f"need 0 < lmin < lmax < inf, steps >= 2, xtol > 0; got lmin={lmin!r} lmax={lmax!r}")
     if v.dim != 2:
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
     grid = np.linspace(lmin, lmax, steps)

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,31 @@ class TestTransformCommand:
         )
         assert code == 0
         assert "closure defect" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ell", ["nan", "inf", "0", "-1"])
+    def test_length_outside_the_range_exits_2(self, square_file, capsys, ell):
+        """Refused by name, with no RuntimeWarning on the way: NaN used to exit
+        2 with the zero-frame message, inf to warn from the side tree."""
+        for extra in ([], ["--seed-angle", "30"], ["--branch", "repelling"]):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                assert main(["transform", square_file, "--ell", ell, *extra]) == 2
+            assert not seen
+            err = capsys.readouterr().err
+            assert err == f"error: length parameter must be positive and finite, got {float(ell)!r}\n"
+
+    def test_coordinates_whose_squares_overflow_exit_2(self, tmp_path, capsys):
+        """The unit square scaled by 1e155 had infinite side lengths: transform
+        warned and called the length a side length, invariants warned seven
+        times and named an infinite perimeter."""
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"vertices": [[0, 0], [1e155, 0], [1e155, 1e155], [0, 1e155]]}))
+        for argv in (["transform", str(path), "--ell", "1.2e155"], ["invariants", str(path), "--json"]):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                assert main(argv) == 2
+            assert not seen
+            assert "vertex coordinates must be finite and at most 3.35195e+153, got 1e+155" in capsys.readouterr().err
 
     def test_seed_angle_on_3d_polygon_exits_2(self, tmp_path, rng, capsys):
         """The seed angle is a plane angle: refused by name before any seed
@@ -232,6 +258,13 @@ class TestScanCommand:
         assert any(abs(b - math.sqrt(2)) < 1e-9 for b in data["boundaries"])
         classes = {row["class"] for row in data["grid"]}
         assert {"hyperbolic", "elliptic"} <= classes
+
+    @pytest.mark.parametrize("grid", ["0.1:nan:4", "nan:2:4", "0.1:inf:4"])
+    def test_non_finite_grid_exits_2(self, square_file, capsys, grid):
+        """A NaN end used to return NaN-length points classed parabolic."""
+        assert main(["scan", square_file, "--grid", grid, "--json"]) == 2
+        lmin, lmax, _ = grid.split(":")
+        assert f"got lmin={float(lmin)!r} lmax={float(lmax)!r}" in capsys.readouterr().err
 
     def test_butterfly_scan_identity_everywhere(self, tmp_path, rng, capsys):
         path = tmp_path / "fly.json"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bicyclegeom as bg
-from bicyclegeom import dynamics, monodromy
+from bicyclegeom import dynamics, geometry, monodromy
 
 from conftest import (
     LARGE_CIRCLES,
@@ -186,6 +186,129 @@ class TestClosureRule:
         assert bg.correspondence_check(v, bg.transform(v, L, bg.Branch.REPELLING))
 
 
+def _closing_frames(monkeypatch, cases):
+    """(at, w, bound) of every closing check transform runs on the cases,
+    both branches."""
+    seen = []
+    real = dynamics._closing_check
+
+    def record(at, w, bound, tol):
+        seen.append((at.copy(), w.copy(), bound))
+        return real(at, w, bound, tol)
+
+    monkeypatch.setattr(dynamics, "_closing_check", record)
+    for v, L in cases:
+        for branch in bg.Branch:
+            try:
+                bg.transform(v, L, branch)
+            except bg.GeometryError:
+                pass
+    monkeypatch.undo()
+    return seen
+
+
+def _closing_oracle(at, w):
+    """_coincident's mask over the rows (V_{i+1}, W_i) and the misses from
+    _bisector_reflect: the closing check as _companion spelled it before."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        miss = w[1:] - geometry._bisector_reflect(at[:-2], at[1:-1], w[:-1])
+    return geometry._coincident(at[1:], w, bg.DEFAULT_TOL), np.sqrt(geometry._dot(miss, miss))
+
+
+def _closing_raises(at, w):
+    """The error _closing_check raises with no closure bound, or None."""
+    try:
+        dynamics._closing_check(at, w, math.inf, bg.DEFAULT_TOL)
+    except bg.GeometryError as exc:
+        return type(exc)
+    return None
+
+
+class TestClosingCheck:
+    """_companion's closing check runs in one pass of column dots, the
+    bisector normal W_i - V_{i+1} formed once for the coincidence rule and
+    the reflection residual; _coincident and _bisector_reflect are its oracle.
+    The rule runs row by row only when the shortest normal fails a bound on
+    every row's radius, so a flagged row must never pass that bound."""
+
+    ULPS = 4  # worst measured 2.4 ulps of max(L, longest side) on the three case sets
+
+    def test_matches_the_oracle_on_the_case_sets(self, monkeypatch):
+        """On the survey, the generic 200-gons and LARGE_CIRCLES, both
+        branches: no row is flagged where _coincident flags none, and every
+        step's miss is _bisector_reflect's to within a few ulps of the scale
+        the closure bound is taken from."""
+        circles = [(circle_polygon(np.random.default_rng(1), k, noise), L) for k, noise, L in LARGE_CIRCLES]
+        frames = _closing_frames(monkeypatch, survey_cases() + generic_200gons() + circles)
+        assert len(frames) == 626
+        for at, w, bound in frames:
+            flags, want = _closing_oracle(at, w)
+            assert not flags.any()
+            got = np.sqrt(dynamics._closing_check(at, w, math.inf, bg.DEFAULT_TOL))
+            scale = bound / bg.DEFAULT_TOL.eps_geom
+            assert np.abs(got - want).max() <= self.ULPS * np.finfo(float).eps * scale
+
+    def test_flags_the_rows_the_oracle_flags(self, monkeypatch):
+        """One frame point at a time is moved onto, just inside, exactly on
+        and just outside the coincidence radius eps_geom max(|V|, |W|, 1) of
+        its V_{i+1} (the last row is the seed frame's): the check raises
+        DegenerateLine exactly where _coincident flags that row, on frames
+        as transform makes them and moved 1e6 from the origin."""
+        frames = _closing_frames(monkeypatch, survey_cases()[:60] + generic_200gons()[:4])
+        rng = np.random.default_rng(21)
+        outcomes = set()
+        frames += [(at + 1e6, w + 1e6, bound) for at, w, bound in frames[::8]]
+        for at, w, _ in frames:
+            k = len(w) - 1
+            for i in (0, int(rng.integers(1, k)), k):
+                u = rng.normal(size=2)
+                u /= np.linalg.norm(u)
+                radius = bg.DEFAULT_TOL.eps_geom * max(np.linalg.norm(at[i + 1]), np.linalg.norm(w[i]), 1.0)
+                for factor in (0.0, 0.5, 1.0, 1.0 + 1e-15, 2.0):
+                    moved = w.copy()
+                    moved[i] = at[i + 1] + factor * radius * u
+                    flagged = bool(_closing_oracle(at, moved)[0].any())
+                    assert _closing_raises(at, moved) is (bg.DegenerateLine if flagged else None)
+                    outcomes.add((factor, flagged))
+        assert {(0.0, True), (0.5, True), (2.0, False)} <= outcomes
+
+    def _frames(self):
+        """A survey companion's frames W_0 ... W_k over V_0 ... V_{k-1}, V_0, V_0,
+        and its closure bound."""
+        v, L = survey_cases()[3]
+        t = bg.transform(v, L).vertices
+        at = np.concatenate([v.vertices, v.vertices[:1], v.vertices[:1]])
+        return at, np.concatenate([t, t[:1]]), dynamics._closure_bound(v, L, bg.DEFAULT_TOL)
+
+    def test_hand_built_frames(self):
+        at, w, bound = self._frames()
+        assert dynamics._closing_check(at, w, bound, bg.DEFAULT_TOL).max() <= bound * bound
+        nan_row, on_vertex, zero_seed_frame = w.copy(), w.copy(), w.copy()
+        nan_row[3, 1] = np.nan
+        on_vertex[2] = at[3]  # W_2 on V_3: step 2 has no bisector
+        zero_seed_frame[-1] = at[-1]  # W_k on V_0
+        for bad in (nan_row, on_vertex, zero_seed_frame):
+            with np.errstate(invalid="ignore"):
+                assert _closing_oracle(at, bad)[0].any()
+            with pytest.raises(bg.DegenerateLine, match="zero frame segment or reflection axis"):
+                dynamics._closing_check(at, bad, bound, bg.DEFAULT_TOL)
+
+    def test_one_step_past_the_bound(self):
+        """W_4 moved by a quarter of the bound passes; moved by three bounds
+        it misses step 3's reflection by more than the bound."""
+        at, w, bound = self._frames()
+        u = np.array([0.6, 0.8])
+        for factor, fails in ((0.25, False), (3.0, True)):
+            moved = w.copy()
+            moved[4] += factor * bound * u
+            assert bool(_closing_oracle(at, moved)[1].max() > bound) is fails
+            if fails:
+                with pytest.raises(bg.ClosureFailure, match="companion step misses by"):
+                    dynamics._closing_check(at, moved, bound, bg.DEFAULT_TOL)
+            else:
+                assert dynamics._closing_check(at, moved, bound, bg.DEFAULT_TOL).max() <= bound * bound
+
+
 def _reversed(pts):
     """V_0, V_{k-1}, ..., V_1: the same polygon traversed the other way."""
     return np.roll(pts[::-1], 1, axis=0)
@@ -280,7 +403,6 @@ class TestCompanionScan:
             return real(v, ells)
 
         monkeypatch.setattr(monodromy, "_tree", counted)
-        monkeypatch.setattr(dynamics, "_tree", counted)
         v, L = circle_polygon(np.random.default_rng(0), 2000, 0.02), 0.95
         for branch in bg.Branch:
             built.clear()

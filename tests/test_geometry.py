@@ -1,13 +1,14 @@
 """Reflections, the bicycle step, and the butterfly predicate."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bicyclegeom as bg
-from bicyclegeom.geometry import _coincident, as_vec
+from bicyclegeom.geometry import _coincident, _cyc, as_vec
 
 from conftest import random_butterfly, random_nonbutterfly_quad
 
@@ -225,6 +226,33 @@ class TestPolygonType:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             bg.Polygon([(0, 0), (np.inf, 0), (1, 1)])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_read_off_the_largest_coordinate(self, bad):
+        """max |V| is NaN or inf exactly when a coordinate is."""
+        with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+            bg.Polygon([(0, 0), (1, bad), (1, 1)])
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_coordinates_whose_squares_overflow(self, dim):
+        """The largest square formed from the vertices is |side|^2 <= dim (2
+        max |V|)^2; a polygon at max |V| = sqrt(max double / (8 dim)) keeps it
+        within half the double range and loads, with finite side lengths, one
+        ulp further is refused naming the coordinate.  The unit square scaled
+        by 1e155 had infinite side lengths and a RuntimeWarning."""
+        limit = bg.geometry._ROOT_HALF_MAX / (2.0 * dim**0.5)
+        assert math.isclose(limit, math.sqrt(np.finfo(float).max / (8 * dim)), rel_tol=4e-16)
+        pts = np.full((3, dim), limit)
+        pts[1] = -limit
+        pts[2, 1] = -limit  # sides (-2, ..., -2) limit and (0, 2, 0, ...) limit: the worst case
+        v = bg.Polygon(pts)
+        assert np.isfinite(v.side_lengths()).all() and math.isfinite(v.perimeter())
+        assert not _coincident(v.vertices, _cyc(v.vertices, 1), bg.DEFAULT_TOL).any()
+        pts[0, 0] = np.nextafter(limit, np.inf)
+        with pytest.raises(ValueError, match=re.escape(f"at most {limit:.6g}, got {float(pts[0, 0])!r}")):
+            bg.Polygon(pts)
+        with pytest.raises(ValueError, match="must be finite and at most 3.35195e[+]153, got 1e[+]155"):
+            bg.Polygon(np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * 1e155)
 
     def test_vertices_read_only(self):
         v = bg.Polygon([(0, 0), (1, 0), (0, 1)])

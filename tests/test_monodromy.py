@@ -368,6 +368,41 @@ class TestLorentz:
                 assert np.abs(cv - cw).max() <= 1e-7 * max(1.0, np.abs(cv).max())
 
 
+class TestLengthRange:
+    """A length parameter outside 0 < L < inf is refused with a ValueError
+    naming it, before any side tree is built: NaN used to surface as a zero
+    frame or an underflow, inf as a RuntimeWarning from the tree's matmul,
+    and a scan to NaN returned NaN-length points."""
+
+    BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+    @pytest.mark.parametrize("ell", BAD, ids=repr)
+    def test_refused_before_any_tree(self, monkeypatch, ell):
+        def no_tree(v, ells):
+            raise AssertionError("a side tree was built")
+
+        monkeypatch.setattr(monodromy, "_tree", no_tree)
+        calls = [
+            lambda: bg.transform(SQUARE, ell),
+            lambda: bg.transform(SQUARE, ell, bg.Branch.REPELLING),
+            lambda: bg.polygon_monodromy(SQUARE, ell),
+            lambda: bg.lorentz_monodromy(SQUARE, ell),
+            lambda: bg.dynamics._seeded_companion(SQUARE, ell, np.array([0.0, 0.5]), bg.DEFAULT_TOL),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"positive and finite, got {ell!r}")):
+                call()
+
+    @pytest.mark.parametrize("lmin, lmax", [(0.1, math.nan), (math.nan, 2.0), (0.1, math.inf), (-0.1, 2.0), (2.0, 0.1)])
+    def test_scan_and_refine_ranges(self, lmin, lmax):
+        named = re.escape(f"got lmin={lmin!r} lmax={lmax!r}")
+        with pytest.raises(ValueError, match=named):
+            bg.classification_scan(SQUARE, lmin, lmax, 4)
+        with pytest.raises(ValueError, match=named):
+            bg.refine_class_boundaries(SQUARE, lmin, lmax, 4)
+        assert len(bg.classification_scan(SQUARE, 1e-300, 1e300, 3)) == 3  # any finite range passes
+
+
 class TestScan:
     def test_discriminant_needs_a_plane_polygon(self):
         with pytest.raises(bg.DimensionMismatch):

@@ -19,7 +19,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bicyclegeom"
 
 # (module, enclosing function) -> why the site keeps np.vecdot, which rounds differently from _dot
 ALLOWED = {
-    ("geometry", "_bisector_reflect"): "returned values keep their bits (propagate, recut, bicycle_step); "
+    ("geometry", "_bisector_reflect"): "returned values keep their bits (its callers propagate, recut, "
+    "bicycle_step, correspondence_check and ngon_residuals; transform's closing check no longer is one); "
     "in column form the defect of test_defect_between_old_and_step_bound_fails[266] leaves its window",
     ("geometry", "reflect_in_line"): "one point, not rows: no per-row dispatch to save",
 }
@@ -86,6 +87,39 @@ def test_the_detector_sees_every_spelling():
         assert _is_per_node(ast.parse(text, mode="eval").body), text
     for text in ["np.vecdot(a, b)", "np.linalg.matmul(m, h)"]:
         assert not _is_per_node(ast.parse(text, mode="eval").body), text
+
+
+# the closing check of transform's companion: no per-row dispatch, the bisector normal formed once
+COMPANION_FORBIDDEN = {"_bisector_reflect", "_coincident", "np.vecdot"}
+
+
+def _reachable_calls(module: str, root: str) -> set[str]:
+    """Names called in module.root and, transitively, in the module's own
+    functions it calls; numpy calls as 'np.<name>'."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called, todo, seen = set(), [root], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if not isinstance(node, ast.Call):
+                continue
+            np_name = _np_attr(node.func)
+            if np_name:
+                called.add(f"np.{np_name}")
+            elif isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+                if node.func.id in defs and node.func.id not in seen:
+                    todo.append(node.func.id)
+    return called
+
+
+def test_companion_closing_check_has_no_per_row_dispatch():
+    called = _reachable_calls("dynamics", "_companion")
+    assert "_dot" in called
+    stray = sorted(called & COMPANION_FORBIDDEN)
+    assert not stray, f"dynamics._companion reaches {stray}; check with one pass of geometry._dot"
 
 
 def test_no_per_node_products():

@@ -87,11 +87,55 @@ def test_companions_match_the_every_level_tree(monkeypatch):
     cases = _companion_cases()
     got = [_outcome(v, L, branch) for v, L in cases for branch in bg.Branch]
     monkeypatch.setattr(monodromy, "_tree", _oracle_tree)
-    monkeypatch.setattr(dynamics, "_tree", _oracle_tree)
     want = [_outcome(v, L, branch) for v, L in cases for branch in bg.Branch]
     assert len(got) == 2 * (300 + 30 + len(LARGE_CIRCLES))
     assert sum(isinstance(g[1], bg.MonodromyClass) for g in got) > 500
     assert got == want
+
+
+class _Sides:
+    """A stand-in polygon for _tree, which reads only sides(): side vectors
+    at scales Polygon refuses (every side must exceed 1e-12)."""
+
+    def __init__(self, sides):
+        self._sides = sides
+
+    def __len__(self):
+        return len(self._sides)
+
+    def sides(self):
+        return self._sides
+
+
+def _leaf_cases():
+    """(name, polygon, typical length): the root cases' polygons, a ring
+    scaled to 1e150, and the same ring's sides at 1e-150 and at subnormal
+    1e-310 (stand-ins)."""
+    out = [(name, v, L) for name, v, L in ROOT_CASES if name != "d6"]
+    ring = circle_polygon(np.random.default_rng(7), 2000, 0.02)
+    out.append(("ring-1e150", bg.Polygon(ring.vertices * 1e150), 0.9e150))
+    for scale in (1e-150, 1e-310):
+        out.append((f"sides-{scale:g}", _Sides(ring.sides() * scale), 0.9 * scale))
+    return out
+
+
+LEAF_CASES = _leaf_cases()
+
+
+@pytest.mark.parametrize("name, v, L", LEAF_CASES, ids=[c[0] for c in LEAF_CASES])
+def test_leaves_match_the_rescaled_side_matrices(name, v, L):
+    """_tree's leaves take their powers of two from the side columns, the
+    largest entry being max(ell + |dx|, |dy|); they are _rescale of the side
+    matrices bit for bit, and so is the root's exponent, on a 258-length
+    scan grid and at subnormal, tiny and huge lengths."""
+    k = len(v)
+    grid = np.linspace(0.2 * L, 3.0 * L, 258)
+    extremes = np.array([5e-324, 1e-310, 2.0**-1022, 1e-200, 1e200, 1e300])
+    for ells in [*np.array_split(grid, 4), extremes]:
+        levels, e = monodromy._tree(v, ells)
+        want = monodromy._rescale(monodromy._side_matrices(v, ells))[0]
+        assert _bits(levels[0][:, :k]) == _bits(want)
+        assert e.tolist() == _every_level_tree(v, ells)[-1][1][:, 0].tolist()
 
 
 def _node_counts(k):
@@ -120,10 +164,12 @@ def test_unrescaled_levels_stay_below_2_to_7(name, v, L):
         assert _bits(a[:, count:]) == _bits(np.broadcast_to(np.eye(2), a[:, count:].shape))
 
 
-@pytest.mark.parametrize("k, calls", [(3, 2), (4, 2), (8, 2), (9, 3), (24, 3), (200, 4), (2000, 5), (2049, 5)])
-def test_rescale_calls_per_tree(monkeypatch, k, calls):
-    """_tree rescales the leaves, levels 3, 6, 9, ... and the root: 5 calls at
-    k = 2000, where the every-level tree makes 12."""
+@pytest.mark.parametrize("k, arrays", [(3, 2), (4, 2), (8, 2), (9, 3), (24, 3), (200, 4), (2000, 5), (2049, 5)])
+def test_rescale_calls_per_tree(monkeypatch, k, arrays):
+    """_tree rescales the leaves, levels 3, 6, 9, ... and the root: 5 arrays
+    at k = 2000, where the every-level tree rescales 12.  The leaves take
+    their powers of two from the side columns, so _rescale is called for the
+    others alone: 4 calls at k = 2000."""
     made = []
     real = monodromy._rescale
 
@@ -134,7 +180,7 @@ def test_rescale_calls_per_tree(monkeypatch, k, calls):
     monkeypatch.setattr(monodromy, "_rescale", counted)
     v = circle_polygon(np.random.default_rng(k), k)
     monodromy._tree(v, np.array([0.95]))
-    assert len(made) == calls
+    assert len(made) == arrays - 1
     made.clear()
     _every_level_tree(v, np.array([0.95]))
     assert len(made) == len(_node_counts(k))
