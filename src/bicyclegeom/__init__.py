@@ -60,13 +60,11 @@ from .geometry import (
     bicycle_step,
     is_darboux_butterfly,
     perp_bisector_reflect,
-    reflect_in_line,
 )
 from .invariants import (
     Bivector,
     RearTrack,
     area_bivector,
-    ccm_triangulation_oracle,
     chain_reconstruct,
     circumcenter_of_mass,
     eigenvalue_products,
@@ -84,12 +82,9 @@ from .monodromy import (
     TracePoly,
     classification_scan,
     classify,
-    direction_step,
     discriminant,
     edge_lorentz,
-    edge_mobius,
     fixed_directions,
-    lorentz_action,
     lorentz_fixed_directions,
     lorentz_monodromy,
     polygon_monodromy,

@@ -36,7 +36,7 @@ from .families import (
 )
 from .fileio import PolygonFileError, check_finite, load_polygon, polygon_json, save_polygon, to_json
 from .geometry import DEFAULT_TOL, Polygon, Tolerance
-from .invariants import RearTrack, _conserved, eigenvalue_products, rear_track
+from .invariants import RearTrack, _conserved, eigenvalue_products, j_vector, rear_track
 from .monodromy import _summary_at, classification_scan, refine_class_boundaries, trace_polynomial
 from .svg import PALETTE, Figure
 
@@ -177,7 +177,7 @@ def _polygon_report(v: Polygon, conserved, tol: Tolerance, ell: float | None) ->
         rep["signed_area"] = _val(0.5 * biv.scalar, tol)
     else:
         rep["area_bivector"] = _val(biv.upper, tol)
-    rep["j_vector"] = _val(conserved.j, tol)
+    rep["j_vector"] = _val(j_vector(v) if conserved.j is None else conserved.j, tol)  # None: raises, naming |J|
     if v.dim == 2:
         ccm = conserved.ccm
         rep["circumcenter_of_mass"] = "undefined (zero area)" if ccm is None else _val(ccm, tol)

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_TOL, Polygon, Tolerance, _bisector_reflect, _coincident, _cross, _cyc, _dot, _meet, _norm,
-    is_darboux_butterfly,
+    check_positive, is_darboux_butterfly,
 )
 from .invariants import triangle_circumcenter
 from .monodromy import MonodromyClass
@@ -45,8 +45,7 @@ def _banded_regime(boundaries: list[float], classes: list[MonodromyClass], eps_c
     """Piecewise-constant classification with parabolic bands at the boundaries."""
 
     def regime(ell: float) -> MonodromyClass:
-        if ell <= 0.0:
-            raise ValueError("length parameter must be positive")
+        check_positive(ell)
         for b in boundaries:
             if abs(ell - b) <= eps_class * max(b, 1.0):
                 return MonodromyClass.PARABOLIC
@@ -93,9 +92,10 @@ def rotation_transform(v: Polygon, length: float, tol: Tolerance = DEFAULT_TOL) 
     """Rotate a convex inscribed polygon about its circumcenter by the angle
     whose chord is the frame length (counterclockwise branch).
 
-    Realizes the bicycle transformation for every length up to the
-    circumdiameter; length equal to the diameter gives the antipodal map.
+    Realizes the bicycle transformation for every length in (0, circumdiameter];
+    length equal to the diameter gives the antipodal map.
     """
+    check_positive(length)
     info = classify_cyclic(v, tol)
     if not info.is_cyclic_convex:
         raise ValueError("not a convex inscribed polygon")
@@ -176,7 +176,7 @@ def classify_quadrilateral(q: Polygon, tol: Tolerance = DEFAULT_TOL) -> QuadClas
     a, b, c, d = (q.vertex(i) for i in range(4))
     if is_darboux_butterfly(q, tol):
         return QuadClassification(
-            kind="butterfly", regime=lambda ell: MonodromyClass.IDENTITY
+            kind="butterfly", regime=_banded_regime([], [MonodromyClass.IDENTITY], tol.eps_class)
         )
     center = _bisector_intersection(a, c, b, d, tol)
     if center is None:
@@ -226,8 +226,8 @@ class NGonSpec:
             raise ValueError("n must be even and at least 4")
         if self.k < 1 or self.k % 2 != 1 or self.k >= self.n // 2:
             raise ValueError("k must be odd with 1 <= k < n/2")
-        if self.r1 <= 0.0 or self.r2 <= 0.0:
-            raise ValueError("radii must be positive")
+        check_positive(self.r1, "r1")
+        check_positive(self.r2, "r2")
 
 
 def ngon_construct(spec: NGonSpec) -> Polygon:

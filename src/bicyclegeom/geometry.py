@@ -18,6 +18,13 @@ import numpy as np
 from .errors import DegenerateLine, DimensionMismatch, WrongArity
 
 
+def check_positive(x: float, what: str = "length parameter") -> None:
+    """The one rule for a positive parameter: ValueError, naming x, unless
+    0 < x < inf (so NaN is refused too)."""
+    if not 0.0 < x < np.inf:
+        raise ValueError(f"{what} must be positive and finite, got {float(x)!r}")
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Relative tolerances: eps_geom for geometric predicates, eps_class
@@ -27,8 +34,8 @@ class Tolerance:
     eps_class: float = 1e-8
 
     def __post_init__(self):
-        if self.eps_geom <= 0.0 or self.eps_class <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        check_positive(self.eps_geom, "eps_geom")
+        check_positive(self.eps_class, "eps_class")
 
 
 DEFAULT_TOL = Tolerance()
@@ -197,20 +204,6 @@ def _meet(p: np.ndarray, d: np.ndarray, q: np.ndarray, e: np.ndarray, tol: Toler
     parallel = np.abs(cross) <= tol.eps_geom * _norm(d) * _norm(e)
     with np.errstate(divide="ignore", invalid="ignore"):
         return p + (_cross(q - p, e) / cross)[..., None] * d, parallel
-
-
-def reflect_in_line(p, a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Reflect point p in the line through a and b.
-
-    Components along the line are kept, the perpendicular part is negated;
-    the result stays in the affine span of {p, a, b}.
-    """
-    p, a, b = as_vec(p), as_vec(a), as_vec(b)
-    check_same_dim(p, a, b)
-    if _coincident(a, b, tol):
-        raise DegenerateLine("reflection axis through coincident points")
-    d = b - a
-    return 2.0 * (a + d * (np.vecdot(p - a, d) / np.vecdot(d, d))) - p
 
 
 def perp_bisector_reflect(p, a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -6,19 +6,22 @@ In the plane, rotating J by 90 degrees and dividing by four times the
 signed area yields a translation-equivariant conserved point, the
 circumcenter of mass.  _conserved computes all three of a polygon once, as
 one record that circumcenter_of_mass and the CLI's invariants report read.
-The circumcenter of mass and the triangulation oracle both work in the frame
-of _ccm_frame, relative to the vertex centroid and with a zero-area bound
-taken from the polygon's own size, so neither depends on where the polygon
-lies.  The rear track realizes a corresponding pair as a chain of mutually
-tangent circles touching at the segment midpoints, with centres where
-consecutive frame lines meet (one line-meet kernel call).  RearTrack holds
-the chain as arrays, one row per slot: centres, signed curvatures and the
-directions of straight members; rear_track, chain_reconstruct and
-eigenvalue_products are row expressions over them.
+The circumcenter of mass works in the frame of _ccm_frame, relative to the
+vertex centroid and with a zero-area bound taken from the polygon's own
+size, so it does not depend on where the polygon lies.  J, a cube of the
+coordinates, is summed at an exact power-of-two scale, so it overflows only
+where its value leaves the double range.  The rear
+track realizes a corresponding pair as a chain of mutually tangent circles
+touching at the segment midpoints, with centres where consecutive frame
+lines meet (one line-meet kernel call).  RearTrack holds the chain as
+arrays, one row per slot: centres, signed curvatures and the directions of
+straight members; rear_track, chain_reconstruct and eigenvalue_products are
+row expressions over them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -122,21 +125,33 @@ def j_vector(v: Polygon) -> np.ndarray:
     Equals sum |V_i|^2 (V_{i-1} - V_{i+1}) by summation by parts; not
     translation invariant, but its translation defect is controlled by the
     area bivector, which makes the circumcenter of mass equivariant.
+    ValueError, naming log10 |J|, where J overflows.
     """
-    return _j(v.vertices)
+    j, e = _j(v.vertices)
+    try:
+        return np.array([math.ldexp(x, e) for x in j.tolist()])
+    except OverflowError:
+        log10 = math.log10(_norm(j)) + e * math.log10(2.0)
+        raise ValueError(f"J outside the double range: log10 |J| = {log10:.6g}") from None
 
 
-def _j(pts: np.ndarray) -> np.ndarray:
+def _j(pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """J of pts as j 2**e: the differences of squares are scaled by the exact
+    power of two 2**-e that puts the largest square in [0.5, 1) before they
+    meet a coordinate, so no term overflows, and j 2**e keeps the plain sum's
+    bits wherever the scaled values stay normal."""
     sq = _dot(pts, pts)
-    return ((_cyc(sq, 1) - _cyc(sq, -1))[:, None] * pts).sum(axis=0)
+    e = math.frexp(float(sq.max()))[1]
+    return (((_cyc(sq, 1) - _cyc(sq, -1)) * math.ldexp(1.0, -e))[:, None] * pts).sum(axis=0), e
 
 
 class _Conserved(NamedTuple):
-    """One polygon's conserved quantities: the area bivector, J, and the
-    circumcenter of mass (None at zero area and outside the plane)."""
+    """One polygon's conserved quantities: the area bivector, J (None where it
+    leaves the double range), and the circumcenter of mass (None at zero area
+    and outside the plane)."""
 
     bivector: Bivector
-    j: np.ndarray
+    j: np.ndarray | None
     ccm: np.ndarray | None
 
 
@@ -155,15 +170,17 @@ def _ccm_frame(v: Polygon, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, floa
 
 
 def _conserved(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> _Conserved:
-    """area_bivector, j_vector and the circumcenter of mass of v, each computed once."""
-    biv, j = area_bivector(v), j_vector(v)
-    ccm = None
+    """area_bivector, j_vector and the circumcenter of mass of v, each computed
+    once; the ccm, of degree 1, stays in range where J, of degree 3, does not."""
+    biv, j, ccm = area_bivector(v), None, None
+    with contextlib.suppress(ValueError):  # J past the double range stays None
+        j = j_vector(v)
     if v.dim == 2:
         origin, rel, min_area = _ccm_frame(v, tol)
         area = 0.5 * _wedges(rel)[0, 1]
         if abs(area) > min_area:
-            j_rel = _j(rel)
-            ccm = origin + np.array([-j_rel[1], j_rel[0]]) / (4.0 * area)
+            j_rel, e = _j(rel)  # rot(J) / (4 area) with J and area both scaled by 2**-e: the same quotient
+            ccm = origin + np.array([-j_rel[1], j_rel[0]]) / (4.0 * math.ldexp(area, -e))
     return _Conserved(biv, j, ccm)
 
 
@@ -194,30 +211,6 @@ def triangle_circumcenter(a, b, c, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     ux = (c2[1] * nb - b2[1] * nc) / d
     uy = (b2[0] * nc - c2[0] * nb) / d
     return a + np.array([ux, uy])
-
-
-def ccm_triangulation_oracle(v: Polygon, fan_apex: int = 0, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Independent construction of the circumcenter of mass: fan-triangulate
-    from one vertex and average the triangle circumcenters weighted by
-    oriented triangle area.  The result does not depend on the apex.
-
-    Each triangle enters as its area times its circumcenter, in closed form:
-    that product stays finite on a collinear fan triangle, whose circumcenter
-    goes to infinity as its area goes to 0, so no triangle is skipped.
-    """
-    if v.dim != 2:
-        raise DimensionMismatch("triangulation oracle is a plane construction")
-    origin, rel, min_area = _ccm_frame(v, tol)
-    fan = _cyc(rel, fan_apex)
-    apex, b, c = fan[0], fan[1:-1] - fan[0], fan[2:] - fan[0]
-    weight = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    nb, nc = _dot(b, b), _dot(c, c)
-    # weight * (circumcenter - apex), from triangle_circumcenter's formula
-    moment = 0.25 * np.stack([c[:, 1] * nb - b[:, 1] * nc, b[:, 0] * nc - c[:, 0] * nb], axis=1)
-    total = float(weight.sum())
-    if not abs(total) > min_area:
-        raise ZeroArea("zero signed area: circumcenter of mass undefined")
-    return origin + apex + moment.sum(axis=0) / total
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateMonodromy,
-    DimensionMismatch,
-    NoRealFixedPoint,
-    PoleAtEllEqualsA,
-    ProjectiveDenominatorZero,
-)
-from .geometry import DEFAULT_TOL, Polygon, Tolerance, as_vec, check_same_dim
+from .errors import DegenerateMonodromy, DimensionMismatch, NoRealFixedPoint, PoleAtEllEqualsA
+from .geometry import DEFAULT_TOL, Polygon, Tolerance, as_vec, check_positive
 
 _TINY = np.finfo(float).tiny  # smallest normal double
 
@@ -94,39 +88,12 @@ class Mobius2:
         sign, mant, exp = self._logdet
         return row, (sign, mant + (exp - 2 * int(shift)))
 
-    def __matmul__(self, other: "Mobius2") -> "Mobius2":
-        return Mobius2(self.m @ other.m)
-
-    def proj_distance(self, other: "Mobius2") -> float:
-        """Frobenius distance between unit-normalized representatives, min over sign."""
-        a = self.m / np.linalg.norm(self.m)
-        b = other.m / np.linalg.norm(other.m)
-        return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
-
-    def is_identity(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return classify(self, tol) is MonodromyClass.IDENTITY
-
     def trace_sq_over_det(self) -> float:
         """The projective-scale invariant Tr^2 / det (+-inf at degenerate points)."""
         return _tr2_over_det(*self._row())
 
-    def apply(self, x: float) -> float:
-        """Fractional-linear action on the affine chart coordinate."""
-        a, b, c, d = self.m.ravel()
-        return (a * x + b) / (c * x + d)
-
     def __repr__(self) -> str:
         return f"Mobius2({self.m.tolist()!r})"
-
-
-def edge_mobius(ell: float, a: float, phi: float) -> Mobius2:
-    """Direction-chart matrix for one side of length a and direction phi."""
-    if ell <= 0.0:
-        raise ValueError("length parameter must be positive")
-    if a < 0.0:
-        raise ValueError("side length must be nonnegative")
-    c, s = math.cos(phi), math.sin(phi)
-    return Mobius2([[ell + a * c, -a * s], [-a * s, ell - a * c]])
 
 
 def _side_matrices(v: Polygon, ells: np.ndarray) -> np.ndarray:
@@ -226,8 +193,7 @@ def _product_at(v: Polygon, ell: float, tol: Tolerance):
     _log2_det (the pole rule's factors, formed once), and the _tree's levels."""
     if v.dim != 2:
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
-    if not 0.0 < ell < math.inf:
-        raise ValueError(f"length parameter must be positive and finite, got {float(ell)!r}")
+    check_positive(ell)
     ells = np.array([ell], dtype=float)
     if _pole_hits(v, ells, tol, f := _factors(v, ells)).any():
         raise DegenerateMonodromy(f"length parameter {ell} coincides with a side length")
@@ -427,31 +393,6 @@ def trace_polynomial(v: Polygon) -> TracePoly:
     return TracePoly(0.5 * (c[:, 0, 0] + c[:, 1, 1]))
 
 
-def direction_step(u, x, a: float, ell: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """New unit frame direction after one side, from the reflection formula.
-
-    u is the incoming frame direction, x the unit side direction, a the side
-    length.  Cleared of intermediate poles, the update reads
-
-        v = ((ell^2 - a^2) u + (2 a^2 (x.u) - 2 a ell) x) / (ell^2 + a^2 - 2 a ell x.u)
-
-    and only degenerates when the denominator vanishes (ell = a with u = x).
-    """
-    u, x = as_vec(u), as_vec(x)
-    check_same_dim(u, x)
-    for name, w in (("u", u), ("x", x)):
-        if abs(np.linalg.norm(w) - 1.0) > 1e-9:
-            raise ValueError(f"{name} must be a unit vector")
-    if a < 0.0 or ell <= 0.0:
-        raise ValueError("need a >= 0 and ell > 0")
-    xu = float(np.dot(x, u))
-    den = ell * ell + a * a - 2.0 * a * ell * xu
-    if den <= tol.eps_geom * (ell * ell + a * a):
-        raise PoleAtEllEqualsA("direction step undefined: ell = a with u = x")
-    out = ((ell * ell - a * a) * u + (2.0 * a * a * xu - 2.0 * a * ell) * x) / den
-    return out / np.linalg.norm(out)
-
-
 class LorentzMatrix:
     """(n+1)x(n+1) matrix preserving the form G = diag(1, ..., 1, -1).
 
@@ -487,9 +428,6 @@ class LorentzMatrix:
         g = self._metric()
         return float(np.abs(self.m.T @ g @ self.m - g).max())
 
-    def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
-        return LorentzMatrix(self.m @ other.m, check=False)
-
     def __repr__(self) -> str:
         return f"<LorentzMatrix n={self.n}>"
 
@@ -515,26 +453,12 @@ def edge_lorentz(ell: float, a: float, x, tol: Tolerance = DEFAULT_TOL) -> Loren
     x = as_vec(x)
     if abs(np.linalg.norm(x) - 1.0) > 1e-9:
         raise ValueError("x must be a unit vector")
-    if a < 0.0 or ell <= 0.0:
-        raise ValueError("need a >= 0 and ell > 0")
+    check_positive(ell)
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"side length must be nonnegative and finite, got {float(a)!r}")
     if abs(ell - a) <= tol.eps_geom * max(ell, a):
         raise PoleAtEllEqualsA("edge matrix has a pole at ell = a")
     return LorentzMatrix(_lorentz_sides(ell, np.array([a], dtype=float), x[None])[0], check=False)
-
-
-def lorentz_action(m: LorentzMatrix, u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Projective action u -> (A u + xi) / (eta . u + lambda) on unit vectors."""
-    u = as_vec(u)
-    n = m.n
-    if u.shape[0] != n:
-        raise DimensionMismatch(f"expected dimension {n}, got {u.shape[0]}")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise ValueError("u must be a unit vector")
-    den = float(m.m[n, :n] @ u + m.m[n, n])
-    if abs(den) <= tol.eps_geom * max(1.0, float(np.abs(m.m).max())):
-        raise ProjectiveDenominatorZero("projective denominator vanishes")
-    out = (m.m[:n, :n] @ u + m.m[:n, n]) / den
-    return out / np.linalg.norm(out)
 
 
 def lorentz_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> LorentzMatrix:
@@ -543,8 +467,7 @@ def lorentz_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> L
     Raises PoleAtEllEqualsA when ell coincides with a side length, and
     ValueError, naming the length, where the product overflows.
     """
-    if not 0.0 < ell < math.inf:
-        raise ValueError(f"length parameter must be positive and finite, got {float(ell)!r}")
+    check_positive(ell)
     if _pole_hits(v, ells := np.array([ell], dtype=float), tol, _factors(v, ells)).any():
         raise PoleAtEllEqualsA("edge matrix has a pole at ell = a")
     a = v.side_lengths()

@@ -23,6 +23,7 @@ from conftest import (
     random_nonbutterfly_quad,
     random_polygon,
 )
+from oracles import direction_step, lorentz_action, proj_distance
 
 EYE = bg.Mobius2(np.eye(2))
 
@@ -41,7 +42,7 @@ def test_c01_butterfly_characterization():
         fly = random_butterfly(rng)
         for _ in range(5):
             ell = float(rng.uniform(0.2, 4.0))
-            worst_fly = max(worst_fly, bg.polygon_monodromy(fly, ell).proj_distance(EYE))
+            worst_fly = max(worst_fly, proj_distance(bg.polygon_monodromy(fly, ell), EYE))
     worst_quad = math.inf
     for _ in range(200):
         quad = random_nonbutterfly_quad(rng)
@@ -49,7 +50,7 @@ def test_c01_butterfly_characterization():
             ell = float(rng.uniform(0.3, 3.0))
             if all(abs(ell - a) > 1e-3 for a in quad.side_lengths()):
                 break
-        worst_quad = min(worst_quad, bg.polygon_monodromy(quad, ell).proj_distance(EYE))
+        worst_quad = min(worst_quad, proj_distance(bg.polygon_monodromy(quad, ell), EYE))
     ok = worst_fly <= 1e-9 and worst_quad > 1e-6
     _report(1, "butterfly monodromy is the identity, and only for butterflies", ok,
             f"butterfly defect {worst_fly:.2e}, non-butterfly distance {worst_quad:.2e}")
@@ -72,8 +73,8 @@ def test_c02_lorentz_form_of_the_step():
             continue
         m = bg.edge_lorentz(ell, a, x)
         worst_gram = max(worst_gram, m.gram_defect())
-        act = bg.lorentz_action(m, u)
-        ref = bg.direction_step(u, x, a, ell)
+        act = lorentz_action(m, u)
+        ref = direction_step(u, x, a, ell)
         worst_action = max(worst_action, float(np.linalg.norm(act - ref)))
         count += 1
     ok = worst_gram <= 1e-9 and worst_action <= 1e-10
@@ -155,7 +156,7 @@ def test_c05_recutting_preserves_the_monodromy():
             continue
         worst_kite = max(
             worst_kite,
-            bg.polygon_monodromy(para, lam).proj_distance(bg.polygon_monodromy(kite, lam)),
+            proj_distance(bg.polygon_monodromy(para, lam), bg.polygon_monodromy(kite, lam)),
         )
     ok = worst_inv <= 1e-8 and worst_comm <= 1e-8 and worst_kite <= 1e-9
     _report(5, "recutting preserves the monodromy and commutes with the transformation", ok,

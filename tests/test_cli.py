@@ -577,6 +577,17 @@ class TestToleranceEnv:
         data = json.loads(capsys.readouterr().out)
         assert data["tolerance"] == 1e-6
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_tolerance_outside_the_range_exits_2(self, square_file, monkeypatch, capsys, tol):
+        """Refused by name: --tol nan used to exit 2 with "zero frame segment",
+        --tol inf with "coincides with a side length"."""
+        want = f"error: eps_geom must be positive and finite, got {float(tol)!r}\n"
+        assert main(["transform", square_file, "--ell", "1.2", f"--tol={tol}"]) == 2
+        assert capsys.readouterr().err == want
+        monkeypatch.setenv("BICYCLE_TOL", tol)
+        assert main(["invariants", square_file]) == 2
+        assert capsys.readouterr().err == want
+
 
 @pytest.fixture
 def classify_calls(monkeypatch):

@@ -16,10 +16,11 @@ import bicyclegeom as bg
 from bicyclegeom import cli
 from bicyclegeom.cli import main
 from bicyclegeom.fileio import (
-    PolygonFileError, load_polygon, polygon_from_dict, polygon_json, polygon_to_dict, save_polygon, to_json,
+    PolygonFileError, load_polygon, polygon_from_dict, polygon_json, save_polygon, to_json,
 )
 
 from conftest import bench_reference, circle_polygon, overflow_recipe, random_polygon, survey_cases
+from oracles import polygon_to_dict
 
 SQUARE = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)], name="square")
 

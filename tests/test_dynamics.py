@@ -22,6 +22,7 @@ from conftest import (
     random_polygon,
     survey_cases,
 )
+from oracles import proj_distance, reflect_in_line
 
 # survey cases whose REPELLING closing defect under forward propagation (8.8e-9
 # to 5.8e-8) lies between correspondence_check's step bound eps max(L, max side)
@@ -92,7 +93,7 @@ class TestPropagate:
             for i in range(k):
                 want.append(bg.perp_bisector_reflect(v.vertex(i), v.vertex(i + 1), want[-1]))
                 side = v.vertex(i + 1) - v.vertex(i)
-                line.append(bg.reflect_in_line(line[-1] + side, line[-1], v.vertex(i + 1)))
+                line.append(reflect_in_line(line[-1] + side, line[-1], v.vertex(i + 1)))
             got = bg.propagate(v, want[0]).points
             assert np.abs(got - np.array(want)).max() <= 1e-11
             assert np.abs(got - np.array(line)).max() <= 1e-11
@@ -543,7 +544,7 @@ class TestRecut:
                 want = base.trace_sq_over_det()
                 assert abs(other.trace_sq_over_det() - want) < 1e-9 * abs(want)
             else:
-                assert base.proj_distance(other) < 1e-9
+                assert proj_distance(base, other) < 1e-9
 
     def test_commutes_with_transform(self, rng):
         for _ in range(10):

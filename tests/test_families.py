@@ -2,6 +2,7 @@
 equal-diagonal equilateral polygons."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     random_cyclic_convex,
     random_polygon,
 )
+from oracles import proj_distance
 
 
 class TestClassifyCyclic:
@@ -163,7 +165,7 @@ class TestClassifyQuadrilateral:
         for _ in range(5):
             L = rng.uniform(0.2, 4.0)
             assert info.regime(L) is bg.MonodromyClass.IDENTITY
-            assert bg.polygon_monodromy(fly, L).proj_distance(eye) < 1e-9
+            assert proj_distance(bg.polygon_monodromy(fly, L), eye) < 1e-9
 
     def test_parallel_diagonals_detected(self):
         # asymmetric, so not a butterfly; diagonals on y=0 and y=1
@@ -235,6 +237,45 @@ class TestClassifyQuadrilateral:
             done += 1
 
 
+class TestLengthRange:
+    """Every regime map and rotation_transform refuse a length outside
+    0 < L < inf by name: NaN used to read hyperbolic, inf elliptic, a
+    butterfly's map answered identity at any value, and rotation_transform
+    turned the polygon clockwise at a negative length."""
+
+    BAD = [math.nan, math.inf, -math.inf, 0.0, -0.5]
+    QUADS = {
+        "generic": [(0, 0), (3, 0), (3, 2), (0, 2)],
+        "parallel": [(0, 0), (1, 1), (4, 0), (3.5, 1)],
+        "butterfly": [(0, 0), (1, 0), (0, 1), (1, 1)],
+    }
+
+    def _maps(self):
+        square = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        yield "cyclic", bg.classify_cyclic(square).regime
+        for kind, pts in self.QUADS.items():
+            info = bg.classify_quadrilateral(bg.Polygon(pts))
+            assert info.kind == kind
+            yield kind, info.regime
+
+    @pytest.mark.parametrize("ell", BAD, ids=repr)
+    def test_regime_maps(self, ell):
+        for _, regime in self._maps():
+            with pytest.raises(ValueError, match=re.escape(f"length parameter must be positive and finite, got {ell!r}")):
+                regime(ell)
+
+    def test_regime_maps_inside_the_range(self):
+        want = {"cyclic": "hyperbolic", "generic": "hyperbolic", "parallel": "elliptic", "butterfly": "identity"}
+        for kind, regime in self._maps():
+            assert regime(0.5).value == want[kind], kind
+
+    @pytest.mark.parametrize("length", BAD, ids=repr)
+    def test_rotation_transform(self, length):
+        square = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        with pytest.raises(ValueError, match=re.escape(f"length parameter must be positive and finite, got {length!r}")):
+            bg.rotation_transform(square, length)
+
+
 class TestNGon:
     def test_equal_radii_gives_regular(self):
         v = bg.ngon_construct(bg.NGonSpec(n=8, k=3, r1=1.3, r2=1.3))
@@ -277,6 +318,14 @@ class TestNGon:
             bg.NGonSpec(n=12, k=2, r1=1.0, r2=0.7)
         with pytest.raises(ValueError):
             bg.NGonSpec(n=12, k=7, r1=1.0, r2=0.7)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0], ids=repr)
+    def test_radii_outside_the_range(self, bad):
+        """Refused by name: an infinite radius used to warn in ngon_construct
+        and a NaN one to fail there as a vertex coordinate."""
+        for field in ("r1", "r2"):
+            with pytest.raises(ValueError, match=re.escape(f"{field} must be positive and finite, got {bad!r}")):
+                bg.NGonSpec(n=12, k=3, **{"r1": 1.0, "r2": 0.7, field: bad})
 
     def test_construct_verify_lattice(self, rng):
         """Every even n up to 24, every odd k, a few radius ratios and phases:

@@ -1,6 +1,7 @@
 """Reflections, the bicycle step, and the butterfly predicate."""
 
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ import bicyclegeom as bg
 from bicyclegeom.geometry import _coincident, _cyc, as_vec
 
 from conftest import random_butterfly, random_nonbutterfly_quad
+from oracles import reflect_in_line
 
 
 def planar_points(n):
@@ -27,23 +29,23 @@ def spatial_points(n, dim=3):
 
 class TestReflectInLine:
     def test_hand_example(self):
-        out = bg.reflect_in_line((1, 1), (0, 1), (1, 0))
+        out = reflect_in_line((1, 1), (0, 1), (1, 0))
         assert np.allclose(out, (0, 0), atol=1e-12)
 
     def test_point_on_its_own_line(self):
         p = np.array([0.3, -1.2])
-        assert np.allclose(bg.reflect_in_line(p, p, (2.0, 2.0)), p, atol=1e-12)
+        assert np.allclose(reflect_in_line(p, p, (2.0, 2.0)), p, atol=1e-12)
 
     def test_axis_reflection(self):
-        assert np.allclose(bg.reflect_in_line((0, 2), (0, 0), (1, 0)), (0, -2), atol=1e-12)
+        assert np.allclose(reflect_in_line((0, 2), (0, 0), (1, 0)), (0, -2), atol=1e-12)
 
     def test_degenerate_axis(self):
         with pytest.raises(bg.DegenerateLine):
-            bg.reflect_in_line((1, 1), (2, 2), (2, 2))
+            reflect_in_line((1, 1), (2, 2), (2, 2))
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(bg.DimensionMismatch):
-            bg.reflect_in_line((1, 1, 1), (0, 0), (1, 0))
+            reflect_in_line((1, 1, 1), (0, 0), (1, 0))
 
     @given(planar_points(3))
     @settings(max_examples=60, deadline=None)
@@ -51,7 +53,7 @@ class TestReflectInLine:
         p, a, b = pts
         if np.linalg.norm(b - a) < 1e-3:
             return
-        twice = bg.reflect_in_line(bg.reflect_in_line(p, a, b), a, b)
+        twice = reflect_in_line(reflect_in_line(p, a, b), a, b)
         assert np.linalg.norm(twice - p) <= 1e-12 * max(1.0, np.linalg.norm(p))
 
     @given(spatial_points(3))
@@ -60,7 +62,7 @@ class TestReflectInLine:
         p, a, b = pts
         if np.linalg.norm(b - a) < 1e-3:
             return
-        out = bg.reflect_in_line(p, a, b)
+        out = reflect_in_line(p, a, b)
         d = (b - a) / np.linalg.norm(b - a)
 
         def dist(x):
@@ -118,7 +120,7 @@ class TestBicycleStep:
             got = bg.bicycle_step(v1, v2, w1)
             alt = bg.perp_bisector_reflect(v1, v2, w1)
             assert np.linalg.norm(got - alt) < 1e-10
-            line = bg.reflect_in_line(w1 + (v2 - v1), w1, v2)
+            line = reflect_in_line(w1 + (v2 - v1), w1, v2)
             assert np.linalg.norm(got - line) < 1e-10
 
     @given(spatial_points(3))
@@ -146,7 +148,7 @@ class TestCoincidenceRule:
         for gap, degenerate in ((4e-9, True), (6e-9, False)):
             b = a + (0.0, gap)
             calls = [
-                lambda: bg.reflect_in_line((0.0, 1.0), a, b),
+                lambda: reflect_in_line((0.0, 1.0), a, b),
                 lambda: bg.perp_bisector_reflect((0.0, 1.0), a, b),
                 lambda: bg.bicycle_step((0.0, 1.0), a, b),  # no bisector of v2 w1
                 lambda: bg.bicycle_step(a, (0.0, 1.0), b),  # zero frame v1 w1
@@ -207,6 +209,22 @@ class TestDarbouxButterfly:
                 concyclic = False
             flat = abs(bg.signed_area(quad)) < 1e-9 * quad.scale() ** 2
             assert not (concyclic and flat)
+
+
+class TestPositiveParameters:
+    """One rule, geometry.check_positive, refuses a positive parameter
+    outside 0 < x < inf by name; Tolerance used to accept NaN and inf."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9], ids=repr)
+    def test_tolerance_fields(self, bad):
+        for field in ("eps_geom", "eps_class"):
+            with pytest.raises(ValueError, match=re.escape(f"{field} must be positive and finite, got {bad!r}")):
+                bg.Tolerance(**{field: bad})
+
+    def test_the_rule_is_written_once(self):
+        src = pathlib.Path(bg.__file__).parent
+        sites = {p.name: n for p in src.glob("*.py") if (n := p.read_text(encoding="utf-8").count("positive and finite"))}
+        assert sites == {"geometry.py": 1}, sites
 
 
 class TestPolygonType:

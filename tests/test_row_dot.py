@@ -22,7 +22,6 @@ ALLOWED = {
     ("geometry", "_bisector_reflect"): "returned values keep their bits (its callers propagate, recut, "
     "bicycle_step, correspondence_check and ngon_residuals; transform's closing check no longer is one); "
     "in column form the defect of test_defect_between_old_and_step_bound_fails[266] leaves its window",
-    ("geometry", "reflect_in_line"): "one point, not rows: no per-row dispatch to save",
 }
 PER_NODE = {"matvec", "vecmat"}
 SAME_OPERANDS = re.compile(r"^\s*([\w.]+)\s*,\s*\1\s*->")
