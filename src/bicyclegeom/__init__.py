@@ -33,7 +33,6 @@ from .errors import (
     NotConcentricAlternating,
     PoleAtEllEqualsA,
     PoleOnChain,
-    ProjectiveDenominatorZero,
     SignAssignmentFailure,
     WrongArity,
     ZeroArea,

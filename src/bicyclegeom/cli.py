@@ -34,7 +34,7 @@ from .families import (
     ngon_construct,
     ngon_residuals,
 )
-from .fileio import PolygonFileError, check_finite, load_polygon, polygon_json, save_polygon, to_json
+from .fileio import PolygonFileError, check_finite, load_polygon, polygon_json, save_polygon, to_json, write_file
 from .geometry import DEFAULT_TOL, Polygon, Tolerance
 from .invariants import RearTrack, _conserved, eigenvalue_products, j_vector, rear_track
 from .monodromy import _summary_at, classification_scan, refine_class_boundaries, trace_polynomial
@@ -48,23 +48,16 @@ def _radii(track: RearTrack) -> list[float | None]:
 
 def _tolerance(args) -> Tolerance:
     eps = args.tol
-    if eps is None and os.environ.get("BICYCLE_TOL"):
-        eps = float(os.environ["BICYCLE_TOL"])
-    if eps is None:
-        return DEFAULT_TOL
-    return Tolerance(eps_geom=eps, eps_class=DEFAULT_TOL.eps_class)
+    if eps is None and (env := os.environ.get("BICYCLE_TOL")):
+        try:
+            eps = float(env)
+        except ValueError:
+            raise ValueError(f"BICYCLE_TOL must be a number, got {env!r}") from None
+    return DEFAULT_TOL if eps is None else Tolerance(eps_geom=eps, eps_class=DEFAULT_TOL.eps_class)
 
 
 def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
-
-
-def _write_or_print(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _save_or_print(v: Polygon, output: str | None) -> None:
@@ -310,7 +303,10 @@ def cmd_svg(args) -> int:
         v = polys[0]
         for fd in _summary_at(v, args.ell, tol)[2] or ():
             fig.arrow(v.vertex(0), fd.angle, args.ell, color=PALETTE[2])
-    _write_or_print(fig.render(), args.output)
+    if args.output:
+        write_file(args.output, fig.render().encode())
+    else:
+        sys.stdout.write(fig.render())
     return 0
 
 
@@ -390,14 +386,15 @@ def cmd_bianchi(args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; each parse_args call still
-    returns a fresh Namespace."""
+    """The parser, built once per process, and in its ``commands`` each
+    subparser by name; each parse call still returns a fresh Namespace."""
     top = argparse.ArgumentParser(prog="bicyclegeom", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    top.commands = {}
 
     def command(name: str, func, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        p = top.commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, command=name)
         p.add_argument("--tol", type=float, default=None, help="geometric tolerance (default 1e-9)")
         return p
 
@@ -458,7 +455,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    top = _build_parser()
+    if argv and argv[0] in top.commands:
+        args, extra = top.commands[argv[0]].parse_known_args(argv[1:])
+        if extra:  # named as the top-level parser names them
+            top.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:  # --help, no arguments or no such command: the top-level parser's output
+        args = top.parse_args(argv)
     try:
         return args.func(args)
     except (GeometryError, ValueError) as exc:

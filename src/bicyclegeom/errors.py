@@ -29,10 +29,6 @@ class PoleAtEllEqualsA(GeometryError):
     """Length parameter coincides with an edge length; the step formula has a pole."""
 
 
-class ProjectiveDenominatorZero(GeometryError):
-    """The projective action's denominator vanishes for this input."""
-
-
 class DegenerateMonodromy(GeometryError):
     """Monodromy matrix is singular or scalar where a generic one is required."""
 

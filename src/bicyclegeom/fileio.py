@@ -1,22 +1,22 @@
 """JSON polygon files, and the one JSON codec of the CLI.
 
 Schema: {"dim": n, "vertices": [[x, y, ...], ...], "name": optional string}.
-Files are compact JSON (no spaces) from one writer, ``to_json``, which the
-CLI's reports share; ``load_polygon`` is the one reader.  Both run on
-orjson.  Floats are written shortest round-trip (Ryu), so
-load(save(p)) == p exactly; 1e16 is written ``1e16`` and 1e-05 ``0.00001``.
+Polygon files and the CLI's reports are compact JSON (no spaces) written by
+orjson, numpy arrays passed whole, files as bytes through ``write_file``;
+``load_polygon`` is the one reader, also on orjson.  Floats are written
+shortest round-trip (Ryu), so load(save(p)) == p exactly; 1e16 is written
+``1e16`` and 1e-05 ``0.00001``.
 
-JSON has no NaN or Infinity.  ``to_json`` raises ``ValueError`` naming the
-path of the first non-finite value (``$.grid[0].trace_sq_over_det is inf``)
-instead of writing it, and the reader refuses ``NaN``, ``Infinity`` and
-literals beyond the double range.
+JSON has no NaN or Infinity.  ``to_json`` and the polygon writer raise
+``ValueError`` naming the path of the first non-finite value
+(``$.grid[0].trace_sq_over_det is inf``) instead of writing it, and the
+reader refuses ``NaN``, ``Infinity`` and literals beyond the double range.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 import orjson
@@ -41,17 +41,15 @@ def _jsonable(x):
 def check_finite(obj, path: str = "$") -> None:
     """Raise ValueError naming the path of obj's first non-finite float in
     document order: JSON has none, and the CLI's text reports refuse what
-    their JSON refuses."""
+    their JSON refuses.  Only containers are given a path on the way."""
     if isinstance(obj, (np.ndarray, np.generic)):
         obj = _jsonable(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         raise ValueError(f"non-finite value: {path} is {obj!r}")
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            check_finite(value, f"{path}.{key}")
-    elif isinstance(obj, (list, tuple)):
-        for i, value in enumerate(obj):
-            check_finite(value, f"{path}[{i}]")
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, (list, tuple)) else ()
+    for key, x in items:
+        if not (isinstance(x, float) and math.isfinite(x) or x is None or isinstance(x, (str, int))):
+            check_finite(x, f"{path}.{key}" if isinstance(obj, dict) else f"{path}[{key}]")
 
 
 def to_json(obj) -> str:
@@ -66,10 +64,17 @@ def to_json(obj) -> str:
     return data.decode()
 
 
+def _polygon_bytes(v: Polygon) -> bytes:
+    """The polygon file's bytes, its vertex array handed to orjson whole."""
+    if not np.isfinite(v.vertices).all():
+        check_finite({"vertices": v.vertices})
+    doc = {"dim": v.dim, "vertices": v.vertices} | ({"name": v.name} if v.name else {})
+    return orjson.dumps(doc, default=_jsonable, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+
+
 def polygon_json(v: Polygon) -> str:
-    """The polygon file's text, the vertex array handed to orjson whole: the
-    bytes orjson writes for the same document with the vertices as lists."""
-    return to_json({"dim": v.dim, "vertices": v.vertices} | ({"name": v.name} if v.name else {}))
+    """The polygon file's text, without its closing newline."""
+    return _polygon_bytes(v)[:-1].decode()
 
 
 def polygon_from_dict(data: dict) -> Polygon:
@@ -94,11 +99,21 @@ def polygon_from_dict(data: dict) -> Polygon:
 
 def load_polygon(path) -> Polygon:
     try:
-        data = orjson.loads(Path(path).read_bytes())
+        with open(path, "rb") as fh:
+            data = orjson.loads(fh.read())
     except (OSError, orjson.JSONDecodeError) as exc:
         raise PolygonFileError(f"cannot read polygon file {path}: {exc}") from exc
     return polygon_from_dict(data)
 
 
+def write_file(path, data: bytes) -> None:
+    """The one file writer of the CLI; an unwritable path is a PolygonFileError."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise PolygonFileError(f"cannot write {path}: {exc}") from exc
+
+
 def save_polygon(path, v: Polygon) -> None:
-    Path(path).write_text(polygon_json(v) + "\n", encoding="utf-8")
+    write_file(path, _polygon_bytes(v))

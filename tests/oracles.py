@@ -14,8 +14,8 @@ import numpy as np
 from bicyclegeom.errors import (
     DegenerateLine,
     DimensionMismatch,
+    GeometryError,
     PoleAtEllEqualsA,
-    ProjectiveDenominatorZero,
     ZeroArea,
 )
 from bicyclegeom.geometry import DEFAULT_TOL, Polygon, Tolerance, _coincident, _cyc, _dot, as_vec, check_same_dim
@@ -88,6 +88,10 @@ def direction_step(u, x, a: float, ell: float, tol: Tolerance = DEFAULT_TOL) -> 
         raise PoleAtEllEqualsA("direction step undefined: ell = a with u = x")
     out = ((ell * ell - a * a) * u + (2.0 * a * a * xu - 2.0 * a * ell) * x) / den
     return out / np.linalg.norm(out)
+
+
+class ProjectiveDenominatorZero(GeometryError):
+    """The projective action's denominator vanishes for this input."""
 
 
 def lorentz_action(m: LorentzMatrix, u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -569,7 +569,49 @@ class TestBianchiCommand:
         assert main(["bianchi", *paths]) == 2
 
 
+class TestUnwritableOutput:
+    """An -o path that cannot be opened for writing exits 2 with one stderr
+    line naming it, as the reader does for a file it cannot read; the lines
+    printed before the write stay on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "{sq}", "--ell", "1.2"],
+            ["svg", "{sq}", "--ell", "1.2"],
+            ["ngon", "12", "3"],
+            ["recut", "{sq}", "-i", "1"],
+            ["bianchi", "{sq}", "{w}", "{w}"],
+        ],
+        ids=["transform", "svg", "ngon", "recut", "bianchi"],
+    )
+    def test_exits_2_naming_the_path(self, square_file, tmp_path, capsys, argv):
+        companion = tmp_path / "w.json"
+        save_polygon(companion, bg.transform(SQUARE, 1.2))
+        argv = [a.format(sq=square_file, w=companion) for a in argv]
+        good, out = tmp_path / "out", tmp_path / "missing" / "out"
+        capsys.readouterr()
+        assert main([*argv, "-o", str(good)]) == 0
+        printed = capsys.readouterr().out.removesuffix(f"wrote {good}\n")
+        assert main([*argv, "-o", str(out)]) == 2
+        assert capsys.readouterr() == (
+            printed, f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n"
+        )
+        assert not out.parent.exists()
+
+    def test_save_polygon_raises_the_file_error(self, tmp_path):
+        out = tmp_path / "missing" / "v.json"
+        with pytest.raises(PolygonFileError, match=re.escape(f"cannot write {out}: [Errno 2]")):
+            save_polygon(out, SQUARE)
+
+
 class TestToleranceEnv:
+    def test_not_a_number_is_named(self, square_file, monkeypatch, capsys):
+        """Used to exit 2 with float()'s "could not convert string to float"."""
+        monkeypatch.setenv("BICYCLE_TOL", "abc")
+        assert main(["invariants", square_file]) == 2
+        assert capsys.readouterr() == ("", "error: BICYCLE_TOL must be a number, got 'abc'\n")
+
     def test_env_override(self, square_file, monkeypatch, capsys):
         monkeypatch.setenv("BICYCLE_TOL", "1e-6")
         code = main(["invariants", square_file, "--json"])

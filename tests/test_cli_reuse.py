@@ -1,8 +1,9 @@
 """The CLI's fixed costs: one argparse parser per process, reused by every
-in-process main() call without carrying state between calls, and one
-compact JSON writer and one reader for polygon files and --json reports,
-which refuse non-finite values; and the closure rule that transform
---seed-angle shares with the library."""
+in-process main() call without carrying state between calls, a command's
+arguments parsed by that command's own subparser, and one compact JSON
+writer and one reader for polygon files and --json reports, which refuse
+non-finite values; and the closure rule that transform --seed-angle shares
+with the library."""
 
 import json
 import math
@@ -16,7 +17,7 @@ import bicyclegeom as bg
 from bicyclegeom import cli
 from bicyclegeom.cli import main
 from bicyclegeom.fileio import (
-    PolygonFileError, load_polygon, polygon_from_dict, polygon_json, save_polygon, to_json,
+    PolygonFileError, check_finite, load_polygon, polygon_from_dict, polygon_json, save_polygon, to_json,
 )
 
 from conftest import bench_reference, circle_polygon, overflow_recipe, random_polygon, survey_cases
@@ -72,6 +73,101 @@ class TestParserReuse:
         assert cli._build_parser().parse_args(["transform", square_file, "-l", "1.2"]).seed_angle is None
 
 
+USAGE = (
+    "usage: bicyclegeom [-h]\n"
+    "                   {transform,invariants,scan,svg,ngon,recut,rear-track,bianchi}\n"
+    "                   ...\n"
+)
+TRANSFORM_USAGE = (
+    "usage: bicyclegeom transform [-h] [--tol TOL] --ell ELL\n"
+    "                             [--branch {attracting,repelling}]\n"
+    "                             [--seed-angle SEED_ANGLE] [--output OUTPUT]\n"
+    "                             input\n"
+)
+HELP = USAGE + """
+Command-line driver. Subcommands: transform, invariants, scan, svg, ngon,
+recut, rear-track, bianchi. Polygon files are JSON ({"dim": n, "vertices":
+[...], "name": optional}); angles on the command line are degrees, library
+angles are radians. Exit codes: 0 success, 1 verification failure, 2 input or
+precondition error. BICYCLE_TOL overrides the default tolerance.
+
+positional arguments:
+  {transform,invariants,scan,svg,ngon,recut,rear-track,bianchi}
+    transform           closed bicycle transformation of a polygon
+    invariants          conserved-quantity report (one or two polygons)
+    scan                monodromy class over a grid of lengths
+    svg                 deterministic SVG figure
+    ngon                construct / verify an equal-diagonal equilateral
+                        polygon
+    recut               reflect vertices in the bisector of their neighbours
+    rear-track          chain of tangent circles of a corresponding pair
+    bianchi             fourth polygon of the permutability square
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+class TestDispatch:
+    """main hands a command's arguments to that command's subparser; the
+    top-level parser runs only when the first argument names no command.
+    The texts below are the output of the parser run whole, at 80 columns."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (["--help"], 0, HELP, ""),
+            ([], 2, "", USAGE + "bicyclegeom: error: the following arguments are required: command\n"),
+            (["nosuch"], 2, "", USAGE + (
+                "bicyclegeom: error: argument command: invalid choice: 'nosuch' (choose from 'transform', "
+                "'invariants', 'scan', 'svg', 'ngon', 'recut', 'rear-track', 'bianchi')\n"
+            )),
+            (["transform"], 2, "", TRANSFORM_USAGE + (
+                "bicyclegeom transform: error: the following arguments are required: input, --ell/-l\n"
+            )),
+            (["transform", "{sq}", "--ell", "1.2", "--bogus"], 2, "",
+             USAGE + "bicyclegeom: error: unrecognized arguments: --bogus\n"),
+            (["transform", "{sq}", "--ell", "x"], 2, "",
+             TRANSFORM_USAGE + "bicyclegeom transform: error: argument --ell/-l: invalid float value: 'x'\n"),
+        ],
+        ids=["help", "no-arguments", "no-such-command", "no-input", "unrecognized", "bad-float"],
+    )
+    def test_parser_messages_unchanged(self, square_file, monkeypatch, capsys, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            main([a.format(sq=square_file) for a in argv])
+        assert exit_.value.code == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "{sq}", "-l", "1.2", "-o", "{out}"],
+            ["invariants", "{sq}", "--json"],
+            ["scan", "{sq}", "--grid", "1.05:2.2:8"],
+            ["svg", "{sq}", "-o", "{out}"],
+            ["ngon", "--verify-only"],
+            ["recut", "{sq}", "-i", "1"],
+            ["rear-track", "{sq}", "{sq}"],
+            ["bianchi", "{sq}", "{sq}", "{sq}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_command_skips_the_top_level_parse(self, square_file, tmp_path, monkeypatch, capsys, argv):
+        """Each command runs, on valid and invalid input alike, without the
+        top-level parse, from the Namespace that parse would give."""
+        argv = [a.format(sq=square_file, out=tmp_path / "out") for a in argv]
+        top = cli._build_parser()
+        assert top.commands[argv[0]].parse_args(argv[1:]) == top.parse_args(argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser ran")
+
+        monkeypatch.setattr(top, "parse_known_args", refuse)
+        assert main(argv) in (0, 1, 2)
+
+
 class TestJsonWriter:
     def test_polygon_file_bit_exact_at_k2000(self, tmp_path):
         """Signed zero, the smallest subnormal and a ring of radius ~1e150 (the
@@ -91,6 +187,28 @@ class TestJsonWriter:
         assert text.count("\n") == 1 and text.endswith("\n")
         save_polygon(tmp_path / "again.json", w)
         assert (tmp_path / "again.json").read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize(
+        "v, text",
+        [
+            (bg.Polygon([(0.1, 0), (1e-05, 1e3), (1e6, 1 / 3), (-0.0, 2.5e4)]),
+             '{"dim":2,"vertices":[[0.1,0.0],[0.00001,1000.0],[1000000.0,0.3333333333333333],[-0.0,25000.0]]}'),
+            (bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)], name='sq "1" ω'),
+             '{"dim":2,"vertices":[[0.0,0.0],[1.0,0.0],[1.0,1.0],[0.0,1.0]],"name":"sq \\"1\\" ω"}'),
+            (bg.Polygon([(0, 0, 0), (1, 0, 0.5), (1, 1, -1e-300), (0, 1, 5e-324)]),
+             '{"dim":3,"vertices":[[0.0,0.0,0.0],[1.0,0.0,0.5],[1.0,1.0,-1e-300],[0.0,1.0,5e-324]]}'),
+        ],
+        ids=["plane", "named", "3d"],
+    )
+    def test_file_bytes_are_the_text_and_the_list_writers(self, tmp_path, v, text):
+        """save_polygon writes bytes: polygon_json's text and a newline, the
+        pinned file of the text writer it replaced, and the bytes of the
+        list-based writer."""
+        path = tmp_path / "v.json"
+        save_polygon(path, v)
+        data = path.read_bytes()
+        assert data == (polygon_json(v) + "\n").encode() == (text + "\n").encode()
+        assert data == (to_json(polygon_to_dict(v)) + "\n").encode()
 
     def test_writer_round_trips_extreme_floats(self):
         values = [-0.0, 5e-324, 2.0 ** -1022, 1e300, 1.7976931348623157e308, 0.1, 1 / 3]
@@ -269,6 +387,26 @@ class TestNonFiniteRefused:
     def test_path_is_named(self, make, where, value):
         with pytest.raises(ValueError, match=re.escape(f"{where} is {value!r}")):
             to_json(make(value))
+
+    def test_inf_is_named_among_nulls(self):
+        """A None makes the bytes hold null, so the document is walked: the
+        inf after it is named, not the None."""
+        data = {"center": None, "grid": [{"eigenvalues": None, "t": 1.0}, {"eigenvalues": [2.0, math.inf]}]}
+        for check in (to_json, check_finite):
+            with pytest.raises(ValueError, match=re.escape("non-finite value: $.grid[1].eigenvalues[1] is inf")):
+                check(data)
+
+    def test_polygon_writer_names_a_non_finite_vertex(self, tmp_path):
+        """A Polygon's array is finite and read-only; one made writable and
+        given a NaN is refused by name, and no file is written."""
+        v = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        v.vertices.setflags(write=True)
+        v.vertices[2, 1] = math.nan
+        path = tmp_path / "v.json"
+        for write in (polygon_json, lambda v: save_polygon(path, v)):
+            with pytest.raises(ValueError, match=re.escape("non-finite value: $.vertices[2][1] is nan")):
+                write(v)
+        assert not path.exists()
 
     def test_legitimate_nulls_still_serialize(self):
         data = {"center": None, "radius": [None, 1.0], "name": "null"}
