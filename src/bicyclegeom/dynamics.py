@@ -75,15 +75,15 @@ def _closure_bound(v: Polygon, length: float, tol: Tolerance) -> float:
 
 
 def _closing_check(at: np.ndarray, w: np.ndarray, bound: float, tol: Tolerance) -> np.ndarray:
-    """Squared misses of plane frames W_0 ... W_k over at = V_0 ... V_{k-1}, V_0, V_0 from their
+    """Squared misses of frames W_0 ... W_k over at = V_0 ... V_{k-1}, V_0, V_0 from their
     bisector reflections, in column dots: W_i - V_{i+1} is formed once for _coincident's rule
     (DegenerateLine; row k is the seed frame), row by row only where the shortest does not clear
     every row's radius (1e-12 spare for rounding), and _bisector_reflect's residual (ClosureFailure)."""
     n = w - at[1:]
     nn = _dot(n, n)
-    top = max(float(np.abs(w).max()), float(np.abs(at).max()))  # |V|^2, |W|^2 <= 2 top^2; NaN fails the test
-    if not nn.min() > tol.eps_geom**2 * max(2.0 * top * top, 1.0) * (1.0 + 1e-12):
-        reach = np.sqrt(np.maximum(np.maximum(_dot(at[1:], at[1:]), _dot(w, w)), 1.0))
+    top = max(float(np.abs(w).max()), float(np.abs(at).max()))  # |V|^2, |W|^2 <= dim top^2; NaN fails the test
+    if not nn.min() > tol.eps_geom**2 * (w.shape[1] * top * top) * (1.0 + 1e-12):
+        reach = np.sqrt(np.maximum(_dot(at[1:], at[1:]), _dot(w, w)))
         if not (np.sqrt(nn) > tol.eps_geom * reach).all():
             raise DegenerateLine("zero frame segment or reflection axis through coincident points")
     p, n = at[:-2], n[:-1]
@@ -208,22 +208,23 @@ def correspondence_check(v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL) -
     All segments V_i W_i must share a common length and each quadruple
     (V_i, V_{i+1}, W_{i+1}, W_i) must be the isosceles-trapezoid branch of
     the step, i.e. W_{i+1} agrees with the bicycle step from (V_i, V_{i+1},
-    W_i).  Pure translates of V fail: they realize the parallelogram branch.
+    W_i).  The steps are transform's closing check, in any dimension, with
+    bound eps_geom max(|V_i W_i|, longest side).  Pure translates of V
+    fail: they realize the parallelogram branch.
     """
     if len(v) != len(w) or v.dim != w.dim:
         return False
     gaps = _norm(v.vertices - w.vertices)
     seg = float(gaps.mean())
-    if np.abs(gaps - seg).max() > tol.eps_geom * max(seg, 1.0):
+    if np.abs(gaps - seg).max() > tol.eps_geom * seg:
         return False
-    ahead = _cyc(v.vertices, 1)
-    # zero frames V_i W_i, or steps whose bisector of V_{i+1} W_i collapses
-    if _coincident(np.stack([v.vertices, ahead]), w.vertices, tol).any():
+    at = np.concatenate([v.vertices, v.vertices[:1], v.vertices[:1]])
+    frames = np.concatenate([w.vertices, w.vertices[:1]])
+    try:
+        _closing_check(at, frames, tol.eps_geom * max(seg, float(v.side_lengths().max())), tol)
+    except (DegenerateLine, ClosureFailure):
         return False
-    scale = max(seg, float(v.side_lengths().max()))
-    expected = _bisector_reflect(v.vertices, ahead, w.vertices)
-    misfit = _norm(_cyc(w.vertices, 1) - expected)
-    return bool(misfit.max() <= tol.eps_geom * scale)
+    return True
 
 
 def frame_length(v: Polygon, w: Polygon) -> float:

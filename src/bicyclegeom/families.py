@@ -47,7 +47,7 @@ def _banded_regime(boundaries: list[float], classes: list[MonodromyClass], eps_c
     def regime(ell: float) -> MonodromyClass:
         check_positive(ell)
         for b in boundaries:
-            if abs(ell - b) <= eps_class * max(b, 1.0):
+            if abs(ell - b) <= eps_class * b:
                 return MonodromyClass.PARABOLIC
         i = sum(1 for b in boundaries if ell > b)
         return classes[i]
@@ -71,7 +71,7 @@ def classify_cyclic(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> CyclicClassific
         return no
     radii = _norm(v.vertices - center)
     r = float(radii.mean())
-    if np.abs(radii - r).max() > tol.eps_geom * max(r, 1.0):
+    if not np.abs(radii - r).max() <= tol.eps_geom * r:  # NaN radii fail
         return no
     s1 = v.sides()
     s0 = _cyc(s1, -1)
@@ -134,7 +134,7 @@ def concentric_transform(v: Polygon, w1_angle: float, tol: Tolerance = DEFAULT_T
     r_even = float(radii[0::2].mean())
     r_odd = float(radii[1::2].mean())
     spread = max(np.abs(radii[0::2] - r_even).max(), np.abs(radii[1::2] - r_odd).max())
-    if spread > tol.eps_geom * max(r_even, r_odd, 1.0):
+    if spread > tol.eps_geom * max(r_even, r_odd):
         raise NotConcentricAlternating("vertices do not alternate between two concentric circles")
     angles = np.arctan2(v.vertices[:, 1] - center[1], v.vertices[:, 0] - center[0])
     shifts = w1_angle + (angles - angles[0])

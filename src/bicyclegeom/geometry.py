@@ -27,8 +27,9 @@ def check_positive(x: float, what: str = "length parameter") -> None:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative tolerances: eps_geom for geometric predicates, eps_class
-    for monodromy class boundaries."""
+    """Relative tolerances, each a multiple of a size the inputs carry with
+    no absolute floor, so answers do not depend on the unit of length:
+    eps_geom for geometric predicates, eps_class for class boundaries."""
 
     eps_geom: float = 1e-9
     eps_class: float = 1e-8
@@ -40,6 +41,7 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 _ROOT_HALF_MAX = float(np.sqrt(np.finfo(float).max / 2))  # below it a square stays in half the double range
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double, 2**-1022 = (2**-511)**2
 
 
 def as_vec(p) -> np.ndarray:
@@ -69,9 +71,9 @@ def _cyc(x: np.ndarray, s: int) -> np.ndarray:
 class Polygon:
     """Closed polygon: cyclically indexed vertices in R^n, n >= 2.
 
-    Vertex i+k is vertex i; consecutive vertices must be distinct so that
-    every side has positive length.  The vertex array, the side vectors and
-    the side lengths are computed once and read-only.
+    Vertex i+k is vertex i; consecutive vertices must be distinct, and each
+    squared coordinate and side a normal double.  The vertex array, the side
+    vectors and the side lengths are computed once and read-only.
     """
 
     def __init__(self, vertices, name: str | None = None):
@@ -85,9 +87,14 @@ class Polygon:
         if not top <= limit:
             raise ValueError(f"vertex coordinates must be finite and at most {limit:.6g}, got {top!r}")
         sides = _cyc(pts, 1) - pts
-        gaps = _norm(sides)
-        if gaps.min() <= 1e-12 * max(1.0, top):
-            raise DegenerateLine("consecutive vertices must be distinct")
+        sq = _dot(sides, sides)
+        gaps = np.sqrt(sq)
+        if not (gaps.min() > 1e-12 * top and sq.min() >= _TINY):
+            e = -np.frexp(top)[1]  # over 2**-e, top lies in [0.5, 1) and no square underflows
+            unit = _norm(np.ldexp(sides, e)).min()
+            if not unit > 1e-12 * np.ldexp(top, e):
+                raise DegenerateLine("consecutive vertices must be distinct")
+            raise ValueError(f"side lengths must be at least {_TINY**0.5:.6g}, got {float(np.ldexp(unit, -e))!r}")
         for arr in (pts, sides, gaps):
             arr.setflags(write=False)
         self.vertices, self._sides, self._side_lengths = pts, sides, gaps
@@ -119,10 +126,6 @@ class Polygon:
 
     def perimeter(self) -> float:
         return float(self._side_lengths.sum())
-
-    def scale(self) -> float:
-        """Magnitude used to make tolerances relative."""
-        return max(1.0, float(np.abs(self.vertices).max()))
 
     def with_vertex(self, i: int, p) -> "Polygon":
         pts = self.vertices.copy()
@@ -160,9 +163,9 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _coincident(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Row mask of the degeneracy rule |b - a| <= eps_geom * max(|a|, |b|, 1);
+    """Row mask of the degeneracy rule |b - a| <= eps_geom * max(|a|, |b|);
     a NaN row counts as coincident."""
-    reach = np.sqrt(np.maximum(np.maximum(_dot(a, a), _dot(b, b)), 1.0))
+    reach = np.sqrt(np.maximum(_dot(a, a), _dot(b, b)))
     return ~(_norm(b - a) > tol.eps_geom * reach)
 
 
@@ -188,6 +191,8 @@ def _angle_at(base: np.ndarray, p: np.ndarray, q: np.ndarray, signed: bool = Fal
     equation together, so the branch cut is harmless.
     """
     u, w = p - base, q - base
+    e = -np.frexp(max(np.abs(u).max(), np.abs(w).max()))[1]  # over 2**-e the rays give the same bits
+    u, w = np.ldexp(u, e), np.ldexp(w, e)  # at every scale, and rej, of degree 4, stays in range
     dot = _dot(u, w)
     if base.shape[-1] == 2:
         cross = _cross(u, w)

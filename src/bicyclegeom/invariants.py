@@ -196,21 +196,17 @@ def circumcenter_of_mass(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
 
 
 def triangle_circumcenter(a, b, c, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Circumcenter of a plane triangle; DegenerateTriangle when collinear."""
+    """Circumcenter of a plane triangle; DegenerateTriangle when collinear.  Its cubes
+    are formed over the power of two that puts max |b - a|, |c - a| in [0.5, 1)."""
     a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    c = np.asarray(c, float)
-    d = 2.0 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-    span = max(np.linalg.norm(b - a), np.linalg.norm(c - a), 1e-300)
-    if abs(d) <= tol.eps_geom * span * span:
+    bc = np.array([b, c], dtype=float) - a
+    e = math.frexp(float(np.abs(bc).max()))[1]
+    b2, c2 = np.ldexp(bc, -e)
+    d = 2.0 * (b2[0] * c2[1] - b2[1] * c2[0])
+    nb, nc = float(b2 @ b2), float(c2 @ c2)
+    if not abs(d) > tol.eps_geom * max(nb, nc):
         raise DegenerateTriangle("collinear points have no circumcenter")
-    b2 = b - a
-    c2 = c - a
-    nb = float(b2 @ b2)
-    nc = float(c2 @ c2)
-    ux = (c2[1] * nb - b2[1] * nc) / d
-    uy = (b2[0] * nc - c2[0] * nb) / d
-    return a + np.array([ux, uy])
+    return a + np.ldexp(np.array([c2[1] * nb - b2[1] * nc, b2[0] * nc - c2[0] * nb]) / d, e)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateMonodromy, DimensionMismatch, NoRealFixedPoint, PoleAtEllEqualsA
-from .geometry import DEFAULT_TOL, Polygon, Tolerance, as_vec, check_positive
-
-_TINY = np.finfo(float).tiny  # smallest normal double
+from .geometry import DEFAULT_TOL, Polygon, Tolerance, _TINY, as_vec, check_positive
 
 
 class MonodromyClass(enum.Enum):

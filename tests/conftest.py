@@ -208,6 +208,11 @@ def lambda_grid(v, n=50, lo=0.1, hi=None, margin=1e-3):
     return out
 
 
+def polygon_scale(v):
+    """max(1, max |V|): the magnitude that test bounds are taken relative to."""
+    return max(1.0, float(np.abs(v.vertices).max()))
+
+
 def congruent(p, q, tol=1e-8):
     """Same shape up to rigid motion: compare sorted pairwise distance multisets."""
     dp = np.sort([np.linalg.norm(a - b) for a in p.vertices for b in p.vertices])

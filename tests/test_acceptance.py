@@ -15,6 +15,7 @@ from bicyclegeom.dynamics import _alpha_angles, _angle_at
 from conftest import (
     hyperbolic_length,
     lambda_grid,
+    polygon_scale,
     propagated_pair_3d,
     random_butterfly,
     random_concentric,
@@ -176,7 +177,7 @@ def test_c06_conserved_quantities():
             w = bg.transform(v, L)
         except bg.GeometryError:
             continue
-        scale = v.scale()
+        scale = polygon_scale(v)
         worst = max(
             worst,
             abs(bg.area_bivector(v).scalar - bg.area_bivector(w).scalar) / scale**2,
@@ -199,7 +200,7 @@ def test_c06_conserved_quantities():
     worst3d = 0.0
     for _ in range(10):
         v, w, _L = propagated_pair_3d(rng)
-        scale = v.scale()
+        scale = polygon_scale(v)
         worst3d = max(
             worst3d,
             float(np.abs((bg.area_bivector(v) - bg.area_bivector(w)).upper).max()) / scale**2,
@@ -256,7 +257,7 @@ def test_c08_inscribed_polygons_rotate():
             for branch in (bg.Branch.ATTRACTING, bg.Branch.REPELLING):
                 w = bg.transform(v, L, branch)
                 best = min(best, float(np.abs(w.vertices - rot.vertices).max()))
-            worst = max(worst, best / v.scale())
+            worst = max(worst, best / polygon_scale(v))
     ok = ok and worst <= 1e-9
     _report(8, "inscribed convex polygons rotate about the circumcenter below the diameter", ok,
             f"boundary gap {abs(roots[0] - math.sqrt(2)):.2e}, rotation gap {worst:.2e}")
@@ -374,7 +375,7 @@ def test_c12_rear_track_chain():
             track = bg.rear_track(pair)  # raises if no consistent orientation
         except bg.GeometryError:
             continue
-        scale = v.scale()
+        scale = polygon_scale(v)
         worst_mid = max(
             worst_mid, float(np.abs(track.q - 0.5 * (v.vertices + w.vertices)).max()) / scale
         )
@@ -419,7 +420,7 @@ def test_c14_recutting_group_relations():
     for _ in range(50):
         dim = 2 if rng.uniform() < 0.5 else 3
         v = random_polygon(rng, k=int(rng.integers(4, 8)), dim=dim)
-        scale = v.scale()
+        scale = polygon_scale(v)
         i = int(rng.integers(0, len(v)))
         j = (i + 2 + int(rng.integers(0, len(v) - 3))) % len(v)
         if min(abs(i - j), len(v) - abs(i - j)) < 2:

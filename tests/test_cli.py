@@ -17,7 +17,7 @@ from bicyclegeom.cli import main
 from bicyclegeom.fileio import PolygonFileError, load_polygon, polygon_from_dict, save_polygon
 from bicyclegeom.svg import PALETTE
 
-from conftest import bench_reference, circle_polygon, overflow_recipe, random_butterfly, random_polygon
+from conftest import bench_reference, circle_polygon, overflow_recipe, polygon_scale, random_butterfly, random_polygon
 
 SQUARE = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -369,7 +369,7 @@ class TestRecutCommand:
         out = tmp_path / "r.json"
         assert main(["recut", str(path), "-i", "2", "-i", "2", "-o", str(out)]) == 0
         back = load_polygon(out)
-        assert np.abs(back.vertices - v.vertices).max() < 1e-12 * v.scale()
+        assert np.abs(back.vertices - v.vertices).max() < 1e-12 * polygon_scale(v)
 
 
 class TestRearTrackCommand:

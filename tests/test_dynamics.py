@@ -16,6 +16,8 @@ from conftest import (
     congruent,
     generic_200gons,
     hyperbolic_length,
+    polygon_scale,
+    propagated_pair_3d,
     random_butterfly,
     random_cyclic_convex,
     random_hyperbolic_pair,
@@ -309,6 +311,21 @@ class TestClosingCheck:
             else:
                 assert dynamics._closing_check(at, moved, bound, bg.DEFAULT_TOL).max() <= bound * bound
 
+    def test_space_frames_use_the_dimension_bound(self):
+        """In R^3 |V|^2 reaches 3 top^2.  A normal W_0 - V_1 of 1.6 eps top,
+        with |V_1| ~ |W_0| ~ sqrt(3) top, is coincident by _coincident's rule;
+        a radius bound of 2 top^2 would wave it through."""
+        eps = bg.DEFAULT_TOL.eps_geom
+        at = np.array([(0, 0, 0), (1, 1, 1), (1, 0, 0), (0, 0, 0), (0, 0, 0)], dtype=float)
+        w = np.array([at[1] + 1.6 * eps * np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0), (0, 1, 0), (0, 0, 1), (0, 0, 0)])
+        w[-1] = w[0]
+        normal = np.linalg.norm(w[0] - at[1])
+        top = np.abs(w).max()
+        assert 2.0 * (eps * top) ** 2 < normal**2 < 3.0 * (eps * top) ** 2
+        assert _closing_oracle(at, w)[0][0]
+        with pytest.raises(bg.DegenerateLine):
+            dynamics._closing_check(at, w, math.inf, bg.DEFAULT_TOL)
+
 
 def _reversed(pts):
     """V_0, V_{k-1}, ..., V_1: the same polygon traversed the other way."""
@@ -503,6 +520,32 @@ class TestCorrespondenceCheck:
         sq = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         assert not bg.correspondence_check(sq, sq.rolled(1))
 
+    def test_space_pairs_pass(self, rng):
+        for _ in range(3):
+            v, w, _L = propagated_pair_3d(rng)
+            assert bg.correspondence_check(v, w) and bg.correspondence_check(w, v)
+
+    @pytest.mark.parametrize("factor, passes", [(0.5, True), (2.0, False)])
+    def test_one_frame_point_moved_against_the_step_bound(self, factor, passes):
+        """The step bound is eps_geom max(L, longest side), here eps_geom.  On
+        the unit square's attracting pair at L = 0.5, whose steps contract,
+        each W_j moved across its frame by half the bound still passes, and by
+        twice the bound misses the step into it."""
+        sq = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        w = bg.transform(sq, 0.5)
+        for j in range(4):
+            frame = w.vertex(j) - sq.vertex(j)
+            across = np.array([-frame[1], frame[0]]) / np.linalg.norm(frame)
+            moved = w.with_vertex(j, w.vertex(j) + factor * bg.DEFAULT_TOL.eps_geom * across)
+            assert bg.correspondence_check(sq, moved) is passes
+
+    def test_zero_frames_fail(self):
+        """One zero frame breaks the common length; with every frame zero the
+        seed frame's coincidence rule refuses the pair."""
+        sq = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert not bg.correspondence_check(sq, bg.transform(sq, 0.5).with_vertex(2, sq.vertex(2)))
+        assert not bg.correspondence_check(sq, sq)
+
     def test_mismatched_counts_fail(self, rng):
         v = random_polygon(rng, k=4)
         u = random_polygon(rng, k=5)
@@ -515,14 +558,14 @@ class TestRecut:
             v = random_polygon(rng, dim=dim)
             for i in range(len(v)):
                 back = bg.recut(bg.recut(v, i), i)
-                assert np.abs(back.vertices - v.vertices).max() < 1e-12 * v.scale()
+                assert np.abs(back.vertices - v.vertices).max() < 1e-12 * polygon_scale(v)
 
     def test_distant_indices_commute(self, rng):
         for dim in (2, 3):
             v = random_polygon(rng, k=6, dim=dim)
             a = bg.recut(bg.recut(v, 0), 2)
             b = bg.recut(bg.recut(v, 2), 0)
-            assert np.abs(a.vertices - b.vertices).max() < 1e-12 * v.scale()
+            assert np.abs(a.vertices - b.vertices).max() < 1e-12 * polygon_scale(v)
 
     def test_braid_relation(self, rng):
         for dim in (2, 3):
@@ -531,7 +574,7 @@ class TestRecut:
                 i = int(rng.integers(0, len(v)))
                 a = bg.recut(bg.recut(bg.recut(v, i), i + 1), i)
                 b = bg.recut(bg.recut(bg.recut(v, i + 1), i), i + 1)
-                assert np.abs(a.vertices - b.vertices).max() < 1e-9 * v.scale()
+                assert np.abs(a.vertices - b.vertices).max() < 1e-9 * polygon_scale(v)
 
     def test_preserves_monodromy(self, rng):
         v, _w, L = random_hyperbolic_pair(rng, k=5)

@@ -12,6 +12,7 @@ from bicyclegeom.families import RANK_CUT, _rigidity_jacobian
 
 from conftest import (
     congruent,
+    polygon_scale,
     random_butterfly,
     random_concentric,
     random_cyclic_convex,
@@ -57,6 +58,30 @@ class TestClassifyCyclic:
                 got = bg.classify(bg.polygon_monodromy(v, L))
                 assert got is info.regime(L)
 
+    @pytest.mark.parametrize("factor", [1e120, 3e153])
+    def test_square_far_above_unit_scale(self, factor):
+        """The circumcenter's cubes are formed at a power-of-two scale.  The
+        unit square x 1e120 was called cyclic with a NaN diameter, after raw
+        RuntimeWarnings, and its regime map answered hyperbolic at every L."""
+        sq = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+        unit = bg.classify_cyclic(bg.Polygon(sq))
+        info = bg.classify_cyclic(bg.Polygon(sq * factor))
+        assert info.is_cyclic_convex and info.diameter == unit.diameter * factor
+        assert info.center.tolist() == [0.5 * factor, 0.5 * factor]
+        assert info.regime(0.5 * info.diameter) is bg.MonodromyClass.HYPERBOLIC
+        assert info.regime(2.0 * info.diameter) is bg.MonodromyClass.ELLIPTIC
+        assert np.isfinite(bg.rotation_transform(bg.Polygon(sq * factor), factor).vertices).all()
+
+    @pytest.mark.parametrize("s", [-400, 400])
+    def test_power_of_two_scaling_is_exact(self, s):
+        """A 7-gon x 2**400 had a NaN diameter, and x 2**-400 was called not
+        cyclic; both now scale bit for bit."""
+        v = random_cyclic_convex(np.random.default_rng(3))
+        unit, info = bg.classify_cyclic(v), bg.classify_cyclic(bg.Polygon(np.ldexp(v.vertices, s)))
+        assert len(v) == 7 and info.is_cyclic_convex
+        assert info.diameter == math.ldexp(unit.diameter, s)
+        assert info.center.tolist() == np.ldexp(unit.center, s).tolist()
+
 
 class TestRotationTransform:
     def test_diameter_chord_is_antipodal_map(self, rng):
@@ -64,7 +89,7 @@ class TestRotationTransform:
         info = bg.classify_cyclic(v)
         w = bg.rotation_transform(v, info.diameter)
         want = 2 * np.asarray(info.center) - v.vertices
-        assert np.abs(w.vertices - want).max() < 1e-9 * v.scale()
+        assert np.abs(w.vertices - want).max() < 1e-9 * polygon_scale(v)
 
     def test_small_chord_small_angle(self, rng):
         v = random_cyclic_convex(rng, k=5)
@@ -93,7 +118,7 @@ class TestRotationTransform:
             for branch in (bg.Branch.ATTRACTING, bg.Branch.REPELLING):
                 w = bg.transform(v, L, branch)
                 best = min(best, float(np.abs(w.vertices - rot.vertices).max()))
-            assert best < 1e-9 * v.scale()
+            assert best < 1e-9 * polygon_scale(v)
             assert bg.correspondence_check(v, rot)
 
 
@@ -118,7 +143,7 @@ class TestConcentricTransform:
         delta = 2 * 0.7
         rot = np.array([[math.cos(delta), -math.sin(delta)], [math.sin(delta), math.cos(delta)]])
         want = (v.vertices - center) @ rot.T + center
-        assert np.abs(t2.vertices - want).max() < 1e-10 * v.scale()
+        assert np.abs(t2.vertices - want).max() < 1e-10 * polygon_scale(v)
 
     def test_rhombus_to_congruent_rhombus(self):
         rho = bg.Polygon([(2, 0), (0, 1), (-2, 0), (0, -1)])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import bicyclegeom as bg
 from bicyclegeom.geometry import _coincident, _cyc, as_vec
 
-from conftest import random_butterfly, random_nonbutterfly_quad
+from conftest import polygon_scale, random_butterfly, random_nonbutterfly_quad
 from oracles import reflect_in_line
 
 
@@ -194,7 +194,7 @@ class TestDarbouxButterfly:
         for _ in range(50):
             fly = random_butterfly(rng)
             assert bg.is_darboux_butterfly(fly)
-            assert abs(bg.signed_area(fly)) < 1e-9 * fly.scale() ** 2
+            assert abs(bg.signed_area(fly)) < 1e-9 * polygon_scale(fly) ** 2
             center = bg.triangle_circumcenter(fly.vertex(0), fly.vertex(1), fly.vertex(2))
             dists = np.linalg.norm(fly.vertices - center, axis=1)
             assert np.abs(dists - dists.mean()).max() < 1e-8 * dists.mean()
@@ -207,7 +207,7 @@ class TestDarbouxButterfly:
                 concyclic = np.abs(dists - dists.mean()).max() < 1e-8 * dists.mean()
             except bg.DegenerateTriangle:
                 concyclic = False
-            flat = abs(bg.signed_area(quad)) < 1e-9 * quad.scale() ** 2
+            flat = abs(bg.signed_area(quad)) < 1e-9 * polygon_scale(quad) ** 2
             assert not (concyclic and flat)
 
 
