@@ -239,7 +239,7 @@ def cmd_scan(args) -> int:
     v = load_polygon(args.input)
     lmin, lmax, steps = _parse_grid(args.grid)
     points = classification_scan(v, lmin, lmax, steps, tol)
-    boundaries = refine_class_boundaries(v, lmin, lmax, steps=max(steps, 64), tol=tol)
+    boundaries = refine_class_boundaries(v, lmin, lmax, steps=max(steps, 64))
     payload = {
         "grid": [
             {

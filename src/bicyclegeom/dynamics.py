@@ -75,7 +75,7 @@ def _closure_bound(v: Polygon, length: float, tol: Tolerance) -> float:
 
 
 def _closing_check(at: np.ndarray, w: np.ndarray, bound: float, tol: Tolerance) -> np.ndarray:
-    """Squared misses of frames W_0 ... W_k over at = V_0 ... V_{k-1}, V_0, V_0 from their
+    """Misses (vectors) of frames W_0 ... W_k over at = V_0 ... V_{k-1}, V_0, V_0 from their
     bisector reflections, in column dots: W_i - V_{i+1} is formed once for _coincident's rule
     (DegenerateLine; row k is the seed frame), row by row only where the shortest does not clear
     every row's radius (1e-12 spare for rounding), and _bisector_reflect's residual (ClosureFailure)."""
@@ -91,7 +91,7 @@ def _closing_check(at: np.ndarray, w: np.ndarray, bound: float, tol: Tolerance) 
     sq = _dot(miss, miss)
     if not sq.max() <= bound * bound:
         raise ClosureFailure(f"companion step misses by {math.sqrt(sq.max()):.3e} > {bound:.3e}")
-    return sq
+    return miss
 
 
 class Branch(enum.Enum):
@@ -142,8 +142,8 @@ def _companion(
         h[:, k] = seed
         z = _HALF_ANGLE[backwards] @ h[:, : k + 1]  # e^(i alpha/2) up to scale, so e^(i alpha) = z / conj(z)
         w = at[:-1] + length * (z / z.conj()).view(float).reshape(-1, 2)
-        sq = _closing_check(at, w, _closure_bound(v, length, tol), tol)
-    return w[:-1], math.sqrt(float(sq[0] if backwards else sq[-1]))
+        miss = _closing_check(at, w, _closure_bound(v, length, tol), tol)
+    return w[:-1], math.hypot(*miss[0 if backwards else -1])  # its square goes subnormal at small scale
 
 
 def _transform(

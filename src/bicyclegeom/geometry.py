@@ -253,4 +253,4 @@ def is_darboux_butterfly(q, tol: Tolerance = DEFAULT_TOL) -> bool:
     p1, p2, p3, p4 = pts
     mirrored = perp_bisector_reflect(p2, p1, p3, tol)
     span = max(float(np.linalg.norm(pts[i] - pts[j])) for i in range(4) for j in range(i + 1, 4))
-    return float(np.linalg.norm(p4 - mirrored)) <= tol.eps_geom * max(span, 1e-300)
+    return float(np.linalg.norm(p4 - mirrored)) <= tol.eps_geom * span

@@ -520,6 +520,15 @@ class ScanPoint(NamedTuple):
     derivatives: tuple[float, ...] | None
 
 
+def _grid(v: Polygon, lmin: float, lmax: float, steps: int) -> np.ndarray:
+    """The steps-point grid over [lmin, lmax] of a scan of v's plane monodromy."""
+    if steps < 2 or not 0 < lmin < lmax < math.inf:
+        raise ValueError(f"need 0 < lmin < lmax < inf and steps >= 2, got lmin={lmin!r} lmax={lmax!r}")
+    if v.dim != 2:
+        raise DimensionMismatch("plane monodromy needs a 2D polygon")
+    return np.linspace(lmin, lmax, steps)
+
+
 def classification_scan(
     v: Polygon, lmin: float, lmax: float, steps: int, tol: Tolerance = DEFAULT_TOL
 ) -> list[ScanPoint]:
@@ -527,12 +536,8 @@ def classification_scan(
 
     Grid points within eps of a side length are nudged off the pole.
     """
-    if steps < 2 or not 0 < lmin < lmax < math.inf:
-        raise ValueError(f"need 0 < lmin < lmax < inf and steps >= 2, got lmin={lmin!r} lmax={lmax!r}")
-    if v.dim != 2:
-        raise DimensionMismatch("plane monodromy needs a 2D polygon")
+    ells = _grid(v, lmin, lmax, steps)
     spacing = (lmax - lmin) / (steps - 1)
-    ells = np.linspace(lmin, lmax, steps)
     hits = _pole_hits(v, ells, tol, _factors(v, ells))
     nudge = np.maximum(1e-9 * v.side_lengths()[hits.argmax(axis=1)], 1e-6 * spacing)
     ells = np.where(hits.any(axis=1), ells + nudge, ells)
@@ -547,60 +552,55 @@ def classification_scan(
     return out
 
 
-def _discriminants(v: Polygon, ells: np.ndarray, raw: bool = False) -> np.ndarray:
-    """Discriminants of the monodromy over a batch of lengths: of the rescaled
-    m, which have the sign of the raw ones, or with raw of the product itself;
-    ValueError, naming the first such length, where one is not finite, or
-    where raw underflows a normal rescaled value to 0 or a subnormal."""
-    m, e = _monodromy_product(v, ells)
-    vals = _disc_terms(*m.reshape(-1, 4).T)[0]
-    if raw:
-        with np.errstate(over="ignore"):
-            scaled, vals = vals, np.ldexp(vals, 2 * e)
-        lost = ells[(np.abs(vals) < _TINY) & (np.abs(scaled) >= _TINY)]
-        if lost.size:
-            raise ValueError(f"discriminant underflows at length {float(lost[0])!r}")
+def discriminant(v: Polygon, ell: float) -> float:
+    """Tr^2 - 4 det of the monodromy matrix, in the cancellation-free form.  Raises
+    ValueError, naming the length, where it is not finite or underflows a normal rescaled value."""
+    if v.dim != 2:
+        raise DimensionMismatch("plane monodromy needs a 2D polygon")
+    m, e = _monodromy_product(v, np.array([ell], dtype=float))
+    scaled = _disc_terms(*m[0].ravel().tolist())[0]
+    with np.errstate(over="ignore"):
+        raw = float(np.ldexp(scaled, 2 * e[0]))
+    if (lost := abs(raw) < _TINY <= abs(scaled)) or not math.isfinite(raw):
+        raise ValueError(f"discriminant {'underflows' if lost else 'is not finite'} at length {float(ell)!r}")
+    return raw
+
+
+def _delta(v: Polygon, ells: np.ndarray) -> np.ndarray:
+    """disc / (Tr^2 + 4 |det|) per length, in [-1, 1]: disc's sign, smooth in ell and scale-free, read
+    off the rescaled product; ValueError, naming the first such length, where it is not finite."""
+    a, b, c, d = _monodromy_product(v, ells)[0].reshape(-1, 4).T
+    vals = _disc_terms(a, b, c, d)[0] / ((a + d) ** 2 + 4.0 * np.abs(a * d - b * c))
     bad = ells[~np.isfinite(vals)]
     if bad.size:
         raise ValueError(f"discriminant is not finite at length {float(bad[0])!r}")
     return vals
 
 
-def discriminant(v: Polygon, ell: float) -> float:
-    """Tr^2 - 4 det of the monodromy matrix, as a smooth function of ell
-    (cancellation-free form, stable enough for boundary bisection).
-    Raises ValueError where it leaves the double range."""
-    if v.dim != 2:
-        raise DimensionMismatch("plane monodromy needs a 2D polygon")
-    return float(_discriminants(v, np.array([ell], dtype=float), raw=True)[0])
-
-
-def refine_class_boundaries(
-    v: Polygon, lmin: float, lmax: float, steps: int = 64, xtol: float = 1e-10, tol: Tolerance = DEFAULT_TOL
-) -> list[float]:
-    """Bisect the sign changes of the discriminant over [lmin, lmax].
-
-    Returns the length parameters of the parabolic boundaries to within xtol.
-    Bisects the sign of the rescaled discriminant, which stays finite.
-    """
-    if steps < 2 or not 0 < lmin < lmax < math.inf or not xtol > 0:
-        raise ValueError(f"need 0 < lmin < lmax < inf, steps >= 2, xtol > 0; got lmin={lmin!r} lmax={lmax!r}")
-    if v.dim != 2:
-        raise DimensionMismatch("plane monodromy needs a 2D polygon")
-    grid = np.linspace(lmin, lmax, steps)
-    vals = _discriminants(v, grid)
-    start = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
-    lo, hi, flo = grid[:-1][start], grid[1:][start], vals[:-1][start]
-    hi[flo == 0.0] = lo[flo == 0.0]
-    live = np.flatnonzero(hi - lo > xtol)
-    while live.size:
-        mid = 0.5 * (lo[live] + hi[live])
-        fmid = _discriminants(v, mid)
-        zero, left = fmid == 0.0, flo[live] * fmid < 0.0
-        # a bracket one ulp wide cannot be split; it is done
-        stuck = (mid == lo[live]) | (mid == hi[live])
-        lo[live] = np.where(left, lo[live], mid)
-        hi[live] = np.where(left | zero, mid, hi[live])
-        flo[live] = np.where(left, flo[live], fmid)
-        live = live[~(zero | stuck) & (hi[live] - lo[live] > xtol)]
-    return (0.5 * (lo + hi)).tolist()
+def refine_class_boundaries(v: Polygon, lmin: float, lmax: float, steps: int = 64) -> list[float]:
+    """The parabolic boundaries over [lmin, lmax], where the discriminant changes sign
+    between points of a steps-point grid, each to about one ulp: Chandrupatla's method
+    (Adv. Eng. Software 28, 1997) on _delta, all brackets in one product per round.  A
+    bracket [x1, x2] is done, at its end of smaller |_delta|, when _delta is 0 or when
+    tl = 2 eps max(|x1|, |x2|) / |x2 - x1| > 1/2, about one ulp wide."""
+    grid = _grid(v, lmin, lmax, steps)
+    vals = _delta(v, grid)
+    start = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    roots, live = grid[start], np.flatnonzero(vals[start])  # a zero on the grid is its own root
+    i = start[live]
+    x1, x2, f1, f2, t = grid[i], grid[i + 1], vals[i], vals[i + 1], 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.size:
+            f = _delta(v, x := x1 + t * (x2 - x1))
+            same = np.sign(f) == np.sign(f1)  # x3 is the end that drops out
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, f
+            tl = 2.0 * np.finfo(float).eps * np.maximum(np.abs(x1), np.abs(x2)) / np.abs(x2 - x1)
+            done = (tl > 0.5) | (f1 == 0.0)
+            roots[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)  # inverse quadratic where safe, else bisect
+            t = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2)
+            t = np.clip(np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), t, 0.5), tl, 1.0 - tl)
+            live, x1, x2, f1, f2, t = (a[~done] for a in (live, x1, x2, f1, f2, t))
+    return roots.tolist()

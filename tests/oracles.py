@@ -2,7 +2,8 @@
 for the tests to check the package against: the paper's line form of the
 reflection, the direction update, the Moebius side matrix and its action,
 the projective Lorentz action, the triangulation form of the circumcenter
-of mass and a list-based writer of the polygon document.  The package
+of mass, a list-based writer of the polygon document and scalar bisection
+of the class boundaries to one ulp.  The package
 computes with one form of each; nothing here is imported by it.  This file
 is a helper module, not a test module (its name does not start with test_).
 """
@@ -20,7 +21,7 @@ from bicyclegeom.errors import (
 )
 from bicyclegeom.geometry import DEFAULT_TOL, Polygon, Tolerance, _coincident, _cyc, _dot, as_vec, check_same_dim
 from bicyclegeom.invariants import _ccm_frame
-from bicyclegeom.monodromy import LorentzMatrix, Mobius2
+from bicyclegeom.monodromy import LorentzMatrix, Mobius2, discriminant
 
 
 def reflect_in_line(p, a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -139,3 +140,28 @@ def polygon_to_dict(v: Polygon) -> dict:
     if v.name:
         out["name"] = v.name
     return out
+
+
+def bisected_boundaries(v: Polygon, lmin: float, lmax: float, steps: int) -> list[float]:
+    """The sign changes of the raw discriminant over a steps-point grid, one
+    bracket at a time, each bisected until it is one ulp wide: the scalar
+    form of refine_class_boundaries."""
+    grid = np.linspace(lmin, lmax, steps).tolist()
+    vals = [discriminant(v, z) for z in grid]
+    roots = []
+    for lo, hi, flo, fhi in zip(grid, grid[1:], vals, vals[1:]):
+        if flo == 0.0:
+            roots.append(lo)
+            continue
+        if flo * fhi >= 0.0:
+            continue
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            fmid = discriminant(v, mid)
+            if fmid == 0.0:
+                lo = hi = mid
+            elif flo * fmid < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        roots.append(0.5 * (lo + hi))
+    return roots

@@ -14,7 +14,7 @@ import orjson
 import pytest
 
 import bicyclegeom as bg
-from bicyclegeom import cli
+from bicyclegeom import cli, monodromy
 from bicyclegeom.cli import main
 from bicyclegeom.fileio import (
     PolygonFileError, check_finite, load_polygon, polygon_from_dict, polygon_json, save_polygon, to_json,
@@ -366,6 +366,25 @@ class TestJsonWriter:
         assert [p["L"] for p in data["grid"]] == [p.ell for p in points]
         assert [p["class"] for p in data["grid"]] == [p.klass.value for p in points]
         assert data["boundaries"] == bg.refine_class_boundaries(SQUARE, 1.05, 2.2, steps=64)
+
+    @pytest.mark.parametrize("case", ["square", "inscribed"])
+    def test_scan_at_k4_builds_at_most_five_products(self, tmp_path, capsys, monkeypatch, case):
+        """The benchmark's k = 4 scan: 48 points over the window [0.86, 1.14] x
+        the boundary.  One side-tree product for the grid, one for the
+        64-point bracketing grid, and at most three rounds of the boundary
+        search (bisection to 1e-10 took 26)."""
+        if case == "square":
+            v, lo, hi = SQUARE, 0.86 * math.sqrt(2.0), 1.14 * math.sqrt(2.0)
+        else:  # inscribed in the circle of diameter 1, so the boundary is at 1
+            v, lo, hi = circle_polygon(np.random.default_rng(3), 4), 0.86, 1.14
+        path = tmp_path / "v.json"
+        save_polygon(path, v)
+        sizes = []
+        real = monodromy._monodromy_product
+        monkeypatch.setattr(monodromy, "_monodromy_product", lambda v, ells: sizes.append(len(ells)) or real(v, ells))
+        assert main(["scan", str(path), "--grid", f"{lo!r}:{hi!r}:48", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["boundaries"]) == 1
+        assert sizes[:2] == [48, 64] and len(sizes) <= 5
 
 
 class TestNonFiniteRefused:

@@ -247,26 +247,29 @@ class TestClosingCheck:
         for at, w, bound in frames:
             flags, want = _closing_oracle(at, w)
             assert not flags.any()
-            got = np.sqrt(dynamics._closing_check(at, w, math.inf, bg.DEFAULT_TOL))
+            got = geometry._norm(dynamics._closing_check(at, w, math.inf, bg.DEFAULT_TOL))
             scale = bound / bg.DEFAULT_TOL.eps_geom
             assert np.abs(got - want).max() <= self.ULPS * np.finfo(float).eps * scale
 
     def test_flags_the_rows_the_oracle_flags(self, monkeypatch):
         """One frame point at a time is moved onto, just inside, exactly on
-        and just outside the coincidence radius eps_geom max(|V|, |W|, 1) of
+        and just outside the coincidence radius eps_geom max(|V|, |W|) of
         its V_{i+1} (the last row is the seed frame's): the check raises
         DegenerateLine exactly where _coincident flags that row, on frames
-        as transform makes them and moved 1e6 from the origin."""
+        as transform makes them, moved 1e6 from the origin and scaled by
+        2**-30 (where a radius floored at eps_geom would miss every row)."""
         frames = _closing_frames(monkeypatch, survey_cases()[:60] + generic_200gons()[:4])
         rng = np.random.default_rng(21)
         outcomes = set()
-        frames += [(at + 1e6, w + 1e6, bound) for at, w, bound in frames[::8]]
+        frames += [(at + 1e6, w + 1e6, bound) for at, w, bound in frames[::8]] + [
+            (np.ldexp(at, -30), np.ldexp(w, -30), math.ldexp(bound, -30)) for at, w, bound in frames[::8]
+        ]
         for at, w, _ in frames:
             k = len(w) - 1
             for i in (0, int(rng.integers(1, k)), k):
                 u = rng.normal(size=2)
                 u /= np.linalg.norm(u)
-                radius = bg.DEFAULT_TOL.eps_geom * max(np.linalg.norm(at[i + 1]), np.linalg.norm(w[i]), 1.0)
+                radius = bg.DEFAULT_TOL.eps_geom * max(np.linalg.norm(at[i + 1]), np.linalg.norm(w[i]))
                 for factor in (0.0, 0.5, 1.0, 1.0 + 1e-15, 2.0):
                     moved = w.copy()
                     moved[i] = at[i + 1] + factor * radius * u
@@ -285,7 +288,7 @@ class TestClosingCheck:
 
     def test_hand_built_frames(self):
         at, w, bound = self._frames()
-        assert dynamics._closing_check(at, w, bound, bg.DEFAULT_TOL).max() <= bound * bound
+        assert geometry._norm(dynamics._closing_check(at, w, bound, bg.DEFAULT_TOL)).max() <= bound
         nan_row, on_vertex, zero_seed_frame = w.copy(), w.copy(), w.copy()
         nan_row[3, 1] = np.nan
         on_vertex[2] = at[3]  # W_2 on V_3: step 2 has no bisector
@@ -309,7 +312,7 @@ class TestClosingCheck:
                 with pytest.raises(bg.ClosureFailure, match="companion step misses by"):
                     dynamics._closing_check(at, moved, bound, bg.DEFAULT_TOL)
             else:
-                assert dynamics._closing_check(at, moved, bound, bg.DEFAULT_TOL).max() <= bound * bound
+                assert geometry._norm(dynamics._closing_check(at, moved, bound, bg.DEFAULT_TOL)).max() <= bound
 
     def test_space_frames_use_the_dimension_bound(self):
         """In R^3 |V|^2 reaches 3 top^2.  A normal W_0 - V_1 of 1.6 eps top,

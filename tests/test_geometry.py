@@ -141,7 +141,7 @@ class TestBicycleStep:
 
 class TestCoincidenceRule:
     def test_one_relative_rule_in_every_entry_point(self):
-        """|b - a| <= eps_geom max(|a|, |b|, 1) raises DegenerateLine; just
+        """|b - a| <= eps_geom max(|a|, |b|) raises DegenerateLine; just
         outside it every entry point computes."""
         a = np.array([3.0, 4.0])  # |a| = 5, so the bound is about 5e-9
         square = bg.Polygon([a, a + (1, 0), a + (1, 1), a + (0, 1)])

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 import bicyclegeom as bg
+from bicyclegeom import dynamics
 
-from conftest import generic_200gons, survey_cases
+from conftest import generic_200gons, random_butterfly, random_nonbutterfly_quad, survey_cases
 
 SCALES = (-500, -200, -30, 30, 200, 500)
 BELOW = "side lengths must be at least 1.49167e-154, got "
@@ -29,15 +30,17 @@ def _scaled(v, s):
 
 @functools.cache
 def _branch_ops():
-    """(v, L, branch, T_L(v)) over the first 60 survey cases and the generic
-    200-gons, both branches, wherever transform closes at unit scale."""
+    """(v, L, branch, T_L(v), closure defect) over the first 60 survey cases
+    and the generic 200-gons, both branches, wherever transform closes at
+    unit scale."""
     out = []
     for v, L in survey_cases()[:60] + generic_200gons():
         for branch in bg.Branch:
             try:
-                out.append((v, L, branch, bg.transform(v, L, branch)))
+                w, _, _, defect = dynamics._transform(v, L, branch, bg.DEFAULT_TOL)
             except bg.GeometryError:
                 continue
+            out.append((v, L, branch, w, defect))
     return out
 
 
@@ -67,11 +70,14 @@ def _same(call, scaled_call, expect):
 
 @pytest.mark.parametrize("s", SCALES)
 def test_transform(s):
+    """The companion and the closure defect the CLI prints, both degree 1 (the
+    defect's square, which it used to be read from, goes subnormal at 2**-500)."""
     ops = _branch_ops()
     assert len(ops) == 172
-    for v, L, branch, w in ops:
-        got = bg.transform(_scaled(v, s), math.ldexp(L, s), branch)
+    for v, L, branch, w, defect in ops:
+        got, _, _, got_defect = dynamics._transform(_scaled(v, s), math.ldexp(L, s), branch, bg.DEFAULT_TOL)
         assert got.vertices.tolist() == np.ldexp(w.vertices, s).tolist()
+        assert got_defect == math.ldexp(defect, s)
 
 
 @pytest.mark.parametrize("s", SCALES)
@@ -101,6 +107,36 @@ def test_classification_scan(s):
         got = bg.classification_scan(_scaled(v, s), math.ldexp(0.25 * L, s), math.ldexp(2.0 * L, s), 16)
         want = bg.classification_scan(v, 0.25 * L, 2.0 * L, 16)
         assert [p._replace(ell=math.ldexp(p.ell, -s)) for p in got] == want
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_refine_class_boundaries(s):
+    """The boundaries scale: the search runs on the scale-free discriminant and
+    stops at a relative width, so no tolerance is tied to the unit of length."""
+    found = 0
+    for v, L, _ in _survey():
+        got = bg.refine_class_boundaries(_scaled(v, s), math.ldexp(0.25 * L, s), math.ldexp(2.0 * L, s))
+        want = bg.refine_class_boundaries(v, 0.25 * L, 2.0 * L)
+        assert got == [math.ldexp(x, s) for x in want]
+        found += len(want)
+    assert found >= 40
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_darboux_butterflies(s):
+    """Butterflies, the same moved off the locus by 0.5 and 2 eps_geom x their
+    span, and quadrilaterals far from it: the same verdict at every scale."""
+    rng = np.random.default_rng(7)
+    eps = bg.DEFAULT_TOL.eps_geom
+    for _ in range(20):
+        fly = random_butterfly(rng).vertices
+        span = max(float(np.linalg.norm(p - q)) for p in fly for q in fly)
+        for factor, want in ((0.0, True), (0.5, True), (2.0, False)):
+            moved = fly.copy()
+            moved[3, 0] += factor * eps * span
+            assert bg.is_darboux_butterfly(np.ldexp(moved, s)) is bg.is_darboux_butterfly(moved) is want
+        far = random_nonbutterfly_quad(rng).vertices
+        assert bg.is_darboux_butterfly(np.ldexp(far, s)) is bg.is_darboux_butterfly(far) is False
 
 
 @pytest.mark.parametrize("s", SCALES)
@@ -152,7 +188,7 @@ def test_below_the_side_bound_polygon_refuses_by_name():
         with pytest.raises(ValueError, match=re.escape(f"{BELOW}{side!r}")) as exc:
             bg.Polygon(unit * side)
         assert not isinstance(exc.value, bg.GeometryError)
-    for v, _, _, _ in _branch_ops():
+    for v, *_ in _branch_ops():
         with pytest.raises(ValueError, match=re.escape(BELOW)):
             _scaled(v, -540)
     with pytest.raises(bg.DegenerateLine):
