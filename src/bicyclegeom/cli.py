@@ -53,7 +53,7 @@ def _tolerance(args) -> Tolerance:
             eps = float(env)
         except ValueError:
             raise ValueError(f"BICYCLE_TOL must be a number, got {env!r}") from None
-    return DEFAULT_TOL if eps is None else Tolerance(eps_geom=eps, eps_class=DEFAULT_TOL.eps_class)
+    return DEFAULT_TOL if eps is None else Tolerance(eps_geom=eps)
 
 
 def _err(msg: str) -> None:

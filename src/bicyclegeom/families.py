@@ -28,7 +28,7 @@ from .geometry import (
     check_positive, is_darboux_butterfly,
 )
 from .invariants import triangle_circumcenter
-from .monodromy import MonodromyClass
+from .monodromy import _EPS_CLASS, MonodromyClass
 
 RegimeMap = Callable[[float], MonodromyClass]
 
@@ -41,13 +41,14 @@ class CyclicClassification:
     regime: RegimeMap | None
 
 
-def _banded_regime(boundaries: list[float], classes: list[MonodromyClass], eps_class: float) -> RegimeMap:
-    """Piecewise-constant classification with parabolic bands at the boundaries."""
+def _banded_regime(boundaries: list[float], classes: list[MonodromyClass]) -> RegimeMap:
+    """Piecewise-constant classification with parabolic bands of relative
+    half-width _EPS_CLASS at the boundaries."""
 
     def regime(ell: float) -> MonodromyClass:
         check_positive(ell)
         for b in boundaries:
-            if abs(ell - b) <= eps_class * b:
+            if abs(ell - b) <= _EPS_CLASS * b:
                 return MonodromyClass.PARABOLIC
         i = sum(1 for b in boundaries if ell > b)
         return classes[i]
@@ -82,9 +83,7 @@ def classify_cyclic(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> CyclicClassific
     if abs(abs(np.arctan2(cross, _dot(s0, s1)).sum()) - 2.0 * math.pi) > 1e-9:
         return no
     d = 2.0 * r
-    regime = _banded_regime(
-        [d], [MonodromyClass.HYPERBOLIC, MonodromyClass.ELLIPTIC], tol.eps_class
-    )
+    regime = _banded_regime([d], [MonodromyClass.HYPERBOLIC, MonodromyClass.ELLIPTIC])
     return CyclicClassification(True, d, center, regime)
 
 
@@ -175,17 +174,13 @@ def classify_quadrilateral(q: Polygon, tol: Tolerance = DEFAULT_TOL) -> QuadClas
         raise WrongArity("quadrilateral classification needs exactly 4 vertices")
     a, b, c, d = (q.vertex(i) for i in range(4))
     if is_darboux_butterfly(q, tol):
-        return QuadClassification(
-            kind="butterfly", regime=_banded_regime([], [MonodromyClass.IDENTITY], tol.eps_class)
-        )
+        return QuadClassification(kind="butterfly", regime=_banded_regime([], [MonodromyClass.IDENTITY]))
     center = _bisector_intersection(a, c, b, d, tol)
     if center is None:
         diag = (c - a) / np.linalg.norm(c - a)
         normal = np.array([-diag[1], diag[0]])
         gap = abs(float((b - a) @ normal))
-        regime = _banded_regime(
-            [gap], [MonodromyClass.ELLIPTIC, MonodromyClass.HYPERBOLIC], tol.eps_class
-        )
+        regime = _banded_regime([gap], [MonodromyClass.ELLIPTIC, MonodromyClass.HYPERBOLIC])
         return QuadClassification(
             kind="parallel", regime=regime, direction=diag, gap=gap, boundaries=(gap,)
         )
@@ -199,7 +194,7 @@ def classify_quadrilateral(q: Polygon, tol: Tolerance = DEFAULT_TOL) -> QuadClas
         classes = [MonodromyClass.ELLIPTIC, MonodromyClass.HYPERBOLIC, MonodromyClass.ELLIPTIC]
     else:
         classes = [MonodromyClass.HYPERBOLIC, MonodromyClass.ELLIPTIC]
-    regime = _banded_regime(boundaries, classes, tol.eps_class)
+    regime = _banded_regime(boundaries, classes)
     return QuadClassification(
         kind="generic",
         regime=regime,

@@ -27,16 +27,14 @@ def check_positive(x: float, what: str = "length parameter") -> None:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative tolerances, each a multiple of a size the inputs carry with
-    no absolute floor, so answers do not depend on the unit of length:
-    eps_geom for geometric predicates, eps_class for class boundaries."""
+    """The relative tolerance eps_geom of geometric predicates, a multiple of a
+    size the inputs carry with no absolute floor, so answers do not depend
+    on the unit of length."""
 
     eps_geom: float = 1e-9
-    eps_class: float = 1e-8
 
     def __post_init__(self):
         check_positive(self.eps_geom, "eps_geom")
-        check_positive(self.eps_class, "eps_class")
 
 
 DEFAULT_TOL = Tolerance()
@@ -244,12 +242,14 @@ def is_darboux_butterfly(q, tol: Tolerance = DEFAULT_TOL) -> bool:
     diagonals of an isosceles trapezoid.
 
     Characterization used: P4 is the reflection of P2 in the perpendicular
-    bisector hyperplane of P1 P3.  Invariant under rigid motions; holds
-    identically for collinear symmetric degenerations.
+    bisector hyperplane of P1 P3, tested over the power of two that puts the
+    largest |coordinate| in [0.5, 1), so no square underflows.  Invariant under
+    rigid motions; holds identically for collinear symmetric degenerations.
     """
     pts = q.vertices if isinstance(q, Polygon) else np.asarray(q, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != 4:
         raise WrongArity("a butterfly test needs exactly 4 vertices")
+    pts = np.ldexp(pts, -np.frexp(np.abs(pts).max())[1])
     p1, p2, p3, p4 = pts
     mirrored = perp_bisector_reflect(p2, p1, p3, tol)
     span = max(float(np.linalg.norm(pts[i] - pts[j])) for i in range(4) for j in range(i + 1, 4))

@@ -8,9 +8,9 @@ circumcenter of mass.  _conserved computes all three of a polygon once, as
 one record that circumcenter_of_mass and the CLI's invariants report read.
 The circumcenter of mass works in the frame of _ccm_frame, relative to the
 vertex centroid and with a zero-area bound taken from the polygon's own
-size, so it does not depend on where the polygon lies.  J, a cube of the
-coordinates, is summed at an exact power-of-two scale, so it overflows only
-where its value leaves the double range.  The rear
+size, so it does not depend on where the polygon lies.  J is taken in that
+frame too, as J(V - c) + 2 W(V - c) c, summed at an exact power-of-two scale,
+so it overflows only where its value leaves the double range.  The rear
 track realizes a corresponding pair as a chain of mutually tangent circles
 touching at the segment midpoints, with centres where consecutive frame
 lines meet (one line-meet kernel call).  RearTrack holds the chain as
@@ -127,12 +127,8 @@ def j_vector(v: Polygon) -> np.ndarray:
     area bivector, which makes the circumcenter of mass equivariant.
     ValueError, naming log10 |J|, where J overflows.
     """
-    j, e = _j(v.vertices)
-    try:
-        return np.array([math.ldexp(x, e) for x in j.tolist()])
-    except OverflowError:
-        log10 = math.log10(_norm(j)) + e * math.log10(2.0)
-        raise ValueError(f"J outside the double range: log10 |J| = {log10:.6g}") from None
+    origin, rel, _ = _ccm_frame(v, DEFAULT_TOL)
+    return _j_of(origin, _wedges(rel), *_j(rel))
 
 
 def _j(pts: np.ndarray) -> tuple[np.ndarray, int]:
@@ -143,6 +139,18 @@ def _j(pts: np.ndarray) -> tuple[np.ndarray, int]:
     sq = _dot(pts, pts)
     e = math.frexp(float(sq.max()))[1]
     return (((_cyc(sq, 1) - _cyc(sq, -1)) * math.ldexp(1.0, -e))[:, None] * pts).sum(axis=0), e
+
+
+def _j_of(origin: np.ndarray, w: np.ndarray, j: np.ndarray, e: int) -> np.ndarray:
+    """J(V) = J(U) + 2 W c in any dimension, with c the vertex centroid, U = V - c,
+    W = _wedges(U) and J(U) = j 2**e from _j, 2 W c summed in that frame (far out
+    V's squares cancel); ValueError, naming log10 |J|, where J leaves the double range."""
+    j = j + np.ldexp(w, 1 - e) @ origin
+    try:
+        return np.array([math.ldexp(x, e) for x in j.tolist()])
+    except OverflowError:
+        log10 = math.log10(math.hypot(*j.tolist())) + e * math.log10(2.0)
+        raise ValueError(f"J outside the double range: log10 |J| = {log10:.6g}") from None
 
 
 class _Conserved(NamedTuple):
@@ -173,13 +181,13 @@ def _conserved(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> _Conserved:
     """area_bivector, j_vector and the circumcenter of mass of v, each computed
     once; the ccm, of degree 1, stays in range where J, of degree 3, does not."""
     biv, j, ccm = area_bivector(v), None, None
+    origin, rel, min_area = _ccm_frame(v, tol)
+    w, (j_rel, e) = _wedges(rel), _j(rel)
     with contextlib.suppress(ValueError):  # J past the double range stays None
-        j = j_vector(v)
+        j = _j_of(origin, w, j_rel, e)
     if v.dim == 2:
-        origin, rel, min_area = _ccm_frame(v, tol)
-        area = 0.5 * _wedges(rel)[0, 1]
-        if abs(area) > min_area:
-            j_rel, e = _j(rel)  # rot(J) / (4 area) with J and area both scaled by 2**-e: the same quotient
+        area = 0.5 * w[0, 1]
+        if abs(area) > min_area:  # rot(J) / (4 area) with J and area both scaled by 2**-e: the same quotient
             ccm = origin + np.array([-j_rel[1], j_rel[0]]) / (4.0 * math.ldexp(area, -e))
     return _Conserved(biv, j, ccm)
 

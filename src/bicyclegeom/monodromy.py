@@ -11,10 +11,10 @@ length a and direction phi acts as the 2x2 matrix
 with determinant ell^2 - a^2.  The whole-polygon monodromy is the product of
 these over the sides, later sides multiplying on the left, computed as a
 pairwise tree kept as m 2**e (overflow-free: exact power-of-two scaling every
-third level); scale-free answers are read off m by one row classifier and one
-fixed-direction solver.  Where the polygon is known, the determinant is not
-taken from m but from the sides, as the sign and log2 of prod(ell^2 - a^2):
-on a strongly hyperbolic product a d - b c of m rounds to 0.  In dimension n
+third level), the form Mobius2 holds; scale-free answers are read off m by one
+row classifier and one fixed-direction solver.  Where the polygon is known, the
+determinant is not taken from m but from the sides, as the sign and log2 of
+prod(ell^2 - a^2): on a strongly hyperbolic product a d - b c of m rounds to 0.  In dimension n
 the same step is a Lorentz matrix in O(n,1) acting projectively on the
 sphere of directions.  One unchecked row builder gives these matrices for
 edge_lorentz and lorentz_monodromy, which validate once; the fixed directions
@@ -43,17 +43,15 @@ class MonodromyClass(enum.Enum):
 
 
 class Mobius2:
-    """Real 2x2 matrix acting projectively on the circle of directions.
+    """Real 2x2 matrix acting projectively on the circle of directions, up to a
+    nonzero scalar factor, held as row 2**e: row its entries (a, b, c, d) with
+    the largest in [0.5, 1), and log2det the (sign, log2 |det|) of row, from the
+    sides in polygon_monodromy, else a d - b c.  The raw entries m are formed
+    on demand; the scale-free readings use row and log2det alone."""
 
-    Defined up to a nonzero scalar factor; comparisons are projective.
-    polygon_monodromy also records the exact determinant, as the sign, log2
-    mantissa and integer log2 exponent of _log2_det; a bare Mobius2 takes
-    a d - b c.
-    """
+    __slots__ = ("row", "e", "log2det")
 
-    __slots__ = ("m", "_logdet")
-
-    def __init__(self, m, _logdet: tuple[float, float, int] | None = None):
+    def __init__(self, m):
         m = np.array(m, dtype=float)
         if m.shape != (2, 2):
             raise DimensionMismatch("Mobius2 wants a 2x2 matrix")
@@ -61,37 +59,45 @@ class Mobius2:
             raise ValueError("matrix entries must be finite")
         if np.abs(m).max() == 0.0:
             raise ValueError("the zero matrix is not a projective transformation")
-        m.setflags(write=False)
-        self.m = m
-        self._logdet = _logdet
+        unit, shift = _rescale(m)
+        a, b, c, d = self.row = unit.ravel().tolist()
+        self.e, det = int(shift), a * d - b * c
+        self.log2det = (math.copysign(1.0, det), math.log2(abs(det))) if det else (0.0, -math.inf)
+
+    @classmethod
+    def _root(cls, row: list[float], e: int, log2det: tuple[float, float]) -> Mobius2:
+        """Unchecked: the value row 2**e, as the side tree gives it."""
+        self = object.__new__(cls)
+        self.row, self.e, self.log2det = row, e, log2det
+        return self
+
+    @property
+    def m(self) -> np.ndarray:
+        """The raw entries row 2**e; ValueError, naming the log2 scale e, where they
+        overflow or their largest underflows to 0 or a subnormal."""
+        with np.errstate(over="ignore"):
+            raw = np.ldexp(np.reshape(self.row, (2, 2)), self.e)
+        top = float(np.abs(raw).max())
+        if not _TINY <= top < math.inf:
+            raise ValueError(f"monodromy entries {'over' if top > 1 else 'under'}flow: log2 scale {self.e}")
+        raw.setflags(write=False)
+        return raw
 
     @property
     def trace(self) -> float:
-        return float(self.m[0, 0] + self.m[1, 1])
+        return float(np.trace(self.m))
 
     @property
     def det(self) -> float:
-        if self._logdet is not None:
-            sign, mant, exp = self._logdet
-            return _pow2(sign, mant + exp)
-        return float(self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0])
-
-    def _row(self):
-        """The entries (a, b, c, d) rescaled to a largest entry in [0.5, 1), and
-        the (sign, log2 |det|) of that rescaled matrix."""
-        unit, shift = _rescale(self.m)
-        row = unit.ravel().tolist()
-        if self._logdet is None:
-            return row, _row_det(row)
-        sign, mant, exp = self._logdet
-        return row, (sign, mant + (exp - 2 * int(shift)))
+        sign, log2det = self.log2det
+        return _pow2(sign, log2det + 2 * self.e)
 
     def trace_sq_over_det(self) -> float:
         """The projective-scale invariant Tr^2 / det (+-inf at degenerate points)."""
-        return _tr2_over_det(*self._row())
+        return _tr2_over_det(self.row, self.log2det)
 
     def __repr__(self) -> str:
-        return f"Mobius2({self.m.tolist()!r})"
+        return f"Mobius2(row={self.row!r}, e={self.e})"
 
 
 def _side_matrices(v: Polygon, ells: np.ndarray) -> np.ndarray:
@@ -117,13 +123,6 @@ def _rescale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _pow2(sign: float, x: float) -> float:
     """sign 2**x, infinite past the double range (2.0 ** x raises there)."""
     return sign * 2.0**x if x < 1024.0 else sign * math.inf
-
-
-def _row_det(row) -> tuple[float, float]:
-    """(sign, log2 |det|) of row = (a, b, c, d) from a d - b c."""
-    a, b, c, d = row
-    det = a * d - b * c
-    return (math.copysign(1.0, det), math.log2(abs(det))) if det else (0.0, -math.inf)
 
 
 _MINUS_PLUS = np.array([[-1.0], [1.0]])  # rows ell - a_j and ell + a_j
@@ -185,10 +184,10 @@ def _pole_hits(v: Polygon, ells: np.ndarray, tol: Tolerance, f: np.ndarray) -> n
     return np.abs(f[:, 0]) <= tol.eps_geom * np.maximum(ells[:, None], v.side_lengths())
 
 
-def _product_at(v: Polygon, ell: float, tol: Tolerance):
-    """The (m, e) of the monodromy at one length, validated as polygon_monodromy
-    before any tree is built, the (sign, mant, exp) of its raw determinant from
-    _log2_det (the pole rule's factors, formed once), and the _tree's levels."""
+def _product_at(v: Polygon, ell: float, tol: Tolerance) -> tuple[Mobius2, list[np.ndarray]]:
+    """The monodromy at one length, validated as polygon_monodromy before any
+    tree is built, with the exact determinant of _log2_det (the pole rule's
+    factors, formed once), and the _tree's levels."""
     if v.dim != 2:
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
     check_positive(ell)
@@ -196,26 +195,20 @@ def _product_at(v: Polygon, ell: float, tol: Tolerance):
     if _pole_hits(v, ells, tol, f := _factors(v, ells)).any():
         raise DegenerateMonodromy(f"length parameter {ell} coincides with a side length")
     levels, e = _tree(v, ells)
-    sign, mant, exp = _log2_det(f)
-    return levels[-1][0, 0], int(e[0]), (float(sign[0]), float(mant[0]), int(exp[0])), levels
+    (sign,), (mant,), (exp,), (e,) = (x.tolist() for x in (*_log2_det(f), e))
+    return Mobius2._root(levels[-1][0, 0].ravel().tolist(), e, (sign, mant + (exp - 2 * e))), levels
 
 
 def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> Mobius2:
     """Whole-polygon monodromy: product of side matrices in traversal order,
-    later sides on the left.
+    later sides on the left, as the side tree's root with the exact
+    determinant; only its raw entries .m and .trace leave the double range.
 
     Raises DegenerateMonodromy when ell coincides with a side length (the
     determinant prod(ell^2 - a_i^2) vanishes there), and ValueError, naming
-    the length, outside 0 < ell < inf or where the raw product leaves the double
-    range: its entries overflow, or its largest entry underflows to 0 or a subnormal.
+    the length, outside 0 < ell < inf.
     """
-    m, e, logdet, _ = _product_at(v, ell, tol)
-    with np.errstate(over="ignore"):
-        raw = np.ldexp(m, e)
-    top = float(np.abs(raw).max())
-    if not _TINY <= top < math.inf:
-        raise ValueError(f"monodromy entries {'over' if top > 1 else 'under'}flow at length {float(ell)!r}")
-    return Mobius2(raw, logdet)
+    return _product_at(v, ell, tol)[0]
 
 
 def _disc_terms(a, b, c, d):
@@ -227,10 +220,13 @@ def _disc_terms(a, b, c, d):
     return square + cross, square, cross
 
 
+_EPS_CLASS = 1e-8  # relative half-width of the parabolic band at a class boundary
+
+
 def _classify_row(row, tol: Tolerance, det: tuple[float, float]) -> MonodromyClass:
     """Class of [[a, b], [c, d]] from the floats row = (a, b, c, d) and the
     (sign, log2 |det|) of that matrix: identity, singular (det sign 0), then
-    by the discriminant's sign outside the eps_class band; in the band
+    by the discriminant's sign outside the _EPS_CLASS band; in the band
     parabolic, or singular if the double eigenvalue is 0."""
     a, b, c, d = row
     eps = tol.eps_geom * max(abs(a), abs(b), abs(c), abs(d))
@@ -239,7 +235,7 @@ def _classify_row(row, tol: Tolerance, det: tuple[float, float]) -> MonodromyCla
     if not det[0]:
         return MonodromyClass.DEGENERATE
     disc, square, cross = _disc_terms(a, b, c, d)
-    band = tol.eps_class * max(square, abs(cross))
+    band = _EPS_CLASS * max(square, abs(cross))
     if disc > band:
         return MonodromyClass.HYPERBOLIC
     if disc < -band:
@@ -249,8 +245,7 @@ def _classify_row(row, tol: Tolerance, det: tuple[float, float]) -> MonodromyCla
 
 def classify(m: Mobius2, tol: Tolerance = DEFAULT_TOL) -> MonodromyClass:
     """Conjugacy class from the discriminant Tr^2 - 4 det (scale-free)."""
-    row, det = m._row()
-    return _classify_row(row, tol, det)
+    return _classify_row(m.row, tol, m.log2det)
 
 
 class FixedDirection(NamedTuple):
@@ -277,8 +272,7 @@ def fixed_directions(m: Mobius2, tol: Tolerance = DEFAULT_TOL):
     parabolic one entry; identity returns the ALL_DIRECTIONS marker and
     elliptic raises NoRealFixedPoint.
     """
-    row, det = m._row()
-    return _fixed_row(row, _classify_row(row, tol, det), det)
+    return _fixed_row(m.row, _classify_row(m.row, tol, m.log2det), m.log2det)
 
 
 def _eigen_row(row, klass: MonodromyClass, det: tuple[float, float]) -> list[tuple[float, float]]:
@@ -337,18 +331,15 @@ def _tr2_over_det(row, det: tuple[float, float]) -> float:
 _FIXED_CLASSES = (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC)  # isolated fixed directions
 
 
-def _row_summary(row, tol: Tolerance, det: tuple[float, float]):
-    """Class, Tr^2/det and fixed directions (None unless hyperbolic or parabolic) of a row."""
+def _summary_at(v: Polygon, ell: float, tol: Tolerance):
+    """Class, Tr^2/det and fixed directions (None unless hyperbolic or parabolic)
+    of the monodromy at one length, validated as polygon_monodromy, and the
+    levels of the _tree it was read from."""
+    m, levels = _product_at(v, ell, tol)
+    row, det = m.row, m.log2det
     klass = _classify_row(row, tol, det)
     dirs = _fixed_row(row, klass, det) if klass in _FIXED_CLASSES else None
-    return klass, _tr2_over_det(row, det), dirs
-
-
-def _summary_at(v: Polygon, ell: float, tol: Tolerance):
-    """_row_summary of the monodromy at one length, validated as polygon_monodromy,
-    and the levels of the _tree it was read from."""
-    m, e, (sign, mant, exp), levels = _product_at(v, ell, tol)
-    return *_row_summary(m.ravel().tolist(), tol, (sign, mant + (exp - 2 * e))), levels
+    return klass, _tr2_over_det(row, det), dirs, levels
 
 
 class TracePoly:
@@ -553,10 +544,12 @@ def classification_scan(
 
 
 def discriminant(v: Polygon, ell: float) -> float:
-    """Tr^2 - 4 det of the monodromy matrix, in the cancellation-free form.  Raises
-    ValueError, naming the length, where it is not finite or underflows a normal rescaled value."""
+    """Tr^2 - 4 det of the monodromy matrix, in the cancellation-free form.  Raises ValueError,
+    naming the length, outside 0 < ell < inf and where the value is not finite or underflows a
+    normal rescaled value."""
     if v.dim != 2:
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
+    check_positive(ell)
     m, e = _monodromy_product(v, np.array([ell], dtype=float))
     scaled = _disc_terms(*m[0].ravel().tolist())[0]
     with np.errstate(over="ignore"):

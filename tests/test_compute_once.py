@@ -42,11 +42,11 @@ def _pair(kind, rng):
     return propagated_pair_3d(rng)
 
 
-def _bind_all(monkeypatch, name):
-    """Count the calls of bicyclegeom's function name through every module
-    binding; returns the list of first arguments."""
+def _bind_all(monkeypatch, name, home=bg):
+    """Count the calls of the function name of home (bicyclegeom) through every
+    module binding; returns the list of first arguments."""
     calls = []
-    real = getattr(bg, name)
+    real = getattr(home, name)
 
     def counted(first, *args, **kwargs):
         calls.append(first)
@@ -149,14 +149,16 @@ class TestReportEqualsPublicFunctions:
 class TestComputedOnce:
     @pytest.fixture
     def counts(self, monkeypatch):
-        return {name: _bind_all(monkeypatch, name) for name in ("area_bivector", "j_vector", "correspondence_check")}
+        """Calls of area_bivector, of J's one kernel invariants._j, and of correspondence_check."""
+        homes = {"area_bivector": bg, "_j": bg.invariants, "correspondence_check": bg}
+        return {name: _bind_all(monkeypatch, name, home) for name, home in homes.items()}
 
     @pytest.mark.parametrize("kind", ["transform", "butterfly", "dim3"])
     def test_two_polygons(self, kind, rng, pair_files, counts, capsys):
         v, w, length = _pair(kind, rng)
         assert main(["invariants", *pair_files(v, w), "--ell", repr(length), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["is_bicycle_pair"] is True
-        for name in ("area_bivector", "j_vector"):
+        for name in ("area_bivector", "_j"):
             polys = counts[name]
             assert len(polys) == 2 and polys[0] is not polys[1], name
         assert len(counts["correspondence_check"]) == 1

@@ -6,6 +6,7 @@ import inspect
 import math
 import re
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,10 +163,13 @@ class TestCircumcenterAwayFromUnitScale:
         assert np.abs(ccm_triangulation_oracle(bent) - want).max() < 1e-8
 
 
-def _plain_j(pts):
-    """J as a plain cubic sum on raw coordinates, squares in column order."""
-    sq = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
-    return ((np.roll(sq, -1) - np.roll(sq, 1))[:, None] * pts).sum(axis=0)
+def _exact_gap(pts, got) -> float:
+    """max |J - exact J| / max |exact J|, J summed in Fractions."""
+    p = [[Fraction(x) for x in row] for row in pts.tolist()]
+    sq = [sum(x * x for x in row) for row in p]
+    k = len(p)
+    exact = [sum((sq[(i + 1) % k] - sq[i - 1]) * p[i][d] for i in range(k)) for d in range(len(p[0]))]
+    return float(max(abs(Fraction(x) - y) for x, y in zip(got.tolist(), exact)) / max(map(abs, exact)))
 
 
 class TestLargeCoordinates:
@@ -190,16 +194,33 @@ class TestLargeCoordinates:
 
     @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e50, 1e90, 1e95, 1e100])
     def test_scaling_keeps_the_bits(self, rng, scale):
-        """Where the plain sum stays in range, the scaled one has its bits at
-        every scale, and so does the circumcenter of mass formed from it."""
+        """At every scale J is within 4e-15 of the exact sum, relative to its
+        largest component (measured 1.7e-15; the plain cubic sum on raw
+        coordinates, which it used to equal bit for bit, 1.7e-15 where it
+        stays in range), and the circumcenter of mass has the bits of the
+        plain formula on the centred vertices."""
         for _ in range(40):
             pts = rng.normal(size=(int(rng.integers(3, 30)), 2)) * scale
             v = bg.Polygon(pts)
-            assert bg.j_vector(v).tobytes() == _plain_j(pts).tobytes()
+            assert _exact_gap(pts, bg.j_vector(v)) <= 4e-15
             rel = pts - pts.mean(axis=0)
-            j, area = _plain_j(rel), bg.signed_area(bg.Polygon(rel))
-            want = pts.mean(axis=0) + np.array([-j[1], j[0]]) / (4.0 * area)
+            sq = rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1]
+            j = ((np.roll(sq, -1) - np.roll(sq, 1))[:, None] * rel).sum(axis=0)
+            want = pts.mean(axis=0) + np.array([-j[1], j[0]]) / (4.0 * bg.signed_area(bg.Polygon(rel)))
             assert bg.circumcenter_of_mass(v).tobytes() == want.tobytes()
+
+    def test_j_far_from_the_origin(self):
+        """J from the centred vertices: the square of side 1e94 at (1e100, 1e100)
+        had J 1.8e-7 off the exact sum, its differences of squares cancelling
+        (measured now 2.3e-16); these off-origin polygons in dimensions 2 and 3
+        had up to 7.9e-9 (measured now 6.5e-16)."""
+        far = UNIT_SQUARE * 1e94 + 1e100
+        assert _exact_gap(far, bg.j_vector(bg.Polygon(far))) <= 1e-15
+        rng = np.random.default_rng(59)
+        for _ in range(60):
+            k, dim = int(rng.integers(3, 12)), int(rng.integers(2, 4))
+            pts = rng.normal(size=(k, dim)) + rng.normal(size=dim) * 10.0 ** rng.uniform(0, 8)
+            assert _exact_gap(pts, bg.j_vector(bg.Polygon(pts))) <= 1e-14
 
 
 class TestTriangulationOracle:

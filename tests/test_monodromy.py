@@ -136,6 +136,20 @@ class TestPolygonMonodromy:
             prod = mobius_matmul(edge_mobius(L, a, phi), prod)
         assert proj_distance(bg.polygon_monodromy(v, L), prod) <= 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k, noise, L", [c for c in LARGE_CIRCLES if c[0] == 2000])
+    def test_conjugacy_below_the_double_range(self, k, noise, L):
+        """c03 at k = 2000: V and T_L(V) share the class and Tr^2/det at 0.6 L,
+        where the raw entries underflow (log2 scale -1771 and -1615); measured
+        gap 3.3e-13 relative, bound 1e-11."""
+        v = circle_polygon(np.random.default_rng(1), k, noise)
+        mv, mw = (bg.polygon_monodromy(p, 0.6 * L) for p in (v, bg.transform(v, L)))
+        assert bg.classify(mv) is bg.classify(mw) is bg.MonodromyClass.HYPERBOLIC
+        a, b = mv.trace_sq_over_det(), mw.trace_sq_over_det()
+        assert abs(a - b) <= 1e-11 * abs(a)
+        with pytest.raises(ValueError, match=re.escape(f"monodromy entries underflow: log2 scale {mv.e}")):
+            mv.m
+
 
 class TestClassify:
     def test_square_regimes(self):
@@ -375,7 +389,8 @@ class TestLengthRange:
     """A length parameter outside 0 < L < inf is refused with a ValueError
     naming it, before any side tree is built: NaN used to surface as a zero
     frame or an underflow, inf as a RuntimeWarning from the tree's matmul,
-    and a scan to NaN returned NaN-length points."""
+    and a scan to NaN returned NaN-length points; discriminant gave 16.0 for
+    the square at -1 and 0.0, a parabolic boundary, at 0."""
 
     BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 
@@ -389,6 +404,7 @@ class TestLengthRange:
             lambda: bg.transform(SQUARE, ell),
             lambda: bg.transform(SQUARE, ell, bg.Branch.REPELLING),
             lambda: bg.polygon_monodromy(SQUARE, ell),
+            lambda: bg.discriminant(SQUARE, ell),
             lambda: bg.lorentz_monodromy(SQUARE, ell),
             lambda: bg.dynamics._seeded_companion(SQUARE, ell, np.array([0.0, 0.5]), bg.DEFAULT_TOL),
         ]
@@ -525,26 +541,22 @@ class TestScan:
         assert bg.refine_class_boundaries(SQUARE, 0.2, 3.0) == [math.sqrt(2)]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize(
-        "call, failing_length",
-        [
-            (lambda v, L: bg.discriminant(v, L), lambda L: L),
-            (lambda v, L: bg.polygon_monodromy(v, L), None),
-        ],
-        ids=["discriminant", "polygon_monodromy"],
-    )
-    def test_overflowing_product_raises_without_warnings(self, call, failing_length):
-        """ROADMAP overflow recipe at k = 500: the raw-valued results leave the
-        double range and raise ValueError naming the length, and the overflow
-        warns nobody."""
-        v = bg.Polygon(np.random.default_rng(2).normal(size=(500, 2)) * 2)
-        L = 3.0 * float(v.side_lengths().max())
-        if failing_length is None:
-            message = f"monodromy entries overflow at length {L!r}"
-        else:
-            message = f"discriminant is not finite at length {failing_length(L)!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            call(v, L)
+    @pytest.mark.parametrize("call", ["discriminant", "polygon_monodromy"])
+    def test_overflowing_product_raises_without_warnings(self, call):
+        """ROADMAP overflow recipe at k = 500: the raw discriminant leaves the
+        double range and raises ValueError naming the length.  The monodromy
+        is the side tree's root, elliptic as the reference says; only its raw
+        entries raise, naming their log2 scale.  The overflow warns nobody."""
+        v, L = overflow_recipe(500)
+        if call == "discriminant":
+            with pytest.raises(ValueError, match=re.escape(f"discriminant is not finite at length {L!r}")):
+                bg.discriminant(v, L)
+            return
+        mob = bg.polygon_monodromy(v, L)
+        assert bg.classify(mob) is bg.MonodromyClass.ELLIPTIC
+        for raw in (lambda: mob.m, lambda: mob.trace):
+            with pytest.raises(ValueError, match=re.escape("monodromy entries overflow: log2 scale 2516")):
+                raw()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_discriminant_overflow_of_finite_product(self):
@@ -568,22 +580,29 @@ class TestScan:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_monodromy_underflow_raises(self):
-        """The same case through polygon_monodromy: ValueError naming the
-        length, not the zero-matrix error of an all-zero product."""
-        v = circle_polygon(np.random.default_rng(0), 2000)
-        with pytest.raises(ValueError, match=re.escape("monodromy entries underflow at length 0.5")):
-            bg.polygon_monodromy(v, 0.5)
+        """The same case through polygon_monodromy: the value exists and is
+        hyperbolic; its raw entries raise, naming their log2 scale, not the
+        zero-matrix error of an all-zero product."""
+        mob = bg.polygon_monodromy(circle_polygon(np.random.default_rng(0), 2000), 0.5)
+        assert bg.classify(mob) is bg.MonodromyClass.HYPERBOLIC
+        assert [fd.derivative > 1.0 for fd in bg.fixed_directions(mob)] == [False, True]
+        with pytest.raises(ValueError, match=re.escape("monodromy entries underflow: log2 scale -1992")):
+            mob.m
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case, word", [("circle", "underflow"), ("overflow", "overflow")])
     def test_monodromy_errors_name_a_numpy_length_as_a_float(self, case, word):
-        """A numpy length is named as the plain float it holds, as
-        lorentz_monodromy names it, not as np.float64(...)."""
+        """A numpy length gives the value the plain float it holds gives, and
+        the raw entries' error names their log2 scale."""
         if case == "circle":
-            v, L = circle_polygon(np.random.default_rng(0), 2000), 0.5
+            v, L, klass, e = circle_polygon(np.random.default_rng(0), 2000), 0.5, bg.MonodromyClass.HYPERBOLIC, -1992
         else:
-            v, L = overflow_recipe(500)
-        with pytest.raises(ValueError, match=re.escape(f"monodromy entries {word} at length {L!r}")):
-            bg.polygon_monodromy(v, np.float64(L))
+            (v, L), klass, e = overflow_recipe(500), bg.MonodromyClass.ELLIPTIC, 2516
+        mob, plain = bg.polygon_monodromy(v, np.float64(L)), bg.polygon_monodromy(v, L)
+        assert (mob.row, mob.e, mob.log2det) == (plain.row, plain.e, plain.log2det)
+        assert bg.classify(mob) is klass
+        with pytest.raises(ValueError, match=re.escape(f"monodromy entries {word}: log2 scale {e}")):
+            mob.m
 
     def test_refine_rejects_non_finite_midpoint(self, monkeypatch):
         real = monodromy._monodromy_product
