@@ -47,6 +47,7 @@ def _radii(track: RearTrack) -> list[float | None]:
 
 
 def _tolerance(args) -> Tolerance:
+    """--tol, else BICYCLE_TOL, else the default; main reads it once per call, for every command."""
     eps = args.tol
     if eps is None and (env := os.environ.get("BICYCLE_TOL")):
         try:
@@ -127,8 +128,7 @@ def _elliptic_hint(v: Polygon, tol: Tolerance) -> str:
     return "no real fixed direction at this length"
 
 
-def cmd_transform(args) -> int:
-    tol = _tolerance(args)
+def cmd_transform(args, tol: Tolerance) -> int:
     v = load_polygon(args.input)
     length = args.ell
     if args.seed_angle is not None:
@@ -185,8 +185,7 @@ def _polygon_report(v: Polygon, conserved, tol: Tolerance, ell: float | None) ->
     return rep
 
 
-def cmd_invariants(args) -> int:
-    tol = _tolerance(args)
+def cmd_invariants(args, tol: Tolerance) -> int:
     v = load_polygon(args.input)
     w = load_polygon(args.second) if args.second else None
     if w is not None:
@@ -221,7 +220,7 @@ def cmd_invariants(args) -> int:
         if pair is not None:
             report["frame_length"] = _val(pair.length, tol)
             if v.dim == 2:
-                report["rear_track_radii"] = _val(_radii(rear_track(pair, tol)), tol)
+                report["rear_track_radii"] = _val(_radii(rear_track(pair)), tol)
     sys.stdout.write(_render_report(report, args.json))
     return 0
 
@@ -234,8 +233,7 @@ def _parse_grid(spec: str) -> tuple[float, float, int]:
         raise PolygonFileError(f"bad grid spec {spec!r}, want min:max:steps") from exc
 
 
-def cmd_scan(args) -> int:
-    tol = _tolerance(args)
+def cmd_scan(args, tol: Tolerance) -> int:
     v = load_polygon(args.input)
     lmin, lmax, steps = _parse_grid(args.grid)
     points = classification_scan(v, lmin, lmax, steps, tol)
@@ -256,8 +254,7 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def cmd_svg(args) -> int:
-    tol = _tolerance(args)
+def cmd_svg(args, tol: Tolerance) -> int:
     fig = Figure()
     polys: list[Polygon] = []
     if args.ngon:
@@ -279,7 +276,7 @@ def cmd_svg(args) -> int:
     for idx, v in enumerate(polys):
         fig.polyline(v.vertices, color=PALETTE[idx % len(PALETTE)])
         for p in v.vertices:
-            fig.dot(p, radius=2.0, color=PALETTE[idx % len(PALETTE)])
+            fig.dot(p, color=PALETTE[idx % len(PALETTE)])
     if args.rear_track:
         if len(polys) < 2:
             _err("--rear-track needs two polygon files (the corresponding pair)")
@@ -289,20 +286,20 @@ def cmd_svg(args) -> int:
         except ValueError as exc:  # not in the bicycle correspondence: exit 1, as rear-track
             _err(str(exc))
             return 1
-        track = rear_track(pair, tol)
+        track = rear_track(pair)
         for i, (center, radius) in enumerate(zip(track.center, _radii(track))):
             if radius is None:
                 q0, q1 = track.q[i], track.q[(i + 1) % len(track.q)]
                 fig.segment(q0, q1, color=PALETTE[1], width=1.0)
             else:
-                fig.circle(center, abs(radius), color=PALETTE[1], width=1.0)
+                fig.circle(center, abs(radius))
         for i in range(len(polys[0])):
             fig.segment(polys[0].vertex(i), polys[1].vertex(i), color="#9aa0a6", width=0.6)
-            fig.dot(track.q[i], radius=2.0, color=PALETTE[1])
+            fig.dot(track.q[i], color=PALETTE[1])
     if args.ell is not None:
         v = polys[0]
         for fd in _summary_at(v, args.ell, tol)[2] or ():
-            fig.arrow(v.vertex(0), fd.angle, args.ell, color=PALETTE[2])
+            fig.arrow(v.vertex(0), fd.angle, args.ell)
     if args.output:
         write_file(args.output, fig.render().encode())
     else:
@@ -310,8 +307,7 @@ def cmd_svg(args) -> int:
     return 0
 
 
-def cmd_ngon(args) -> int:
-    tol = _tolerance(args)
+def cmd_ngon(args, tol: Tolerance) -> int:
     if args.verify:
         v = load_polygon(args.verify)
     else:
@@ -329,7 +325,7 @@ def cmd_ngon(args) -> int:
     return 0
 
 
-def cmd_recut(args) -> int:
+def cmd_recut(args, _tol: Tolerance) -> int:
     v = load_polygon(args.input)
     for i in args.index:
         v = recut(v, i)
@@ -337,8 +333,7 @@ def cmd_recut(args) -> int:
     return 0
 
 
-def cmd_rear_track(args) -> int:
-    tol = _tolerance(args)
+def cmd_rear_track(args, tol: Tolerance) -> int:
     v = load_polygon(args.front)
     w = load_polygon(args.companion)
     try:
@@ -346,8 +341,8 @@ def cmd_rear_track(args) -> int:
     except ValueError as exc:  # not in the bicycle correspondence
         _err(str(exc))
         return 1
-    track = rear_track(pair, tol)
-    lam_vw, lam_chain = eigenvalue_products(pair, track, tol)
+    track = rear_track(pair)
+    lam_vw, lam_chain = eigenvalue_products(pair, track)
     payload = {
         "frame_length": pair.length,
         "circles": [
@@ -369,8 +364,7 @@ def cmd_rear_track(args) -> int:
     return 0
 
 
-def cmd_bianchi(args) -> int:
-    tol = _tolerance(args)
+def cmd_bianchi(args, tol: Tolerance) -> int:
     v = load_polygon(args.v)
     w = load_polygon(args.w)
     s = load_polygon(args.s)
@@ -464,7 +458,7 @@ def main(argv=None) -> int:
     else:  # --help, no arguments or no such command: the top-level parser's output
         args = top.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _tolerance(args))
     except (GeometryError, ValueError) as exc:
         _err(str(exc))
         return 2

@@ -301,15 +301,14 @@ def _alpha_angles(v: Polygon, w: Polygon) -> np.ndarray:
     return _angle_at(v.vertices, _cyc(v.vertices, -1), w.vertices, signed=v.dim == 2)
 
 
-def angle_sequence(pair: BicyclePair, tol: Tolerance | None = None) -> np.ndarray:
-    """Frame angles alpha_i, validated against the second defining expression
-    (the same angle read off at W_{i-1}).  Signed in the plane,
-    counterclockwise positive."""
-    tol = tol or pair.tol
+def angle_sequence(pair: BicyclePair) -> np.ndarray:
+    """Frame angles alpha_i, validated under the pair's tolerance against the
+    second defining expression (the same angle read off at W_{i-1}).  Signed
+    in the plane, counterclockwise positive."""
     v, w = pair.v.vertices, pair.w.vertices
     alternate = _angle_at(_cyc(w, -1), _cyc(v, -1), w, signed=pair.v.dim == 2)
     wrapped = np.mod(pair.alphas - alternate + math.pi, 2.0 * math.pi) - math.pi
-    if np.abs(wrapped).max() > max(tol.eps_geom, 1e-12) * 10.0:
+    if np.abs(wrapped).max() > max(pair.tol.eps_geom, 1e-12) * 10.0:
         raise ValueError("frame-angle expressions disagree: not a genuine bicycle pair")
     return pair.alphas.copy()
 

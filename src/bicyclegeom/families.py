@@ -157,7 +157,6 @@ class QuadClassification:
     center: np.ndarray | None = None
     r1: float | None = None
     r2: float | None = None
-    direction: np.ndarray | None = None
     gap: float | None = None
     boundaries: tuple[float, ...] = field(default=())
 
@@ -181,14 +180,11 @@ def classify_quadrilateral(q: Polygon, tol: Tolerance = DEFAULT_TOL) -> QuadClas
         normal = np.array([-diag[1], diag[0]])
         gap = abs(float((b - a) @ normal))
         regime = _banded_regime([gap], [MonodromyClass.ELLIPTIC, MonodromyClass.HYPERBOLIC])
-        return QuadClassification(
-            kind="parallel", regime=regime, direction=diag, gap=gap, boundaries=(gap,)
-        )
+        return QuadClassification(kind="parallel", regime=regime, gap=gap, boundaries=(gap,))
     r_ac = 0.5 * (np.linalg.norm(a - center) + np.linalg.norm(c - center))
     r_bd = 0.5 * (np.linalg.norm(b - center) + np.linalg.norm(d - center))
     r1, r2 = max(r_ac, r_bd), min(r_ac, r_bd)
     boundaries = [r1 + r2]
-    classes = [MonodromyClass.ELLIPTIC, MonodromyClass.ELLIPTIC]
     if r1 - r2 > tol.eps_geom * r1:
         boundaries.insert(0, r1 - r2)
         classes = [MonodromyClass.ELLIPTIC, MonodromyClass.HYPERBOLIC, MonodromyClass.ELLIPTIC]

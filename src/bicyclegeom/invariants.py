@@ -8,15 +8,16 @@ circumcenter of mass.  _conserved computes all three of a polygon once, as
 one record that circumcenter_of_mass and the CLI's invariants report read.
 The circumcenter of mass works in the frame of _ccm_frame, relative to the
 vertex centroid and with a zero-area bound taken from the polygon's own
-size, so it does not depend on where the polygon lies.  J is taken in that
-frame too, as J(V - c) + 2 W(V - c) c, summed at an exact power-of-two scale,
-so it overflows only where its value leaves the double range.  The rear
-track realizes a corresponding pair as a chain of mutually tangent circles
-touching at the segment midpoints, with centres where consecutive frame
-lines meet (one line-meet kernel call).  RearTrack holds the chain as
-arrays, one row per slot: centres, signed curvatures and the directions of
-straight members; rear_track, chain_reconstruct and eigenvalue_products are
-row expressions over them.
+size, so it does not depend on where the polygon lies.  The area bivector is
+summed in that frame too, and J is taken there as J(V - c) + 2 W(V - c) c,
+summed at an exact power-of-two scale, so it overflows only where its value
+leaves the double range.  The rear track realizes a corresponding pair as a
+chain of mutually tangent circles touching at the segment midpoints, with
+centres where consecutive frame lines meet (one line-meet kernel call).
+RearTrack holds the chain as arrays, one row per slot: centres, signed
+curvatures and the directions of straight members; rear_track,
+chain_reconstruct and eigenvalue_products are row expressions over them,
+under the pair's tolerance.
 """
 
 from __future__ import annotations
@@ -101,9 +102,11 @@ def area_bivector(v: Polygon) -> Bivector:
     """Cyclic sum of wedge products V_i ^ V_{i+1}.
 
     In dimension 2 the scalar component equals twice the shoelace signed
-    area of the polygon.
+    area of the polygon.  The sum is translation invariant, so it is taken
+    over the vertices less their centroid (_ccm_frame): far from the origin
+    the raw wedges cancel.
     """
-    return Bivector.from_matrix(_wedges(v.vertices))
+    return Bivector.from_matrix(_wedges(_ccm_frame(v, DEFAULT_TOL)[1]))
 
 
 def _wedges(pts: np.ndarray) -> np.ndarray:
@@ -180,7 +183,7 @@ def _ccm_frame(v: Polygon, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, floa
 def _conserved(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> _Conserved:
     """area_bivector, j_vector and the circumcenter of mass of v, each computed
     once; the ccm, of degree 1, stays in range where J, of degree 3, does not."""
-    biv, j, ccm = area_bivector(v), None, None
+    j, ccm = None, None
     origin, rel, min_area = _ccm_frame(v, tol)
     w, (j_rel, e) = _wedges(rel), _j(rel)
     with contextlib.suppress(ValueError):  # J past the double range stays None
@@ -189,7 +192,7 @@ def _conserved(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> _Conserved:
         area = 0.5 * w[0, 1]
         if abs(area) > min_area:  # rot(J) / (4 area) with J and area both scaled by 2**-e: the same quotient
             ccm = origin + np.array([-j_rel[1], j_rel[0]]) / (4.0 * math.ldexp(area, -e))
-    return _Conserved(biv, j, ccm)
+    return _Conserved(Bivector.from_matrix(w), j, ccm)
 
 
 def circumcenter_of_mass(v: Polygon, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -238,16 +241,16 @@ class RearTrack:
             raise ValueError("finite center iff nonzero curvature")
 
 
-def rear_track(pair: BicyclePair, tol: Tolerance | None = None) -> RearTrack:
+def rear_track(pair: BicyclePair) -> RearTrack:
     """Build the chain: centers at the intersections of consecutive frame
-    lines, signed radii read off along the frame directions.
+    lines, signed radii read off along the frame directions, under the
+    pair's tolerance.
 
     The signed radius of slot i+1/2 must agree when measured from segment i
     and from segment i+1; disagreement means no consistent orientation
     exists and raises SignAssignmentFailure.
     """
-    tol = tol or pair.tol
-    v, w = pair.v, pair.w
+    v, w, tol = pair.v, pair.w, pair.tol
     if v.dim != 2:
         raise DimensionMismatch("the circle chain is a plane construction")
     pts = v.vertices
@@ -307,9 +310,7 @@ def chain_reconstruct(track: RearTrack, half_length: float) -> tuple[np.ndarray,
     return q + l * e, q - l * e
 
 
-def eigenvalue_products(
-    pair: BicyclePair, track: RearTrack | None = None, tol: Tolerance | None = None
-) -> tuple[float, float]:
+def eigenvalue_products(pair: BicyclePair, track: RearTrack | None = None) -> tuple[float, float]:
     """Two expressions for the monodromy eigenvalue at the fixed direction
     realized by the pair:
 
@@ -322,17 +323,17 @@ def eigenvalue_products(
     Straight members contribute a factor 1.  PoleOnChain when some radius
     equals the half length (a rear-track cusp through a vertex); ValueError,
     naming log10 of both, when either leaves the range of normal doubles.
+    The pole test uses the pair's tolerance.
     """
-    tol = tol or pair.tol
     if track is None:
-        track = rear_track(pair, tol)
+        track = rear_track(pair)
     v, w = pair.v, pair.w
     # products of k factors over- and underflow past k ~ 100: sum logs instead
     diag_in = _norm(w.vertices - _cyc(v.vertices, -1))
     diag_out = _norm(_cyc(w.vertices, -1) - v.vertices)
     half_curv = 0.5 * pair.length * track.curvature
     f_plus, f_minus = np.abs(1.0 + half_curv), np.abs(1.0 - half_curv)
-    if min(f_plus.min(), f_minus.min()) <= tol.eps_geom:
+    if min(f_plus.min(), f_minus.min()) <= pair.tol.eps_geom:
         raise PoleOnChain("a chain radius equals the half frame length")
     log_vw, log_chain = math.fsum(np.log(diag_in / diag_out)), math.fsum(np.log(f_minus / f_plus))
     if not (_LOG_NORMAL_MIN <= log_vw <= _LOG_MAX and _LOG_NORMAL_MIN <= log_chain <= _LOG_MAX):

@@ -89,8 +89,13 @@ class Mobius2:
 
     @property
     def det(self) -> float:
+        """The determinant of m; ValueError, naming the log2 scale e, where it
+        overflows or underflows to a subnormal (0.0 only for a singular row)."""
         sign, log2det = self.log2det
-        return _pow2(sign, log2det + 2 * self.e)
+        x = log2det + 2 * self.e
+        if sign and not -1022.0 <= x < 1024.0:
+            raise ValueError(f"monodromy determinant {'over' if x > 0 else 'under'}flows: log2 scale {self.e}")
+        return sign * 2.0**x
 
     def trace_sq_over_det(self) -> float:
         """The projective-scale invariant Tr^2 / det (+-inf at degenerate points)."""

@@ -15,6 +15,8 @@ PALETTE = ("#1f2d7a", "#b03a2e", "#1e8449", "#7d3c98", "#b7950b", "#117a8b")
 
 MARGIN = 24.0
 
+DOT_RADIUS = 2.0
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
@@ -32,29 +34,26 @@ class Figure:
         self._xs.extend([x - pad, x + pad])
         self._ys.extend([y - pad, y + pad])
 
-    def polyline(self, points, color: str = PALETTE[0], width: float = 1.5, closed: bool = True) -> None:
+    def polyline(self, points, color: str = PALETTE[0]) -> None:
         pts = np.asarray(points, float)
         for x, y in pts:
             self._touch(float(x), float(y))
         coords = " ".join(f"{_fmt(float(x))},{_fmt(float(y))}" for x, y in pts)
-        tag = "polygon" if closed else "polyline"
-        self._elements.append(
-            f'<{tag} points="{coords}" fill="none" stroke="{color}" stroke-width="{_fmt(width)}"/>'
-        )
+        self._elements.append(f'<polygon points="{coords}" fill="none" stroke="{color}" stroke-width="{_fmt(1.5)}"/>')
 
-    def circle(self, center, radius: float, color: str = PALETTE[1], width: float = 1.0) -> None:
+    def circle(self, center, radius: float) -> None:
         cx, cy = float(center[0]), float(center[1])
         self._touch(cx, cy, pad=abs(radius))
         self._elements.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(abs(radius))}" '
-            f'fill="none" stroke="{color}" stroke-width="{_fmt(width)}"/>'
+            f'fill="none" stroke="{PALETTE[1]}" stroke-width="{_fmt(1.0)}"/>'
         )
 
-    def dot(self, point, radius: float = 2.5, color: str = "#202020") -> None:
+    def dot(self, point, color: str = "#202020") -> None:
         cx, cy = float(point[0]), float(point[1])
-        self._touch(cx, cy, pad=radius)
+        self._touch(cx, cy, pad=DOT_RADIUS)
         self._elements.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" fill="{color}" stroke="none"/>'
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(DOT_RADIUS)}" fill="{color}" stroke="none"/>'
         )
 
     def segment(self, a, b, color: str = "#606060", width: float = 0.8) -> None:
@@ -66,15 +65,15 @@ class Figure:
             f'stroke="{color}" stroke-width="{_fmt(width)}"/>'
         )
 
-    def arrow(self, base, angle: float, length: float, color: str = PALETTE[2], width: float = 1.2) -> None:
+    def arrow(self, base, angle: float, length: float) -> None:
         bx, by = float(base[0]), float(base[1])
         tx = bx + length * math.cos(angle)
         ty = by + length * math.sin(angle)
-        self.segment((bx, by), (tx, ty), color=color, width=width)
+        self.segment((bx, by), (tx, ty), color=PALETTE[2], width=1.2)
         for side in (+1.0, -1.0):
             hx = tx + 0.18 * length * math.cos(angle + side * (math.pi - 0.45))
             hy = ty + 0.18 * length * math.sin(angle + side * (math.pi - 0.45))
-            self.segment((tx, ty), (hx, hy), color=color, width=width)
+            self.segment((tx, ty), (hx, hy), color=PALETTE[2], width=1.2)
 
     def render(self) -> str:
         if not self._xs:

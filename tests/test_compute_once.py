@@ -149,8 +149,9 @@ class TestReportEqualsPublicFunctions:
 class TestComputedOnce:
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Calls of area_bivector, of J's one kernel invariants._j, and of correspondence_check."""
-        homes = {"area_bivector": bg, "_j": bg.invariants, "correspondence_check": bg}
+        """Calls of the wedge kernel invariants._wedges, of J's one kernel invariants._j, and of
+        correspondence_check."""
+        homes = {"_wedges": bg.invariants, "_j": bg.invariants, "correspondence_check": bg}
         return {name: _bind_all(monkeypatch, name, home) for name, home in homes.items()}
 
     @pytest.mark.parametrize("kind", ["transform", "butterfly", "dim3"])
@@ -158,7 +159,7 @@ class TestComputedOnce:
         v, w, length = _pair(kind, rng)
         assert main(["invariants", *pair_files(v, w), "--ell", repr(length), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["is_bicycle_pair"] is True
-        for name in ("area_bivector", "_j"):
+        for name in ("_wedges", "_j"):
             polys = counts[name]
             assert len(polys) == 2 and polys[0] is not polys[1], name
         assert len(counts["correspondence_check"]) == 1

@@ -206,7 +206,8 @@ class TestLargeCoordinates:
             rel = pts - pts.mean(axis=0)
             sq = rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1]
             j = ((np.roll(sq, -1) - np.roll(sq, 1))[:, None] * rel).sum(axis=0)
-            want = pts.mean(axis=0) + np.array([-j[1], j[0]]) / (4.0 * bg.signed_area(bg.Polygon(rel)))
+            wedge = rel.T @ np.roll(rel, -1, axis=0)  # sum of outer(rel_i, rel_{i+1}): the plain cross products
+            want = pts.mean(axis=0) + np.array([-j[1], j[0]]) / (2.0 * (wedge[0, 1] - wedge[1, 0]))
             assert bg.circumcenter_of_mass(v).tobytes() == want.tobytes()
 
     def test_j_far_from_the_origin(self):
@@ -221,6 +222,32 @@ class TestLargeCoordinates:
             k, dim = int(rng.integers(3, 12)), int(rng.integers(2, 4))
             pts = rng.normal(size=(k, dim)) + rng.normal(size=dim) * 10.0 ** rng.uniform(0, 8)
             assert _exact_gap(pts, bg.j_vector(bg.Polygon(pts))) <= 1e-14
+
+
+class TestAreaFarFromTheOrigin:
+    """D12: the area bivector is summed over the vertices less their centroid.
+    The raw wedges cancel far from the origin: the unit square at (1e8, 1e8)
+    had signed area 0.0, and random draws 7.1e3 relative error at offset 1e8."""
+
+    def test_translated_squares(self):
+        square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+        assert bg.signed_area(bg.Polygon(square + 1e8)) == 1.0
+        assert abs(bg.signed_area(bg.Polygon(square * 1e-6 + 1e3)) - 1e-12) <= 1e-20
+
+    @pytest.mark.parametrize("offset, size", [(1e8, 1.0), (1e100, 1e94)])
+    def test_draws_match_the_exact_shoelace(self, offset, size):
+        """Within 4 eps of the sum of |cross products| in the centred frame, the
+        sum's own rounding (the worst of 100 draws has 300 to 2000 times the
+        area there, and a relative error of 8.3e-15 and 3.6e-14)."""
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            pts = rng.normal(size=(int(rng.integers(3, 12)), 2)) * size + offset
+            p = [[Fraction(x) for x in row] for row in pts.tolist()]
+            exact = sum(p[i - 1][0] * p[i][1] - p[i - 1][1] * p[i][0] for i in range(len(p))) / 2
+            rel = pts - pts.mean(axis=0)
+            nxt = np.roll(rel, -1, axis=0)
+            mass = 0.5 * float(np.abs(rel[:, 0] * nxt[:, 1]).sum() + np.abs(rel[:, 1] * nxt[:, 0]).sum())
+            assert abs(Fraction(bg.signed_area(bg.Polygon(pts))) - exact) <= 4 * np.finfo(float).eps * mass
 
 
 class TestTriangulationOracle:

@@ -604,6 +604,21 @@ class TestScan:
         with pytest.raises(ValueError, match=re.escape(f"monodromy entries {word}: log2 scale {e}")):
             mob.m
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case, word", [("circle", "under"), ("overflow", "over")])
+    def test_det_raises_where_the_entries_do(self, case, word):
+        """det used to read inf on the overflow recipe at k = 500 and 0.0 on the
+        k = 2000 circle at L = 0.5; like the raw entries it raises, naming the
+        log2 scale, and the scale-free log2det stays finite."""
+        if case == "circle":
+            (v, L), e = (circle_polygon(np.random.default_rng(0), 2000), 0.5), -1992
+        else:
+            (v, L), e = overflow_recipe(500), 2516
+        mob = bg.polygon_monodromy(v, L)
+        assert math.isfinite(mob.log2det[1])
+        with pytest.raises(ValueError, match=re.escape(f"monodromy determinant {word}flows: log2 scale {e}")):
+            mob.det
+
     def test_refine_rejects_non_finite_midpoint(self, monkeypatch):
         real = monodromy._monodromy_product
 
