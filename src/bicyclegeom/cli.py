@@ -201,13 +201,13 @@ def cmd_invariants(args, tol: Tolerance) -> int:
         deltas: dict = {
             "perimeter": _val(abs(v.perimeter() - w.perimeter()), tol),
             "area_bivector": _val((cv.bivector - cw.bivector).norm(), tol),
-            "j_vector": _val(float(np.linalg.norm(cv.j - cw.j)), tol),
+            "j_vector": _val(math.hypot(*(cv.j - cw.j).tolist()), tol),
         }
         if v.dim == 2:
             if cv.ccm is None or cw.ccm is None:
                 deltas["circumcenter_of_mass"] = "undefined (zero area)"
             else:
-                deltas["circumcenter_of_mass"] = _val(float(np.linalg.norm(cv.ccm - cw.ccm)), tol)
+                deltas["circumcenter_of_mass"] = _val(math.hypot(*(cv.ccm - cw.ccm).tolist()), tol)
         deltas["side_multiset"] = _val(
             float(np.abs(np.sort(v.side_lengths()) - np.sort(w.side_lengths())).max()), tol
         )
@@ -325,10 +325,10 @@ def cmd_ngon(args, tol: Tolerance) -> int:
     return 0
 
 
-def cmd_recut(args, _tol: Tolerance) -> int:
+def cmd_recut(args, tol: Tolerance) -> int:
     v = load_polygon(args.input)
     for i in args.index:
-        v = recut(v, i)
+        v = recut(v, i, tol)
     _save_or_print(v, args.output)
     return 0
 

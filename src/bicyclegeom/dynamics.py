@@ -3,16 +3,15 @@
 Propagation carries a frame segment around a closed polygon one isosceles
 trapezoid at a time; when the seed direction is fixed under the monodromy
 the trace closes up and defines the transformation T_L.  transform does not
-loop: the frame direction at each vertex is the seed direction pushed
-through a partial product of the side matrices, so one down-sweep of the
-side tree that classifies the monodromy, two column multiply-adds per
-level, gives every frame; the repelling branch is swept backwards, where
-it contracts, by transposes acting on J h (the adjugate step).  A
-companion through a seed point (transform --seed-angle, the permutability
-square) comes from the sweep when the seed is on a fixed direction, else
-from propagate's step loop (any dimension; the sweep's oracle), under one
-closure bound.  Recutting reflects a vertex in its neighbours' bisector,
-the same step.
+loop: monodromy gives, with the class and the fixed directions, the frame
+direction e_i at every vertex (the seed through partial side products, one
+down-sweep of the side tree that classified the monodromy, the repelling
+branch swept backwards, where it contracts); transform adds the frame
+points V_i + L e_i and checks every step.  A companion through a seed point
+(transform --seed-angle, the permutability square) comes from the sweep
+when the seed is on a fixed direction, else from propagate's step loop (any
+dimension; the sweep's oracle), under one closure bound.  Recutting
+reflects a vertex in its neighbours' bisector, the same step.
 
 Length convention: the public parameter L is always the full frame segment
 length |V_i W_i|.  Formulas that are naturally written in terms of the half
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +63,7 @@ def propagate(v: Polygon, w1, tol: Tolerance = DEFAULT_TOL) -> PropagationResult
             trace[i + 1] = _bisector_reflect(v.vertices[i], ahead[i], trace[i])
         if _coincident(ahead, trace[:-1], tol).any():
             raise DegenerateLine("reflection axis through coincident points")
-    return PropagationResult(points=trace, closure_defect=float(np.linalg.norm(trace[-1] - trace[0])))
+    return PropagationResult(points=trace, closure_defect=math.hypot(*(trace[-1] - trace[0]).tolist()))
 
 
 def _closure_bound(v: Polygon, length: float, tol: Tolerance) -> float:
@@ -99,49 +99,16 @@ class Branch(enum.Enum):
     REPELLING = "repelling"
 
 
-_HALF_ANGLE = (np.array([1j, 1.0]), np.array([1.0, -1j]))  # (p, q), and J (p, q) = (q, -p), -> z = q + i p
-
-
 def _companion(
-    v: Polygon, length: float, angle: float, levels: list, backwards: bool, tol: Tolerance
+    v: Polygon, length: float, angle: float, frames: Callable[..., np.ndarray], backwards: bool, tol: Tolerance
 ) -> tuple[np.ndarray, float]:
-    """Unchecked kernel behind transform: the companion of plane polygon v
-    seeded from the fixed direction at angle, and its closing-step residual.
-
-    levels are the _tree of v at length.  The frame direction alpha_i at V_i
-    is h_i = (sin alpha_i/2, cos alpha_i/2) up to scale, h_{i+1} ~ S_i h_i,
-    so h_i is the seed pushed through a partial product.  One down-sweep of
-    the tree gives them all in one array over leaf positions, node i of
-    level j spanning i 2**j ... (i + 1) 2**j (pads included): per level two
-    column multiply-adds, each h over its abs-sum (so a node's power-of-two
-    scale changes no bit).  Forwards h is carried at node starts, a right
-    child at its left sibling times h; backwards (the repelling branch's
-    contracting direction) g = J h, J = [[0, 1], [-1, 0]], at node ends, a
-    left child at its right sibling's transpose times g: J adj(R) = R^t J,
-    the adjugate step.  _closing_check then raises DegenerateLine and
-    ClosureFailure (a step missing its reflection by over _closure_bound).
-    """
-    k, half = len(v), 0.5 * angle
-    seed = (math.cos(half), -math.sin(half)) if backwards else (math.sin(half), math.cos(half))
-    h = np.empty((2, (1 << len(levels) - 1) + 1))
-    h[:, 0] = h[:, -1] = seed  # the root starts at 0 and ends at 2**D
-    # V_0 ... V_{k-1}, V_0, V_0: rows i and i + 1 are step i's V_i and V_{i+1}
+    """Unchecked kernel behind transform: the companion W_i = V_i + L e_i of v, e_i the unit frames
+    frames(angle, backwards) of _summary_at at length, and its closing-step residual; _closing_check
+    raises DegenerateLine and ClosureFailure (a step missing its reflection by over _closure_bound)."""
+    # V_0 ... V_{k-1}, V_0, V_0: rows i and i + 1 are step i's V_i and V_{i+1}; W_k = W_0 is checked
     at = np.concatenate([v.vertices, v.vertices[:1], v.vertices[:1]])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(len(levels) - 2, -1, -1):
-            a, span, s = levels[j][0], 1 << j, 2 << j
-            n = len(a) * span  # c[q, r, i]: node i's weight on its parent's h_q in row r
-            if backwards:  # parents end at s, 2 s, ...; weights R[q, r] of the right sibling
-                c, up = a[1::2].transpose(1, 2, 0), slice(s, n + 1, s)
-            else:  # parents start at 0, s, ...; weights L[r, q] of the left sibling
-                c, up = a[0::2].T, slice(0, n, s)
-            step = c[0] * h[0, up] + c[1] * h[1, up]
-            x = np.abs(step)
-            np.divide(step, x[0] + x[1], out=h[:, span:n:s])
-        # leaf i starts at position i and ends at i + 1; h_k = h_0 is the seed, and W_k = W_0 is checked
-        h[:, k] = seed
-        z = _HALF_ANGLE[backwards] @ h[:, : k + 1]  # e^(i alpha/2) up to scale, so e^(i alpha) = z / conj(z)
-        w = at[:-1] + length * (z / z.conj()).view(float).reshape(-1, 2)
+        w = at[:-1] + length * frames(angle, backwards)
         miss = _closing_check(at, w, _closure_bound(v, length, tol), tol)
     return w[:-1], math.hypot(*miss[0 if backwards else -1])  # its square goes subnormal at small scale
 
@@ -153,13 +120,13 @@ def _transform(
     direction and the closure defect it computed on the way."""
     if v.dim != 2:
         raise DimensionMismatch("the closed transformation is defined for plane polygons")
-    klass, _, dirs, levels = _summary_at(v, length, tol)
+    klass, _, dirs, frames = _summary_at(v, length, tol)
     if klass is MonodromyClass.ELLIPTIC:
         raise EllipticMonodromy(f"monodromy is elliptic at L={length}; no real fixed direction")
     if dirs is None:  # identity (every seed closes; propagate from one) or singular
         raise DegenerateMonodromy(f"{klass.value} monodromy at L={length}: no isolated fixed direction")
     fd = dirs[0] if branch is Branch.ATTRACTING else dirs[-1]
-    w, defect = _companion(v, length, fd.angle, levels, branch is Branch.REPELLING, tol)
+    w, defect = _companion(v, length, fd.angle, frames, branch is Branch.REPELLING, tol)
     return Polygon(w, name=v.name), klass, fd, defect
 
 
@@ -172,11 +139,11 @@ def _seeded_companion(v: Polygon, length: float, seed: np.ndarray, tol: Toleranc
     same bound, or ClosureFailure is raised."""
     bound = _closure_bound(v, length, tol)
     if v.dim == 2:
-        _, _, dirs, levels = _summary_at(v, length, tol)
+        _, _, dirs, frames = _summary_at(v, length, tol)
         for i, fd in enumerate(dirs or ()):
             frame = v.vertex(0) + length * np.array([math.cos(fd.angle), math.sin(fd.angle)])
             if np.linalg.norm(seed - frame) <= bound:
-                w, defect = _companion(v, length, fd.angle, levels, i > 0, tol)
+                w, defect = _companion(v, length, fd.angle, frames, i > 0, tol)
                 return Polygon(w, name=v.name), defect
     res = propagate(v, seed, tol)
     if not res.closure_defect <= bound:
@@ -232,10 +199,10 @@ def frame_length(v: Polygon, w: Polygon) -> float:
     return float(_norm(v.vertices - w.vertices).mean())
 
 
-def recut(v: Polygon, i: int) -> Polygon:
+def recut(v: Polygon, i: int, tol: Tolerance = DEFAULT_TOL) -> Polygon:
     """Replace V_i by its reflection in the perpendicular bisector hyperplane
-    of V_{i-1} V_{i+1}.  An involution; generates the recutting group."""
-    p = perp_bisector_reflect(v.vertex(i), v.vertex(i - 1), v.vertex(i + 1))
+    of V_{i-1} V_{i+1}, coincident under tol.  An involution; generates the recutting group."""
+    p = perp_bisector_reflect(v.vertex(i), v.vertex(i - 1), v.vertex(i + 1), tol)
     return v.with_vertex(i, p)
 
 

@@ -92,7 +92,7 @@ class Bivector:
         return Bivector(self.n, -self.upper)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.upper))
+        return math.hypot(*self.upper.tolist())
 
     def __repr__(self) -> str:
         return f"Bivector(n={self.n}, upper={self.upper.tolist()!r})"

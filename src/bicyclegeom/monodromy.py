@@ -12,9 +12,12 @@ with determinant ell^2 - a^2.  The whole-polygon monodromy is the product of
 these over the sides, later sides multiplying on the left, computed as a
 pairwise tree kept as m 2**e (overflow-free: exact power-of-two scaling every
 third level), the form Mobius2 holds; scale-free answers are read off m by one
-row classifier and one fixed-direction solver.  Where the polygon is known, the
-determinant is not taken from m but from the sides, as the sign and log2 of
-prod(ell^2 - a^2): on a strongly hyperbolic product a d - b c of m rounds to 0.  In dimension n
+row classifier and one fixed-direction solver.  The tree and the chart stay in
+this module: with the class and fixed directions, _summary_at hands transform a
+reader of the frame directions e^(i alpha_j) at every vertex, one down-sweep of
+the same tree (_frames).  Where the polygon is known, the determinant is not
+taken from m but from the sides, as the sign and log2 of prod(ell^2 - a^2): on
+a strongly hyperbolic product a d - b c of m rounds to 0.  In dimension n
 the same step is a Lorentz matrix in O(n,1) acting projectively on the
 sphere of directions.  One unchecked row builder gives these matrices for
 edge_lorentz and lorentz_monodromy, which validate once; the fixed directions
@@ -25,6 +28,7 @@ the null lines of ker(M -+ I) where those give fewer than two.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import NamedTuple
 
@@ -133,6 +137,7 @@ def _pow2(sign: float, x: float) -> float:
 _MINUS_PLUS = np.array([[-1.0], [1.0]])  # rows ell - a_j and ell + a_j
 _IDENTITY = np.eye(2)[None, None]  # the pad node of an odd tree level
 _RESCALE_EVERY = 3  # _tree rescales every third level; the products between stay below 2**7
+_HALF_ANGLE = (np.array([1j, 1.0]), np.array([1.0, -1j]))  # _frames: (p, q), and J (p, q) = (q, -p), -> z = q + i p
 
 
 def _factors(v: Polygon, ells: np.ndarray) -> np.ndarray:
@@ -172,6 +177,37 @@ def _tree(v: Polygon, ells: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
             e = e + shift.sum(axis=1)
     levels.append(a)
     return levels, e
+
+
+def _frames(levels: list[np.ndarray], k: int, angle: float, backwards: bool) -> np.ndarray:
+    """Unchecked: unit frame directions e^(i alpha_j), j = 0 ... k, rows (k + 1, 2), of the k-gon
+    with _tree levels at one length, seeded at the fixed direction angle (alpha_0 = alpha_k).
+    In the chart h_j = (sin alpha_j/2, cos alpha_j/2) up to scale, h_{j+1} ~ S_j h_j: the seed
+    through a partial product.  One down-sweep of the tree gives every h over leaf positions,
+    node i of level j spanning i 2**j ... (i + 1) 2**j (pads included), by two column
+    multiply-adds per level, each h over its abs-sum (a node's power-of-two scale changes no
+    bit).  Forwards h sits at node starts, a right child at its left sibling times h; backwards
+    (the repelling branch's contracting direction) g = J h, J = [[0, 1], [-1, 0]], at node ends,
+    a left child at its right sibling's transpose times g: J adj(R) = R^t J, the adjugate step.
+    Floating-point errors are the caller's np.errstate (a zero step is NaN, for its check to catch)."""
+    half = 0.5 * angle
+    seed = (math.cos(half), -math.sin(half)) if backwards else (math.sin(half), math.cos(half))
+    h = np.empty((2, (1 << len(levels) - 1) + 1))
+    h[:, 0] = h[:, -1] = seed  # the root starts at 0 and ends at 2**D
+    for j in range(len(levels) - 2, -1, -1):
+        a, span, s = levels[j][0], 1 << j, 2 << j
+        n = len(a) * span  # c[q, r, i]: node i's weight on its parent's h_q in row r
+        if backwards:  # parents end at s, 2 s, ...; weights R[q, r] of the right sibling
+            c, up = a[1::2].transpose(1, 2, 0), slice(s, n + 1, s)
+        else:  # parents start at 0, s, ...; weights L[r, q] of the left sibling
+            c, up = a[0::2].T, slice(0, n, s)
+        step = c[0] * h[0, up] + c[1] * h[1, up]
+        x = np.abs(step)
+        np.divide(step, x[0] + x[1], out=h[:, span:n:s])
+    # leaf i starts at position i and ends at i + 1; h_k = h_0 is the seed
+    h[:, k] = seed
+    z = _HALF_ANGLE[backwards] @ h[:, : k + 1]  # e^(i alpha/2) up to scale, so e^(i alpha) = z / conj(z)
+    return (z / z.conj()).view(float).reshape(-1, 2)
 
 
 def _monodromy_product(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,13 +374,13 @@ _FIXED_CLASSES = (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC)  # isolat
 
 def _summary_at(v: Polygon, ell: float, tol: Tolerance):
     """Class, Tr^2/det and fixed directions (None unless hyperbolic or parabolic)
-    of the monodromy at one length, validated as polygon_monodromy, and the
-    levels of the _tree it was read from."""
+    of the monodromy at one length, validated as polygon_monodromy, and
+    frames(angle, backwards), the _frames of the _tree it was read from."""
     m, levels = _product_at(v, ell, tol)
     row, det = m.row, m.log2det
     klass = _classify_row(row, tol, det)
     dirs = _fixed_row(row, klass, det) if klass in _FIXED_CLASSES else None
-    return klass, _tr2_over_det(row, det), dirs, levels
+    return klass, _tr2_over_det(row, det), dirs, functools.partial(_frames, levels, len(v))
 
 
 class TracePoly:

@@ -371,6 +371,15 @@ class TestRecutCommand:
         back = load_polygon(out)
         assert np.abs(back.vertices - v.vertices).max() < 1e-12 * polygon_scale(v)
 
+    def test_follows_the_tolerance(self, tmp_path, capsys):
+        """Neighbours 1e-6 apart are coincident under --tol 1e-3, not under the
+        default; recut used to take the default whatever --tol said."""
+        path = tmp_path / "v.json"
+        save_polygon(path, bg.Polygon([(1, 0), (2, 1), (1 + 1e-6, 0), (1.5, -1)]))
+        assert main(["recut", str(path), "-i", "1", "--tol", "1e-3"]) == 2
+        assert capsys.readouterr().err == "error: perpendicular bisector of coincident points\n"
+        assert main(["recut", str(path), "-i", "1"]) == 0
+
 
 class TestRearTrackCommand:
     def test_reports_midpoint_tangencies(self, square_file, tmp_path, capsys):

@@ -563,6 +563,12 @@ class TestRecut:
                 back = bg.recut(bg.recut(v, i), i)
                 assert np.abs(back.vertices - v.vertices).max() < 1e-12 * polygon_scale(v)
 
+    def test_coincidence_under_the_given_tolerance(self):
+        v = bg.Polygon([(1, 0), (2, 1), (1 + 1e-6, 0), (1.5, -1)])
+        with pytest.raises(bg.DegenerateLine, match="coincident"):
+            bg.recut(v, 1, bg.Tolerance(1e-3))
+        assert bg.recut(v, 1).vertices.tolist() == bg.recut(v, 1, bg.DEFAULT_TOL).vertices.tolist()
+
     def test_distant_indices_commute(self, rng):
         for dim in (2, 3):
             v = random_polygon(rng, k=6, dim=dim)

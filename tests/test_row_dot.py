@@ -7,6 +7,7 @@ np.vecmat dispatch per 2x2 node of a stack; they may appear nowhere (the
 companion sweep spells its step as column multiply-adds)."""
 
 import ast
+import functools
 import pathlib
 import re
 
@@ -92,33 +93,57 @@ def test_the_detector_sees_every_spelling():
 COMPANION_FORBIDDEN = {"_bisector_reflect", "_coincident", "np.vecdot"}
 
 
-def _reachable_calls(module: str, root: str) -> set[str]:
-    """Names called in module.root and, transitively, in the module's own
-    functions it calls; numpy calls as 'np.<name>'."""
+@functools.cache
+def _module_scope(module: str) -> tuple[dict, dict]:
+    """The module's top-level functions by name, and the names it imports
+    from sibling modules, each mapped to that module."""
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    called, todo, seen = set(), [root], set()
+    imported = {
+        alias.asname or alias.name: node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+    return defs, imported
+
+
+def _reachable_calls(module: str, root: str) -> tuple[set[str], set[tuple[str, str]]]:
+    """Names called in module.root and, transitively, in the package functions
+    it calls, its own or imported from a sibling module; numpy calls as
+    'np.<name>'.  functools.partial(f, ...) counts as a call of f, the call
+    its caller makes later.  Also returns the (module, function) pairs visited."""
+    called, todo, seen = set(), [(module, root)], set()
     while todo:
-        name = todo.pop()
-        seen.add(name)
-        for node in ast.walk(defs[name]):
+        where = todo.pop()
+        seen.add(where)
+        defs, imported = _module_scope(where[0])
+        for node in ast.walk(defs[where[1]]):
             if not isinstance(node, ast.Call):
                 continue
-            np_name = _np_attr(node.func)
+            np_name, target = _np_attr(node.func), node.func
             if np_name:
                 called.add(f"np.{np_name}")
-            elif isinstance(node.func, ast.Name):
-                called.add(node.func.id)
-                if node.func.id in defs and node.func.id not in seen:
-                    todo.append(node.func.id)
-    return called
+                continue
+            if isinstance(target, ast.Attribute) and target.attr == "partial" and node.args:
+                target = node.args[0]
+            if not isinstance(target, ast.Name):
+                continue
+            called.add(target.id)
+            home = where[0] if target.id in defs else imported.get(target.id)
+            if home and (home, target.id) not in seen and target.id in _module_scope(home)[0]:
+                todo.append((home, target.id))
+    return called, seen
 
 
 def test_companion_closing_check_has_no_per_row_dispatch():
-    called = _reachable_calls("dynamics", "_companion")
-    assert "_dot" in called
+    """From transform's entry, through the down-sweep _summary_at hands out
+    (monodromy._frames) and the closing check."""
+    called, seen = _reachable_calls("dynamics", "_transform")
+    assert {("monodromy", "_summary_at"), ("monodromy", "_frames"), ("dynamics", "_companion")} <= seen
+    assert {"_dot", "np.divide"} <= called  # np.divide: the sweep's step, inside monodromy._frames
     stray = sorted(called & COMPANION_FORBIDDEN)
-    assert not stray, f"dynamics._companion reaches {stray}; check with one pass of geometry._dot"
+    assert not stray, f"dynamics._transform reaches {stray}; check with one pass of geometry._dot"
 
 
 def test_no_per_node_products():

@@ -9,6 +9,7 @@ Polygon refuses by name below the scales where a squared side stays normal.
 """
 
 import functools
+import json
 import math
 import re
 
@@ -17,6 +18,8 @@ import pytest
 
 import bicyclegeom as bg
 from bicyclegeom import dynamics
+from bicyclegeom.cli import main
+from bicyclegeom.fileio import save_polygon
 
 from conftest import generic_200gons, random_butterfly, random_nonbutterfly_quad, survey_cases
 
@@ -157,6 +160,64 @@ def test_pairs(s):
         _same(lambda: bg.eigenvalue_products(pair), lambda: bg.eigenvalue_products(scaled), lambda x: x)
         pairs += 1
     assert pairs == 38
+
+
+def _normal(x):
+    """Whether x is a normal double, where the law holds bit for bit."""
+    return np.finfo(float).tiny <= abs(x) < math.inf
+
+
+def _pentagon_pair():
+    """A pentagon off the origin and its companion at L = 1.1."""
+    angs = np.array([0.0, 1.3, 2.9, 4.1, 5.2])
+    v = bg.Polygon(1.7 * np.stack([np.cos(angs), np.sin(angs)], axis=1) + (0.3, -0.2))
+    return v, bg.transform(v, 1.1)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_reported_lengths(s, tmp_path, capsys):
+    """Lengths of differences, taken by hypot, not as the root of a square
+    that leaves the double range first: the invariants report's deltas
+    (perimeter, side multiset and circumcenter of mass degree 1, area
+    bivector 2, J 3) on a pentagon pair, the bivector norm of the survey pairs'
+    area differences and propagate's closure defect on butterflies (every seed
+    closes).  Wherever the scaled value is a normal double it is 2**(degree s)
+    times the unscaled one; the report used to read 0.0 (J from s = -200) and
+    exit 2 on an inf J delta at s = 200.  At s = 500 J itself leaves the range,
+    and the report refuses it by name."""
+    degrees = {"perimeter": 1, "area_bivector": 2, "j_vector": 3, "circumcenter_of_mass": 1, "side_multiset": 1}
+    deltas = {}
+    for scale in (0, s):
+        for name, poly in zip("vw", _pentagon_pair()):
+            save_polygon(tmp_path / f"{name}.json", _scaled(poly, scale))
+        code = main(["invariants", str(tmp_path / "v.json"), str(tmp_path / "w.json"), "--json"])
+        out, err = capsys.readouterr()
+        if s == 500 and scale:
+            assert code == 2 and err.startswith("error: J outside the double range")
+            break
+        assert code == 0, err
+        deltas[scale] = {key: x["value"] for key, x in json.loads(out)["deltas"].items()}
+    assert all(x > 0.0 for x in deltas[0].values())
+    checked = 0
+    for key, unit in deltas[0].items() if s != 500 else ():
+        if _normal(want := math.ldexp(unit, degrees[key] * s)):
+            assert deltas[s][key] == want, key
+            checked += 1
+    assert checked == (3 if s == -500 else 0 if s == 500 else 5)  # at -500 the area's and J's are subnormal
+    for v, _, w in _survey():
+        if w is not None:
+            unit = (bg.area_bivector(v) - bg.area_bivector(w)).norm()
+            got = (bg.area_bivector(_scaled(v, s)) - bg.area_bivector(_scaled(w, s))).norm()
+            assert got == math.ldexp(unit, 2 * s) or not _normal(math.ldexp(unit, 2 * s))
+    rng = np.random.default_rng(13)
+    flies = [np.array([(0, 0), (1, 2), (4, 0), (3, 2)], dtype=float)]
+    flies += [random_butterfly(rng).vertices for _ in range(20)]
+    for i, pts in enumerate(flies):
+        L, angle = (0.7, 0.3) if i == 0 else (rng.uniform(0.3, 2.0), rng.uniform(-3.0, 3.0))
+        seed = pts[0] + L * np.array([math.cos(angle), math.sin(angle)])
+        unit = bg.propagate(bg.Polygon(pts), seed).closure_defect
+        assert unit > 0.0 or i  # 1.57e-16 on the first; it read 0.0 at s = -500
+        assert bg.propagate(_scaled(bg.Polygon(pts), s), np.ldexp(seed, s)).closure_defect == math.ldexp(unit, s)
 
 
 @pytest.mark.parametrize("s", (-30, 30))
