@@ -32,7 +32,7 @@ from .geometry import (
     DEFAULT_TOL, Polygon, Tolerance, _angle_at, _bisector_reflect, _coincident, _cyc, _dot, _norm, as_vec,
     check_same_dim, perp_bisector_reflect,
 )
-from .monodromy import FixedDirection, MonodromyClass, _summary_at
+from .monodromy import FixedDirection, MonodromyClass, _branch_at, _summary_at
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,21 @@ def _closing_check(at: np.ndarray, w: np.ndarray, bound: float, tol: Tolerance) 
     every row's radius (1e-12 spare for rounding), and _bisector_reflect's residual (ClosureFailure)."""
     n = w - at[1:]
     nn = _dot(n, n)
-    top = max(float(np.abs(w).max()), float(np.abs(at).max()))  # |V|^2, |W|^2 <= dim top^2; NaN fails the test
+    t = np.abs(w)  # at[:-1] holds every V; t is reused as the miss below
+    top = float(np.maximum(t, np.abs(at[:-1]), out=t).max())  # |V|^2, |W|^2 <= dim top^2; NaN fails the test
     if not nn.min() > tol.eps_geom**2 * (w.shape[1] * top * top) * (1.0 + 1e-12):
         reach = np.sqrt(np.maximum(_dot(at[1:], at[1:]), _dot(w, w)))
         if not (np.sqrt(nn) > tol.eps_geom * reach).all():
             raise DegenerateLine("zero frame segment or reflection axis through coincident points")
-    p, n = at[:-2], n[:-1]
-    miss = w[1:] - (p - (_dot(2.0 * p - at[1:-1] - w[:-1], n) / nn[:-1])[:, None] * n)
+    p, n, miss = at[:-2], n[:-1], t[:-1]
+    np.multiply(2.0, p, out=miss)
+    miss -= at[1:-1]
+    miss -= w[:-1]
+    c = _dot(miss, n)
+    c /= nn[:-1]
+    np.multiply(c[:, None], n, out=miss)  # step i misses by W_{i+1} - (V_i - c_i n_i)
+    np.subtract(p, miss, out=miss)
+    np.subtract(w[1:], miss, out=miss)
     sq = _dot(miss, miss)
     if not sq.max() <= bound * bound:
         raise ClosureFailure(f"companion step misses by {math.sqrt(sq.max()):.3e} > {bound:.3e}")
@@ -103,30 +111,37 @@ def _companion(
     v: Polygon, length: float, angle: float, frames: Callable[..., np.ndarray], backwards: bool, tol: Tolerance
 ) -> tuple[np.ndarray, float]:
     """Unchecked kernel behind transform: the companion W_i = V_i + L e_i of v, e_i the unit frames
-    frames(angle, backwards) of _summary_at at length, and its closing-step residual; _closing_check
-    raises DegenerateLine and ClosureFailure (a step missing its reflection by over _closure_bound)."""
+    frames(angle, backwards) of _branch_at or _summary_at at length, and its closing-step residual;
+    _closing_check raises DegenerateLine and ClosureFailure (a step missing its reflection by over
+    _closure_bound)."""
     # V_0 ... V_{k-1}, V_0, V_0: rows i and i + 1 are step i's V_i and V_{i+1}; W_k = W_0 is checked
-    at = np.concatenate([v.vertices, v.vertices[:1], v.vertices[:1]])
+    k = len(v)
+    at = np.empty((k + 2, v.dim))
+    at[:k] = v.vertices
+    at[k:] = v.vertices[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = at[:-1] + length * frames(angle, backwards)
+        w = frames(angle, backwards)
+        w *= length
+        w += at[:-1]
         miss = _closing_check(at, w, _closure_bound(v, length, tol), tol)
-    return w[:-1], math.hypot(*miss[0 if backwards else -1])  # its square goes subnormal at small scale
+    return w[:-1], math.hypot(*miss[0 if backwards else -1].tolist())  # its square goes subnormal at small scale
 
 
 def _transform(
-    v: Polygon, length: float, branch: Branch, tol: Tolerance
+    v: Polygon, length: float, branch: Branch, tol: Tolerance, derivative: bool = True
 ) -> tuple[Polygon, MonodromyClass, FixedDirection, float]:
     """transform, also returning the monodromy class, the branch's fixed
-    direction and the closure defect it computed on the way."""
+    direction (its derivative NaN unless asked for) and the closure defect
+    it computed on the way."""
     if v.dim != 2:
         raise DimensionMismatch("the closed transformation is defined for plane polygons")
-    klass, _, dirs, frames = _summary_at(v, length, tol)
+    backwards = branch is Branch.REPELLING
+    klass, fd, frames = _branch_at(v, length, tol, backwards, derivative)
     if klass is MonodromyClass.ELLIPTIC:
         raise EllipticMonodromy(f"monodromy is elliptic at L={length}; no real fixed direction")
-    if dirs is None:  # identity (every seed closes; propagate from one) or singular
+    if fd is None:  # identity (every seed closes; propagate from one) or singular
         raise DegenerateMonodromy(f"{klass.value} monodromy at L={length}: no isolated fixed direction")
-    fd = dirs[0] if branch is Branch.ATTRACTING else dirs[-1]
-    w, defect = _companion(v, length, fd.angle, frames, branch is Branch.REPELLING, tol)
+    w, defect = _companion(v, length, fd.angle, frames, backwards, tol)
     return Polygon(w, name=v.name), klass, fd, defect
 
 
@@ -166,7 +181,26 @@ def transform(
     monodromy to be hyperbolic or parabolic (elliptic has no real fixed
     direction, so no closed companion exists).
     """
-    return _transform(v, length, branch, tol)[0]
+    return _transform(v, length, branch, tol, derivative=False)[0]
+
+
+def _pair_length(v: Polygon, w: Polygon, tol: Tolerance) -> float | None:
+    """The common segment length |V_i W_i| of V and W (the mean of the gaps,
+    formed once), or None where they are not in the bicycle correspondence
+    by correspondence_check's rule."""
+    if len(v) != len(w) or v.dim != w.dim:
+        return None
+    gaps = _norm(v.vertices - w.vertices)
+    seg = float(gaps.mean())
+    if np.abs(gaps - seg).max() > tol.eps_geom * seg:
+        return None
+    at = np.concatenate([v.vertices, v.vertices[:1], v.vertices[:1]])
+    frames = np.concatenate([w.vertices, w.vertices[:1]])
+    try:
+        _closing_check(at, frames, tol.eps_geom * max(seg, float(v.side_lengths().max())), tol)
+    except (DegenerateLine, ClosureFailure):
+        return None
+    return seg
 
 
 def correspondence_check(v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -179,19 +213,7 @@ def correspondence_check(v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL) -
     bound eps_geom max(|V_i W_i|, longest side).  Pure translates of V
     fail: they realize the parallelogram branch.
     """
-    if len(v) != len(w) or v.dim != w.dim:
-        return False
-    gaps = _norm(v.vertices - w.vertices)
-    seg = float(gaps.mean())
-    if np.abs(gaps - seg).max() > tol.eps_geom * seg:
-        return False
-    at = np.concatenate([v.vertices, v.vertices[:1], v.vertices[:1]])
-    frames = np.concatenate([w.vertices, w.vertices[:1]])
-    try:
-        _closing_check(at, frames, tol.eps_geom * max(seg, float(v.side_lengths().max())), tol)
-    except (DegenerateLine, ClosureFailure):
-        return False
-    return True
+    return _pair_length(v, w, tol) is not None
 
 
 def frame_length(v: Polygon, w: Polygon) -> float:
@@ -252,11 +274,12 @@ class BicyclePair:
     """
 
     def __init__(self, v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL):
-        if not correspondence_check(v, w, tol):
+        length = _pair_length(v, w, tol)
+        if length is None:
             raise ValueError("polygons are not in the bicycle correspondence")
         self.v = v
         self.w = w
-        self.length = frame_length(v, w)
+        self.length = length
         self.tol = tol
         self.alphas = _alpha_angles(v, w)
 

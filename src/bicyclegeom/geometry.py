@@ -11,6 +11,7 @@ this module is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,15 +85,18 @@ class Polygon:
         top, limit = float(np.abs(pts).max()), _ROOT_HALF_MAX / (2.0 * pts.shape[1] ** 0.5)
         if not top <= limit:
             raise ValueError(f"vertex coordinates must be finite and at most {limit:.6g}, got {top!r}")
-        sides = _cyc(pts, 1) - pts
+        sides = np.empty_like(pts)  # rows V_{i+1} - V_i
+        np.subtract(pts[1:], pts[:-1], out=sides[:-1])
+        np.subtract(pts[0], pts[-1], out=sides[-1])
         sq = _dot(sides, sides)
-        gaps = np.sqrt(sq)
-        if not (gaps.min() > 1e-12 * top and sq.min() >= _TINY):
+        least = float(sq.min())  # sqrt is monotone: the shortest side is sqrt(least)
+        if not (math.sqrt(least) > 1e-12 * top and least >= _TINY):
             e = -np.frexp(top)[1]  # over 2**-e, top lies in [0.5, 1) and no square underflows
             unit = _norm(np.ldexp(sides, e)).min()
             if not unit > 1e-12 * np.ldexp(top, e):
                 raise DegenerateLine("consecutive vertices must be distinct")
             raise ValueError(f"side lengths must be at least {_TINY**0.5:.6g}, got {float(np.ldexp(unit, -e))!r}")
+        gaps = np.sqrt(sq)
         for arr in (pts, sides, gaps):
             arr.setflags(write=False)
         self.vertices, self._sides, self._side_lengths = pts, sides, gaps
@@ -146,12 +150,14 @@ class Polygon:
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row dot products over the last axis as column multiply-adds, in column
-    order (so _norm is bit-equal to np.linalg.norm(x, axis=-1)), without
-    np.vecdot's per-row dispatch; tests/test_row_dot.py lists where it stays."""
-    out = x[..., 0] * y[..., 0]
-    for j in range(1, x.shape[-1]):
-        out += x[..., j] * y[..., j]
+    """Row dot products over the last axis: the products in one call, then their
+    columns added in column order (so _norm is bit-equal to np.linalg.norm(x,
+    axis=-1)), without np.vecdot's per-row dispatch; tests/test_row_dot.py
+    lists where it stays."""
+    p = x * y
+    out = p[..., 0] + p[..., 1]
+    for j in range(2, p.shape[-1]):
+        out += p[..., j]
     return out
 
 

@@ -13,11 +13,13 @@ these over the sides, later sides multiplying on the left, computed as a
 pairwise tree kept as m 2**e (overflow-free: exact power-of-two scaling every
 third level), the form Mobius2 holds; scale-free answers are read off m by one
 row classifier and one fixed-direction solver.  The tree and the chart stay in
-this module: with the class and fixed directions, _summary_at hands transform a
+this module: with the class and fixed directions, _summary_at hands its callers a
 reader of the frame directions e^(i alpha_j) at every vertex, one down-sweep of
-the same tree (_frames).  Where the polygon is known, the determinant is not
-taken from m but from the sides, as the sign and log2 of prod(ell^2 - a^2): on
-a strongly hyperbolic product a d - b c of m rounds to 0.  In dimension n
+the same tree (_frames); _branch_at hands transform the class, one branch's
+direction and that reader alone.  Where the polygon is known, the determinant is
+not taken from m but from the sides, as the sign and log2 of prod(ell^2 - a^2):
+on a strongly hyperbolic product a d - b c of m rounds to 0.  Its sign, all the
+class reads, is the parity of the factors ell - a_j < 0.  In dimension n
 the same step is a Lorentz matrix in O(n,1) acting projectively on the
 sphere of directions.  One unchecked row builder gives these matrices for
 edge_lorentz and lorentz_monodromy, which validate once; the fixed directions
@@ -114,9 +116,10 @@ def _side_matrices(v: Polygon, ells: np.ndarray) -> np.ndarray:
     dx, dy = v.sides().T
     ell = ells[:, None]
     out = np.empty((len(ells), len(dx), 2, 2))
-    out[..., 0, 0] = ell + dx
-    out[..., 0, 1] = out[..., 1, 0] = -dy
-    out[..., 1, 1] = ell - dx
+    np.add(ell, dx, out=out[..., 0, 0])
+    np.negative(dy, out=out[..., 0, 1])
+    out[..., 1, 0] = out[..., 0, 1]
+    np.subtract(ell, dx, out=out[..., 1, 1])
     return out
 
 
@@ -161,11 +164,12 @@ def _tree(v: Polygon, ells: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     product = root 2**e: odd levels get an identity pad, and pairs, later
     sides on the left, form the next.  Only the leaves, every _RESCALE_EVERY-th
     level and the root are rescaled (exactly), so no entry reaches 2**7.  A leaf's
-    largest entry is max(ell + |dx|, |dy|) as rounded, read off the side columns."""
-    side = np.abs(v.sides())
-    shift = np.frexp(np.maximum(ells[:, None] + side[:, 0], side[:, 1]))[1]
-    a = np.ldexp(_side_matrices(v, ells), -shift[..., None, None])  # exact at any scale
-    levels, e = [], shift.sum(axis=1)
+    largest entry is max(ell + |dx|, |dy|) as rounded (ell + |dx| the larger of
+    ell + dx and ell - dx), read off the side matrices, which are scaled in place."""
+    a = _side_matrices(v, ells)
+    shift = np.frexp(np.maximum(np.maximum(a[..., 0, 0], a[..., 1, 1]), np.abs(a[..., 0, 1])))[1]
+    np.ldexp(a, -shift[..., None, None], out=a)  # exact at any scale
+    levels, shifts = [], [shift]
     while a.shape[1] > 1:
         if a.shape[1] % 2:
             a = np.concatenate([a, _IDENTITY.repeat(len(a), axis=0)], axis=1)
@@ -174,9 +178,9 @@ def _tree(v: Polygon, ells: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         a = a[:, 1::2] @ a[:, 0::2]
         if len(levels) % _RESCALE_EVERY == 0 or a.shape[1] == 1:
             a, shift = _rescale(a)
-            e = e + shift.sum(axis=1)
+            shifts.append(shift)
     levels.append(a)
-    return levels, e
+    return levels, np.concatenate(shifts, axis=1).sum(axis=1)  # every exponent taken out, summed once
 
 
 def _frames(levels: list[np.ndarray], k: int, angle: float, backwards: bool) -> np.ndarray:
@@ -193,7 +197,8 @@ def _frames(levels: list[np.ndarray], k: int, angle: float, backwards: bool) -> 
     half = 0.5 * angle
     seed = (math.cos(half), -math.sin(half)) if backwards else (math.sin(half), math.cos(half))
     h = np.empty((2, (1 << len(levels) - 1) + 1))
-    h[:, 0] = h[:, -1] = seed  # the root starts at 0 and ends at 2**D
+    h[0, 0], h[1, 0] = seed
+    h[:, -1] = h[:, 0]  # the root starts at 0 and ends at 2**D
     for j in range(len(levels) - 2, -1, -1):
         a, span, s = levels[j][0], 1 << j, 2 << j
         n = len(a) * span  # c[q, r, i]: node i's weight on its parent's h_q in row r
@@ -201,11 +206,13 @@ def _frames(levels: list[np.ndarray], k: int, angle: float, backwards: bool) -> 
             c, up = a[1::2].transpose(1, 2, 0), slice(s, n + 1, s)
         else:  # parents start at 0, s, ...; weights L[r, q] of the left sibling
             c, up = a[0::2].T, slice(0, n, s)
-        step = c[0] * h[0, up] + c[1] * h[1, up]
+        # both weights' products in one call, in C order so that the nodes, not the 2 rows, run inside
+        prod = np.multiply(c, h[:, None, up], order="C")
+        step = prod[0] + prod[1]
         x = np.abs(step)
         np.divide(step, x[0] + x[1], out=h[:, span:n:s])
     # leaf i starts at position i and ends at i + 1; h_k = h_0 is the seed
-    h[:, k] = seed
+    h[:, k] = h[:, 0]
     z = _HALF_ANGLE[backwards] @ h[:, : k + 1]  # e^(i alpha/2) up to scale, so e^(i alpha) = z / conj(z)
     return (z / z.conj()).view(float).reshape(-1, 2)
 
@@ -220,24 +227,38 @@ def _monodromy_product(v: Polygon, ells: np.ndarray) -> tuple[np.ndarray, np.nda
     return levels[-1][:, 0], e
 
 
-def _pole_hits(v: Polygon, ells: np.ndarray, tol: Tolerance, f: np.ndarray) -> np.ndarray:
-    """(lengths x sides) mask of |ell - a| <= eps_geom max(ell, a), ell - a read from f = _factors."""
-    return np.abs(f[:, 0]) <= tol.eps_geom * np.maximum(ells[:, None], v.side_lengths())
+def _pole_hits(v: Polygon, ell, tol: Tolerance, lo: np.ndarray) -> np.ndarray:
+    """Mask of |ell - a| <= eps_geom max(ell, a) over lo = ell - a: ell one length, lo (sides,),
+    or a column of lengths, lo (lengths, sides) read off _factors."""
+    return np.abs(lo) <= tol.eps_geom * np.maximum(ell, v.side_lengths())
 
 
-def _product_at(v: Polygon, ell: float, tol: Tolerance) -> tuple[Mobius2, list[np.ndarray]]:
+def _root_at(v: Polygon, ell: float, tol: Tolerance) -> tuple[np.ndarray, list[np.ndarray], int]:
     """The monodromy at one length, validated as polygon_monodromy before any
-    tree is built, with the exact determinant of _log2_det (the pole rule's
-    factors, formed once), and the _tree's levels."""
+    tree is built: the pole rule's factors ell - a_j (formed once), the
+    _tree's levels and the root's exponent e."""
     if v.dim != 2:
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
     check_positive(ell)
     ells = np.array([ell], dtype=float)
-    if _pole_hits(v, ells, tol, f := _factors(v, ells)).any():
+    if np.count_nonzero(_pole_hits(v, ells[0], tol, lo := ells[0] - v.side_lengths())):
         raise DegenerateMonodromy(f"length parameter {ell} coincides with a side length")
     levels, e = _tree(v, ells)
-    (sign,), (mant,), (exp,), (e,) = (x.tolist() for x in (*_log2_det(f), e))
-    return Mobius2._root(levels[-1][0, 0].ravel().tolist(), e, (sign, mant + (exp - 2 * e))), levels
+    return lo, levels, int(e[0])
+
+
+def _log2det_at(v: Polygon, ell: float, lo: np.ndarray, e: int) -> tuple[float, float]:
+    """(sign, log2 |det|) of _root_at's rescaled root m (product m 2**e), exact from the sides:
+    _log2_det over the _factors, ell - a_j the pole rule's lo."""
+    f = np.concatenate((lo, float(ell) + v.side_lengths())).reshape(1, 2, -1)
+    (sign,), (mant,), (exp,) = (x.tolist() for x in _log2_det(f))
+    return sign, mant + (exp - 2 * e)
+
+
+def _product_at(v: Polygon, ell: float, tol: Tolerance) -> tuple[Mobius2, list[np.ndarray]]:
+    """_root_at's monodromy with its exact determinant, and the _tree's levels."""
+    lo, levels, e = _root_at(v, ell, tol)
+    return Mobius2._root(levels[-1][0, 0].ravel().tolist(), e, _log2det_at(v, ell, lo, e)), levels
 
 
 def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> Mobius2:
@@ -264,16 +285,16 @@ def _disc_terms(a, b, c, d):
 _EPS_CLASS = 1e-8  # relative half-width of the parabolic band at a class boundary
 
 
-def _classify_row(row, tol: Tolerance, det: tuple[float, float]) -> MonodromyClass:
+def _classify_row(row, tol: Tolerance, sign: float) -> MonodromyClass:
     """Class of [[a, b], [c, d]] from the floats row = (a, b, c, d) and the
-    (sign, log2 |det|) of that matrix: identity, singular (det sign 0), then
+    sign of its determinant: identity, singular (sign 0), then
     by the discriminant's sign outside the _EPS_CLASS band; in the band
     parabolic, or singular if the double eigenvalue is 0."""
     a, b, c, d = row
     eps = tol.eps_geom * max(abs(a), abs(b), abs(c), abs(d))
     if abs(b) <= eps and abs(c) <= eps and abs(a - d) <= eps:
         return MonodromyClass.IDENTITY
-    if not det[0]:
+    if not sign:
         return MonodromyClass.DEGENERATE
     disc, square, cross = _disc_terms(a, b, c, d)
     band = _EPS_CLASS * max(square, abs(cross))
@@ -286,7 +307,7 @@ def _classify_row(row, tol: Tolerance, det: tuple[float, float]) -> MonodromyCla
 
 def classify(m: Mobius2, tol: Tolerance = DEFAULT_TOL) -> MonodromyClass:
     """Conjugacy class from the discriminant Tr^2 - 4 det (scale-free)."""
-    return _classify_row(m.row, tol, m.log2det)
+    return _classify_row(m.row, tol, m.log2det[0])
 
 
 class FixedDirection(NamedTuple):
@@ -313,49 +334,57 @@ def fixed_directions(m: Mobius2, tol: Tolerance = DEFAULT_TOL):
     parabolic one entry; identity returns the ALL_DIRECTIONS marker and
     elliptic raises NoRealFixedPoint.
     """
-    return _fixed_row(m.row, _classify_row(m.row, tol, m.log2det), m.log2det)
+    return _fixed_row(m.row, _classify_row(m.row, tol, m.log2det[0]), m.log2det)
+
+
+def _eigenvalues(row, klass: MonodromyClass) -> list[float]:
+    """Eigenvalues of a hyperbolic or parabolic row = (a, b, c, d), one per
+    fixed direction: the dominant lam first, then det / lam."""
+    a, b, c, d = row
+    tr = a + d
+    if klass is MonodromyClass.PARABOLIC:
+        return [0.5 * tr]
+    lam = 0.5 * (tr + math.copysign(math.sqrt(_disc_terms(a, b, c, d)[0]), tr))
+    return [lam, (a * d - b * c) / lam]
 
 
 def _eigen_row(row, klass: MonodromyClass, det: tuple[float, float]) -> list[tuple[float, float]]:
     """(eigenvalue, map derivative) per fixed direction of a hyperbolic or
-    parabolic row = (a, b, c, d) with (sign, log2 |det|): the dominant
-    eigenvalue lam attracts (derivative det / lam^2), det / lam repels; both
-    derivatives taken in log2, so a det far below lam^2 neither rounds nor
-    underflows on the way."""
-    a, b, c, d = row
+    parabolic row with (sign, log2 |det|): the dominant eigenvalue lam
+    attracts (derivative det / lam^2), det / lam repels; both derivatives
+    taken in log2, so a det far below lam^2 neither rounds nor underflows
+    on the way."""
+    lams = _eigenvalues(row, klass)
     sign, log2det = det
-    tr = a + d
-    if klass is MonodromyClass.PARABOLIC:
-        lam = 0.5 * tr
-        return [(lam, _pow2(sign, log2det - 2.0 * math.log2(abs(lam))))]
-    lam = 0.5 * (tr + math.copysign(math.sqrt(_disc_terms(a, b, c, d)[0]), tr))
-    log2lam = math.log2(abs(lam))
-    return [
-        (lam, _pow2(sign, log2det - 2.0 * log2lam)),
-        ((a * d - b * c) / lam, _pow2(sign, 2.0 * log2lam - log2det)),
-    ]
+    log2lam = math.log2(abs(lams[0]))
+    out = [(lams[0], _pow2(sign, log2det - 2.0 * log2lam))]
+    if len(lams) == 2:
+        out.append((lams[1], _pow2(sign, 2.0 * log2lam - log2det)))
+    return out
+
+
+def _direction(row, lam: float) -> float:
+    """Angle of the fixed direction of row = (a, b, c, d) with eigenvalue lam:
+    the eigenvector of the matrix is the homogeneous fixed point (p : q) of
+    the action, read as 2 atan2(p, q).  It needs det / lam only next to a and
+    d, to which a d - b c is exact enough."""
+    a, b, c, d = row
+    p, q = (b, lam - a) if math.hypot(b, lam - a) >= math.hypot(lam - d, c) else (lam - d, c)
+    if q < 0.0 or (q == 0.0 and p < 0.0):
+        p, q = -p, -q
+    return 2.0 * math.atan2(p, q)
 
 
 def _fixed_row(row, klass: MonodromyClass, det: tuple[float, float]):
     """fixed_directions of row = (a, b, c, d) given its class and (sign, log2
-    |det|), the eigenvalues and derivatives from _eigen_row.  The
-    eigenvectors need det / lam only next to a and d, to which a d - b c is
-    exact enough."""
+    |det|), the eigenvalues and derivatives from _eigen_row."""
     if klass is MonodromyClass.IDENTITY:
         return ALL_DIRECTIONS
     if klass is MonodromyClass.ELLIPTIC:
         raise NoRealFixedPoint("elliptic monodromy has no real fixed direction")
     if klass is MonodromyClass.DEGENERATE:
         raise DegenerateMonodromy("singular monodromy has no well-defined fixed directions")
-    a, b, c, d = row
-    out = []
-    for lam, derivative in _eigen_row(row, klass, det):
-        # eigenvector of the matrix = homogeneous fixed point of the action
-        p, q = (b, lam - a) if math.hypot(b, lam - a) >= math.hypot(lam - d, c) else (lam - d, c)
-        if q < 0.0 or (q == 0.0 and p < 0.0):
-            p, q = -p, -q
-        out.append(FixedDirection(2.0 * math.atan2(p, q), derivative))
-    return out
+    return [FixedDirection(_direction(row, lam), derivative) for lam, derivative in _eigen_row(row, klass, det)]
 
 
 def _tr2_over_det(row, det: tuple[float, float]) -> float:
@@ -378,9 +407,31 @@ def _summary_at(v: Polygon, ell: float, tol: Tolerance):
     frames(angle, backwards), the _frames of the _tree it was read from."""
     m, levels = _product_at(v, ell, tol)
     row, det = m.row, m.log2det
-    klass = _classify_row(row, tol, det)
+    klass = _classify_row(row, tol, det[0])
     dirs = _fixed_row(row, klass, det) if klass in _FIXED_CLASSES else None
     return klass, _tr2_over_det(row, det), dirs, functools.partial(_frames, levels, len(v))
+
+
+def _branch_at(v: Polygon, ell: float, tol: Tolerance, backwards: bool, derivative: bool):
+    """transform's read of the monodromy at one length, validated as polygon_monodromy: the class,
+    one branch's FixedDirection (the repelling one if backwards; None unless hyperbolic or
+    parabolic) from one eigenvector, and the frame reader of _summary_at.  The derivative takes
+    the exact determinant; unasked, it is NaN and the class reads the determinant's sign alone,
+    the parity of the factors ell - a_j < 0 (none of them 0 past the pole rule)."""
+    lo, levels, e = _root_at(v, ell, tol)
+    row = levels[-1][0, 0].ravel().tolist()
+    if derivative:
+        det = _log2det_at(v, ell, lo, e)
+        sign = det[0]
+    else:
+        sign = -1.0 if np.count_nonzero(lo < 0.0) % 2 else 1.0
+    klass = _classify_row(row, tol, sign)
+    frames = functools.partial(_frames, levels, len(v))
+    if klass not in _FIXED_CLASSES:
+        return klass, None, frames
+    i = -1 if backwards else 0
+    lam, slope = _eigen_row(row, klass, det)[i] if derivative else (_eigenvalues(row, klass)[i], math.nan)
+    return klass, FixedDirection(_direction(row, lam), slope), frames
 
 
 class TracePoly:
@@ -498,7 +549,7 @@ def lorentz_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> L
     ValueError, naming the length, where the product overflows.
     """
     check_positive(ell)
-    if _pole_hits(v, ells := np.array([ell], dtype=float), tol, _factors(v, ells)).any():
+    if _pole_hits(v, x := float(ell), tol, x - v.side_lengths()).any():
         raise PoleAtEllEqualsA("edge matrix has a pole at ell = a")
     a = v.side_lengths()
     m = np.eye(v.dim + 1)
@@ -570,7 +621,7 @@ def classification_scan(
     """
     ells = _grid(v, lmin, lmax, steps)
     spacing = (lmax - lmin) / (steps - 1)
-    hits = _pole_hits(v, ells, tol, _factors(v, ells))
+    hits = _pole_hits(v, ells[:, None], tol, _factors(v, ells)[:, 0])
     nudge = np.maximum(1e-9 * v.side_lengths()[hits.argmax(axis=1)], 1e-6 * spacing)
     ells = np.where(hits.any(axis=1), ells + nudge, ells)
     m, e = _monodromy_product(v, ells)
@@ -578,7 +629,7 @@ def classification_scan(
     dets = zip(sign.tolist(), (mant + (exp - 2 * e)).tolist())
     out = []
     for ell, row, det in zip(ells.tolist(), m.reshape(-1, 4).tolist(), dets):
-        klass = _classify_row(row, tol, det)
+        klass = _classify_row(row, tol, det[0])
         derivs = tuple([x for _, x in _eigen_row(row, klass, det)]) if klass in _FIXED_CLASSES else None
         out.append(ScanPoint(ell, klass, _tr2_over_det(row, det), derivs))
     return out

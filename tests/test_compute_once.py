@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bicyclegeom as bg
-from bicyclegeom import cli, monodromy
+from bicyclegeom import cli, dynamics, monodromy
 from bicyclegeom.cli import main
 from bicyclegeom.fileio import save_polygon
 from bicyclegeom.geometry import _cyc
@@ -150,8 +150,8 @@ class TestComputedOnce:
     @pytest.fixture
     def counts(self, monkeypatch):
         """Calls of the wedge kernel invariants._wedges, of J's one kernel invariants._j, and of
-        correspondence_check."""
-        homes = {"_wedges": bg.invariants, "_j": bg.invariants, "correspondence_check": bg}
+        the pair check dynamics._pair_length, which correspondence_check and BicyclePair share."""
+        homes = {"_wedges": bg.invariants, "_j": bg.invariants, "_pair_length": bg.dynamics}
         return {name: _bind_all(monkeypatch, name, home) for name, home in homes.items()}
 
     @pytest.mark.parametrize("kind", ["transform", "butterfly", "dim3"])
@@ -162,7 +162,7 @@ class TestComputedOnce:
         for name in ("_wedges", "_j"):
             polys = counts[name]
             assert len(polys) == 2 and polys[0] is not polys[1], name
-        assert len(counts["correspondence_check"]) == 1
+        assert len(counts["_pair_length"]) == 1
 
     def test_one_polygon(self, tmp_path, counts, capsys):
         path = tmp_path / "square.json"
@@ -174,12 +174,12 @@ class TestComputedOnce:
         v, w, _length = random_hyperbolic_pair(rng)
         assert main(["rear-track", *pair_files(v, w), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["tangency_points"]
-        assert len(counts["correspondence_check"]) == 1
+        assert len(counts["_pair_length"]) == 1
 
     @pytest.mark.parametrize("command", ["invariants", "rear-track"])
     def test_non_pair_checked_once(self, pair_files, counts, capsys, command):
         """BicyclePair's own check decides: a non-pair is reported (invariants)
-        or refused with exit 1 (rear-track), after one correspondence_check."""
+        or refused with exit 1 (rear-track), after one pair check."""
         other = bg.Polygon(SQUARE.vertices * 1.5)
         code = main([command, *pair_files(SQUARE, other), "--json"])
         captured = capsys.readouterr()
@@ -190,11 +190,45 @@ class TestComputedOnce:
         else:
             assert code == 1 and captured.out == ""
             assert captured.err == "error: polygons are not in the bicycle correspondence\n"
-        assert len(counts["correspondence_check"]) == 1
+        assert len(counts["_pair_length"]) == 1
 
     def test_circumcenter_of_mass_reads_one_record(self, counts):
         assert _bits(bg.circumcenter_of_mass(SQUARE)) == _bits([0.5, 0.5])
         assert [len(counts[name]) for name in counts] == [1, 1, 0]
+
+    @pytest.mark.parametrize("kind", ["transform", "butterfly", "dim3"])
+    def test_pair_length_is_read_off_its_check(self, kind, rng, counts):
+        """BicyclePair's length is the mean of the gaps its one check formed,
+        with frame_length's bits."""
+        v, w, _length = _pair(kind, rng)
+        pair = bg.BicyclePair(v, w)
+        assert len(counts["_pair_length"]) == 1
+        assert _bits(pair.length) == _bits(bg.frame_length(v, w))
+
+
+class TestTransformComputesWhatItReturns:
+    """transform reads the class off the determinant's sign, the parity of
+    the factors ell - a_j < 0, and solves one eigenvector; _transform, whose
+    branch derivative the CLI prints, takes the exact determinant once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Arguments of each call of monodromy._log2_det and of the eigenvector solver monodromy._direction."""
+        out = {}
+        for name in ("_log2_det", "_direction"):
+            real, seen = getattr(monodromy, name), out.setdefault(name, [])
+            monkeypatch.setattr(monodromy, name, lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
+        return out
+
+    @pytest.mark.parametrize("branch", list(bg.Branch))
+    def test_transform(self, calls, branch):
+        bg.transform(SQUARE, 1.2, branch)
+        assert (len(calls["_log2_det"]), len(calls["_direction"])) == (0, 1)
+
+    @pytest.mark.parametrize("branch", list(bg.Branch))
+    def test_transform_with_its_derivative(self, calls, branch):
+        dynamics._transform(SQUARE, 1.2, branch, bg.DEFAULT_TOL)
+        assert len(calls["_log2_det"]) == 1
 
 
 class TestMismatchedInputs:

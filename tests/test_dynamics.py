@@ -452,6 +452,71 @@ class TestCompanionScan:
         scale = max(length, float(s.side_lengths().max()))
         assert np.abs(t.vertices - want).max() <= 2e-10 * scale
 
+    @staticmethod
+    def _summary_cases():
+        circles = [(circle_polygon(np.random.default_rng(1), k, noise), L) for k, noise, L in LARGE_CIRCLES]
+        return survey_cases() + generic_200gons() + circles
+
+    @staticmethod
+    def _summary_route(v, L, branch):
+        """The companion as _seeded_companion reaches it: the full _summary_at
+        (class, Tr^2/det, both fixed directions with their derivatives) and
+        its frame reader; None where there is no isolated fixed direction."""
+        klass, _, dirs, frames = monodromy._summary_at(v, L, bg.DEFAULT_TOL)
+        if dirs is None:
+            return klass, None
+        fd = dirs[0] if branch is bg.Branch.ATTRACTING else dirs[-1]
+        w, _ = dynamics._companion(v, L, fd.angle, frames, branch is bg.Branch.REPELLING, bg.DEFAULT_TOL)
+        return klass, bg.Polygon(w)
+
+    def test_transform_is_the_full_summary_route_bit_for_bit(self):
+        """transform reads the class, one branch's direction and the frame
+        reader, with no determinant.  On the survey, the generic 200-gons and
+        LARGE_CIRCLES, both branches, its companion agrees with the full
+        summary route in vertices, sides and side lengths bit for bit, and it
+        fails exactly where that route fails, with the same error."""
+        closed = 0
+        for v, L in self._summary_cases():
+            for branch in bg.Branch:
+                try:
+                    klass, want = self._summary_route(v, L, branch)
+                except bg.GeometryError as exc:
+                    with pytest.raises(type(exc)) as raised:
+                        bg.transform(v, L, branch)
+                    assert str(raised.value) == str(exc)
+                    continue
+                if want is None:
+                    error = bg.EllipticMonodromy if klass is bg.MonodromyClass.ELLIPTIC else bg.DegenerateMonodromy
+                    with pytest.raises(error):
+                        bg.transform(v, L, branch)
+                    continue
+                got = bg.transform(v, L, branch)
+                assert got.vertices.tobytes() == want.vertices.tobytes()
+                assert got.sides().tobytes() == want.sides().tobytes()
+                assert got.side_lengths().tobytes() == want.side_lengths().tobytes()
+                closed += 1
+        assert closed > 500
+
+    def test_branch_derivative_is_polygon_monodromys_bit_for_bit(self):
+        """_transform's fixed direction, whose derivative the CLI prints as
+        `branch eigenvalue:`, is the branch's entry of
+        fixed_directions(polygon_monodromy(v, L)), angle and derivative bit
+        for bit."""
+        checked = 0
+        for v, L in self._summary_cases():
+            mob = bg.polygon_monodromy(v, L)
+            if bg.classify(mob) not in (bg.MonodromyClass.HYPERBOLIC, bg.MonodromyClass.PARABOLIC):
+                continue
+            dirs = bg.fixed_directions(mob)
+            for branch, want in zip(bg.Branch, (dirs[0], dirs[-1])):
+                try:
+                    got = dynamics._transform(v, L, branch, bg.DEFAULT_TOL)[2]
+                except bg.ClosureFailure:
+                    continue
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+                checked += 1
+        assert checked > 500
+
     def test_class_and_direction_agree_with_polygon_monodromy(self, rng):
         """The tree that classifies for transform is the one polygon_monodromy
         builds: the same class and fixed direction, bit for bit."""

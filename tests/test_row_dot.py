@@ -137,10 +137,10 @@ def _reachable_calls(module: str, root: str) -> tuple[set[str], set[tuple[str, s
 
 
 def test_companion_closing_check_has_no_per_row_dispatch():
-    """From transform's entry, through the down-sweep _summary_at hands out
+    """From transform's entry, through the down-sweep _branch_at hands out
     (monodromy._frames) and the closing check."""
     called, seen = _reachable_calls("dynamics", "_transform")
-    assert {("monodromy", "_summary_at"), ("monodromy", "_frames"), ("dynamics", "_companion")} <= seen
+    assert {("monodromy", "_branch_at"), ("monodromy", "_frames"), ("dynamics", "_companion")} <= seen
     assert {"_dot", "np.divide"} <= called  # np.divide: the sweep's step, inside monodromy._frames
     stray = sorted(called & COMPANION_FORBIDDEN)
     assert not stray, f"dynamics._transform reaches {stray}; check with one pass of geometry._dot"
