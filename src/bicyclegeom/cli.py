@@ -37,7 +37,9 @@ from .families import (
 from .fileio import PolygonFileError, check_finite, load_polygon, polygon_json, save_polygon, to_json, write_file
 from .geometry import DEFAULT_TOL, Polygon, Tolerance
 from .invariants import RearTrack, _conserved, eigenvalue_products, j_vector, rear_track
-from .monodromy import _summary_at, classification_scan, refine_class_boundaries, trace_polynomial
+from .monodromy import (
+    _branch_at, _scan_point, classification_scan, polygon_monodromy, refine_class_boundaries, trace_polynomial,
+)
 from .svg import PALETTE, Figure
 
 
@@ -177,11 +179,12 @@ def _polygon_report(v: Polygon, conserved, tol: Tolerance, ell: float | None) ->
         coeffs = trace_polynomial(v).coeffs
         rep["trace_poly_coeffs"] = _val(list(coeffs), tol)
         if ell is not None:
-            klass, invariant, dirs, _ = _summary_at(v, ell, tol)
-            rep["monodromy_class_at_L"] = klass.value
-            rep["trace_sq_over_det_at_L"] = _val(invariant, tol)
-            if dirs is not None:
-                rep["eigenvalues_at_L"] = _val([fd.derivative for fd in dirs], tol)
+            m = polygon_monodromy(v, ell, tol)
+            point = _scan_point(ell, m.row, m.log2det, tol)  # scan's record at this length
+            rep["monodromy_class_at_L"] = point.klass.value
+            rep["trace_sq_over_det_at_L"] = _val(point.invariant, tol)
+            if point.derivatives is not None:
+                rep["eigenvalues_at_L"] = _val(point.derivatives, tol)
     return rep
 
 
@@ -298,8 +301,9 @@ def cmd_svg(args, tol: Tolerance) -> int:
             fig.dot(track.q[i], color=PALETTE[1])
     if args.ell is not None:
         v = polys[0]
-        for fd in _summary_at(v, args.ell, tol)[2] or ():
-            fig.arrow(v.vertex(0), fd.angle, args.ell)
+        _, count, direction, _ = _branch_at(v, args.ell, tol, False)
+        for i in range(count):
+            fig.arrow(v.vertex(0), direction(i).angle, args.ell)
     if args.output:
         write_file(args.output, fig.render().encode())
     else:

@@ -3,11 +3,12 @@
 Propagation carries a frame segment around a closed polygon one isosceles
 trapezoid at a time; when the seed direction is fixed under the monodromy
 the trace closes up and defines the transformation T_L.  transform does not
-loop: monodromy gives, with the class and the fixed directions, the frame
-direction e_i at every vertex (the seed through partial side products, one
-down-sweep of the side tree that classified the monodromy, the repelling
-branch swept backwards, where it contracts); transform adds the frame
-points V_i + L e_i and checks every step.  A companion through a seed point
+loop: monodromy's one companion reader, _branch_at, gives the class, the
+fixed directions one eigenvector at a time, and the frame direction e_i at
+every vertex (the seed through partial side products, one down-sweep of the
+side tree that classified the monodromy, the repelling branch swept
+backwards, where it contracts); transform adds the frame points V_i + L e_i
+and checks every step.  A companion through a seed point
 (transform --seed-angle, the permutability square) comes from the sweep
 when the seed is on a fixed direction, else from propagate's step loop (any
 dimension; the sweep's oracle), under one closure bound.  Recutting
@@ -32,7 +33,7 @@ from .geometry import (
     DEFAULT_TOL, Polygon, Tolerance, _angle_at, _bisector_reflect, _coincident, _cyc, _dot, _norm, as_vec,
     check_same_dim, perp_bisector_reflect,
 )
-from .monodromy import FixedDirection, MonodromyClass, _branch_at, _summary_at
+from .monodromy import FixedDirection, MonodromyClass, _branch_at
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,9 @@ class Branch(enum.Enum):
 def _companion(
     v: Polygon, length: float, angle: float, frames: Callable[..., np.ndarray], backwards: bool, tol: Tolerance
 ) -> tuple[np.ndarray, float]:
-    """Unchecked kernel behind transform: the companion W_i = V_i + L e_i of v, e_i the unit frames
-    frames(angle, backwards) of _branch_at or _summary_at at length, and its closing-step residual;
+    """Unchecked kernel behind transform and the seeded companion: the companion W_i = V_i + L e_i
+    of v, e_i the unit frames frames(angle, backwards) that _branch_at hands out at length (angle
+    one of its fixed directions, backwards for the repelling one), and its closing-step residual;
     _closing_check raises DegenerateLine and ClosureFailure (a step missing its reflection by over
     _closure_bound)."""
     # V_0 ... V_{k-1}, V_0, V_0: rows i and i + 1 are step i's V_i and V_{i+1}; W_k = W_0 is checked
@@ -136,11 +138,12 @@ def _transform(
     if v.dim != 2:
         raise DimensionMismatch("the closed transformation is defined for plane polygons")
     backwards = branch is Branch.REPELLING
-    klass, fd, frames = _branch_at(v, length, tol, backwards, derivative)
+    klass, count, direction, frames = _branch_at(v, length, tol, derivative)
     if klass is MonodromyClass.ELLIPTIC:
         raise EllipticMonodromy(f"monodromy is elliptic at L={length}; no real fixed direction")
-    if fd is None:  # identity (every seed closes; propagate from one) or singular
+    if not count:  # identity (every seed closes; propagate from one) or singular
         raise DegenerateMonodromy(f"{klass.value} monodromy at L={length}: no isolated fixed direction")
+    fd = direction(-1 if backwards else 0)
     w, defect = _companion(v, length, fd.angle, frames, backwards, tol)
     return Polygon(w, name=v.name), klass, fd, defect
 
@@ -154,8 +157,9 @@ def _seeded_companion(v: Polygon, length: float, seed: np.ndarray, tol: Toleranc
     same bound, or ClosureFailure is raised."""
     bound = _closure_bound(v, length, tol)
     if v.dim == 2:
-        _, _, dirs, frames = _summary_at(v, length, tol)
-        for i, fd in enumerate(dirs or ()):
+        _, count, direction, frames = _branch_at(v, length, tol, False)
+        for i in range(count):
+            fd = direction(i)
             frame = v.vertex(0) + length * np.array([math.cos(fd.angle), math.sin(fd.angle)])
             if np.linalg.norm(seed - frame) <= bound:
                 w, defect = _companion(v, length, fd.angle, frames, i > 0, tol)
@@ -218,6 +222,8 @@ def correspondence_check(v: Polygon, w: Polygon, tol: Tolerance = DEFAULT_TOL) -
 
 def frame_length(v: Polygon, w: Polygon) -> float:
     """Common segment length |V_i W_i| of a corresponding pair."""
+    if v.vertices.shape != w.vertices.shape:
+        raise DimensionMismatch(f"the two polygons' vertices differ in shape: {v.vertices.shape} vs {w.vertices.shape}")
     return float(_norm(v.vertices - w.vertices).mean())
 
 

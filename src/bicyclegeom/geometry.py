@@ -130,8 +130,10 @@ class Polygon:
         return float(self._side_lengths.sum())
 
     def with_vertex(self, i: int, p) -> "Polygon":
-        pts = self.vertices.copy()
-        pts[i % len(self)] = as_vec(p)
+        p, pts = as_vec(p), self.vertices.copy()
+        if p.shape != pts.shape[1:]:
+            raise DimensionMismatch(f"vertex of shape {p.shape} for vertices of shape {pts.shape[1:]}")
+        pts[i % len(self)] = p
         return Polygon(pts, name=self.name)
 
     def translated(self, shift) -> "Polygon":

@@ -13,15 +13,17 @@ these over the sides, later sides multiplying on the left, computed as a
 pairwise tree kept as m 2**e (overflow-free: exact power-of-two scaling every
 third level), the form Mobius2 holds; scale-free answers are read off m by one
 row classifier and one fixed-direction solver.  The tree and the chart stay in
-this module: with the class and fixed directions, _summary_at hands its callers a
-reader of the frame directions e^(i alpha_j) at every vertex, one down-sweep of
-the same tree (_frames); _branch_at hands transform the class, one branch's
-direction and that reader alone.  Where the polygon is known, the determinant is
-not taken from m but from the sides, as the sign and log2 of prod(ell^2 - a^2):
-on a strongly hyperbolic product a d - b c of m rounds to 0.  Its sign, all the
-class reads, is the parity of the factors ell - a_j < 0.  In dimension n
-the same step is a Lorentz matrix in O(n,1) acting projectively on the
-sphere of directions.  One unchecked row builder gives these matrices for
+this module.  At one length _root_at builds the tree: polygon_monodromy adds
+the exact determinant; _branch_at, the one reader of the companions, gives the
+class, the number of fixed directions, a reader of direction i and one of the
+frame directions e^(i alpha_j) at every vertex, one down-sweep of the same tree
+(_frames).  _scan_point is the record (no eigenvector) that the scan and the
+CLI's invariants report.  Where the polygon is known, the determinant is not
+taken from m but from the sides, as the sign and log2 of prod(ell^2 - a^2): on
+a strongly hyperbolic product a d - b c of m rounds to 0.  Its sign, all the
+class reads, is the parity of the factors ell - a_j < 0.  In dimension n the
+same step is a Lorentz matrix in O(n,1) acting projectively on the sphere of
+directions.  One unchecked row builder gives these matrices for
 edge_lorentz and lorentz_monodromy, which validate once; the fixed directions
 are the dominant eigenvectors of M and of its exact inverse G M^t G, with
 the null lines of ker(M -+ I) where those give fewer than two.
@@ -133,8 +135,8 @@ def _rescale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pow2(sign: float, x: float) -> float:
-    """sign 2**x, infinite past the double range (2.0 ** x raises there)."""
-    return sign * 2.0**x if x < 1024.0 else sign * math.inf
+    """sign 2**x, infinite past the double range (2.0 ** x raises there), NaN for a NaN x."""
+    return sign * math.inf if x >= 1024.0 else sign * 2.0**x
 
 
 _MINUS_PLUS = np.array([[-1.0], [1.0]])  # rows ell - a_j and ell + a_j
@@ -233,10 +235,10 @@ def _pole_hits(v: Polygon, ell, tol: Tolerance, lo: np.ndarray) -> np.ndarray:
     return np.abs(lo) <= tol.eps_geom * np.maximum(ell, v.side_lengths())
 
 
-def _root_at(v: Polygon, ell: float, tol: Tolerance) -> tuple[np.ndarray, list[np.ndarray], int]:
-    """The monodromy at one length, validated as polygon_monodromy before any
-    tree is built: the pole rule's factors ell - a_j (formed once), the
-    _tree's levels and the root's exponent e."""
+def _root_at(v: Polygon, ell: float, tol: Tolerance) -> tuple[list[float], int, np.ndarray, functools.partial]:
+    """The monodromy at one length, validated as polygon_monodromy before any tree is built: the
+    _tree's rescaled root row (a, b, c, d) with its exponent e (product row 2**e), the pole
+    rule's factors ell - a_j (formed once) and frames(angle, backwards), _frames on that tree."""
     if v.dim != 2:
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
     check_positive(ell)
@@ -244,7 +246,7 @@ def _root_at(v: Polygon, ell: float, tol: Tolerance) -> tuple[np.ndarray, list[n
     if np.count_nonzero(_pole_hits(v, ells[0], tol, lo := ells[0] - v.side_lengths())):
         raise DegenerateMonodromy(f"length parameter {ell} coincides with a side length")
     levels, e = _tree(v, ells)
-    return lo, levels, int(e[0])
+    return levels[-1][0, 0].ravel().tolist(), int(e[0]), lo, functools.partial(_frames, levels, len(v))
 
 
 def _log2det_at(v: Polygon, ell: float, lo: np.ndarray, e: int) -> tuple[float, float]:
@@ -253,12 +255,6 @@ def _log2det_at(v: Polygon, ell: float, lo: np.ndarray, e: int) -> tuple[float, 
     f = np.concatenate((lo, float(ell) + v.side_lengths())).reshape(1, 2, -1)
     (sign,), (mant,), (exp,) = (x.tolist() for x in _log2_det(f))
     return sign, mant + (exp - 2 * e)
-
-
-def _product_at(v: Polygon, ell: float, tol: Tolerance) -> tuple[Mobius2, list[np.ndarray]]:
-    """_root_at's monodromy with its exact determinant, and the _tree's levels."""
-    lo, levels, e = _root_at(v, ell, tol)
-    return Mobius2._root(levels[-1][0, 0].ravel().tolist(), e, _log2det_at(v, ell, lo, e)), levels
 
 
 def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> Mobius2:
@@ -270,7 +266,8 @@ def polygon_monodromy(v: Polygon, ell: float, tol: Tolerance = DEFAULT_TOL) -> M
     determinant prod(ell^2 - a_i^2) vanishes there), and ValueError, naming
     the length, outside 0 < ell < inf.
     """
-    return _product_at(v, ell, tol)[0]
+    row, e, lo, _ = _root_at(v, ell, tol)
+    return Mobius2._root(row, e, _log2det_at(v, ell, lo, e))
 
 
 def _disc_terms(a, b, c, d):
@@ -334,33 +331,32 @@ def fixed_directions(m: Mobius2, tol: Tolerance = DEFAULT_TOL):
     parabolic one entry; identity returns the ALL_DIRECTIONS marker and
     elliptic raises NoRealFixedPoint.
     """
-    return _fixed_row(m.row, _classify_row(m.row, tol, m.log2det[0]), m.log2det)
-
-
-def _eigenvalues(row, klass: MonodromyClass) -> list[float]:
-    """Eigenvalues of a hyperbolic or parabolic row = (a, b, c, d), one per
-    fixed direction: the dominant lam first, then det / lam."""
-    a, b, c, d = row
-    tr = a + d
-    if klass is MonodromyClass.PARABOLIC:
-        return [0.5 * tr]
-    lam = 0.5 * (tr + math.copysign(math.sqrt(_disc_terms(a, b, c, d)[0]), tr))
-    return [lam, (a * d - b * c) / lam]
+    klass = _classify_row(m.row, tol, m.log2det[0])
+    if klass is MonodromyClass.IDENTITY:
+        return ALL_DIRECTIONS
+    if klass is MonodromyClass.ELLIPTIC:
+        raise NoRealFixedPoint("elliptic monodromy has no real fixed direction")
+    if klass is MonodromyClass.DEGENERATE:
+        raise DegenerateMonodromy("singular monodromy has no well-defined fixed directions")
+    return [FixedDirection(_direction(m.row, lam), slope) for lam, slope in _eigen_row(m.row, klass, m.log2det)]
 
 
 def _eigen_row(row, klass: MonodromyClass, det: tuple[float, float]) -> list[tuple[float, float]]:
-    """(eigenvalue, map derivative) per fixed direction of a hyperbolic or
-    parabolic row with (sign, log2 |det|): the dominant eigenvalue lam
-    attracts (derivative det / lam^2), det / lam repels; both derivatives
-    taken in log2, so a det far below lam^2 neither rounds nor underflows
-    on the way."""
-    lams = _eigenvalues(row, klass)
+    """(eigenvalue, map derivative) per isolated fixed direction of row = (a, b, c, d) with
+    (sign, log2 |det|), none unless hyperbolic or parabolic: the dominant eigenvalue lam
+    attracts (derivative det / lam^2), det / lam repels; both derivatives taken in log2, so a
+    det far below lam^2 neither rounds nor underflows on the way (NaN for a NaN log2 |det|)."""
+    a, b, c, d = row
     sign, log2det = det
-    log2lam = math.log2(abs(lams[0]))
-    out = [(lams[0], _pow2(sign, log2det - 2.0 * log2lam))]
-    if len(lams) == 2:
-        out.append((lams[1], _pow2(sign, 2.0 * log2lam - log2det)))
-    return out
+    tr = a + d
+    if klass is MonodromyClass.PARABOLIC:
+        lam = 0.5 * tr
+        return [(lam, _pow2(sign, log2det - 2.0 * math.log2(abs(lam))))]
+    if klass is not MonodromyClass.HYPERBOLIC:
+        return []
+    lam = 0.5 * (tr + math.copysign(math.sqrt(_disc_terms(a, b, c, d)[0]), tr))
+    log2lam = math.log2(abs(lam))
+    return [(lam, _pow2(sign, log2det - 2.0 * log2lam)), ((a * d - b * c) / lam, _pow2(sign, 2.0 * log2lam - log2det))]
 
 
 def _direction(row, lam: float) -> float:
@@ -375,18 +371,6 @@ def _direction(row, lam: float) -> float:
     return 2.0 * math.atan2(p, q)
 
 
-def _fixed_row(row, klass: MonodromyClass, det: tuple[float, float]):
-    """fixed_directions of row = (a, b, c, d) given its class and (sign, log2
-    |det|), the eigenvalues and derivatives from _eigen_row."""
-    if klass is MonodromyClass.IDENTITY:
-        return ALL_DIRECTIONS
-    if klass is MonodromyClass.ELLIPTIC:
-        raise NoRealFixedPoint("elliptic monodromy has no real fixed direction")
-    if klass is MonodromyClass.DEGENERATE:
-        raise DegenerateMonodromy("singular monodromy has no well-defined fixed directions")
-    return [FixedDirection(_direction(row, lam), derivative) for lam, derivative in _eigen_row(row, klass, det)]
-
-
 def _tr2_over_det(row, det: tuple[float, float]) -> float:
     a, b, c, d = row
     sign, log2det = det
@@ -398,40 +382,17 @@ def _tr2_over_det(row, det: tuple[float, float]) -> float:
     return _pow2(sign, 2.0 * math.log2(abs(tr)) - log2det)
 
 
-_FIXED_CLASSES = (MonodromyClass.HYPERBOLIC, MonodromyClass.PARABOLIC)  # isolated fixed directions
-
-
-def _summary_at(v: Polygon, ell: float, tol: Tolerance):
-    """Class, Tr^2/det and fixed directions (None unless hyperbolic or parabolic)
-    of the monodromy at one length, validated as polygon_monodromy, and
-    frames(angle, backwards), the _frames of the _tree it was read from."""
-    m, levels = _product_at(v, ell, tol)
-    row, det = m.row, m.log2det
+def _branch_at(v: Polygon, ell: float, tol: Tolerance, derivative: bool):
+    """The one reader of the monodromy's companions at one length, validated as polygon_monodromy:
+    the class, the number of isolated fixed directions, direction(i), fixed direction i (0
+    attracting, -1 repelling) from one eigenvector solved on call, and _root_at's frame reader.
+    The derivatives take the exact determinant; unasked, they are NaN and the class reads the
+    determinant's sign alone, the parity of the factors ell - a_j < 0 (none 0 past the pole rule)."""
+    row, e, lo, frames = _root_at(v, ell, tol)
+    det = _log2det_at(v, ell, lo, e) if derivative else (-1.0 if np.count_nonzero(lo < 0.0) % 2 else 1.0, math.nan)
     klass = _classify_row(row, tol, det[0])
-    dirs = _fixed_row(row, klass, det) if klass in _FIXED_CLASSES else None
-    return klass, _tr2_over_det(row, det), dirs, functools.partial(_frames, levels, len(v))
-
-
-def _branch_at(v: Polygon, ell: float, tol: Tolerance, backwards: bool, derivative: bool):
-    """transform's read of the monodromy at one length, validated as polygon_monodromy: the class,
-    one branch's FixedDirection (the repelling one if backwards; None unless hyperbolic or
-    parabolic) from one eigenvector, and the frame reader of _summary_at.  The derivative takes
-    the exact determinant; unasked, it is NaN and the class reads the determinant's sign alone,
-    the parity of the factors ell - a_j < 0 (none of them 0 past the pole rule)."""
-    lo, levels, e = _root_at(v, ell, tol)
-    row = levels[-1][0, 0].ravel().tolist()
-    if derivative:
-        det = _log2det_at(v, ell, lo, e)
-        sign = det[0]
-    else:
-        sign = -1.0 if np.count_nonzero(lo < 0.0) % 2 else 1.0
-    klass = _classify_row(row, tol, sign)
-    frames = functools.partial(_frames, levels, len(v))
-    if klass not in _FIXED_CLASSES:
-        return klass, None, frames
-    i = -1 if backwards else 0
-    lam, slope = _eigen_row(row, klass, det)[i] if derivative else (_eigenvalues(row, klass)[i], math.nan)
-    return klass, FixedDirection(_direction(row, lam), slope), frames
+    eig = _eigen_row(row, klass, det)
+    return klass, len(eig), lambda i: FixedDirection(_direction(row, eig[i][0]), eig[i][1]), frames
 
 
 class TracePoly:
@@ -603,10 +564,20 @@ class ScanPoint(NamedTuple):
     derivatives: tuple[float, ...] | None
 
 
+def _scan_point(ell: float, row, det: tuple[float, float], tol: Tolerance) -> ScanPoint:
+    """The scan's record of the monodromy row 2**e at length ell, det the (sign, log2 |det|) of
+    row: its class, Tr^2/det and the fixed directions' map derivatives (None unless hyperbolic or
+    parabolic), with no eigenvector solved."""
+    klass = _classify_row(row, tol, det[0])
+    eig = _eigen_row(row, klass, det)
+    return ScanPoint(ell, klass, _tr2_over_det(row, det), tuple([slope for _, slope in eig]) if eig else None)
+
+
 def _grid(v: Polygon, lmin: float, lmax: float, steps: int) -> np.ndarray:
     """The steps-point grid over [lmin, lmax] of a scan of v's plane monodromy."""
-    if steps < 2 or not 0 < lmin < lmax < math.inf:
-        raise ValueError(f"need 0 < lmin < lmax < inf and steps >= 2, got lmin={lmin!r} lmax={lmax!r}")
+    if not (isinstance(steps, (int, np.integer)) and steps >= 2 and 0 < lmin < lmax < math.inf):
+        got = f"got lmin={lmin!r} lmax={lmax!r} steps={steps!r}"
+        raise ValueError(f"need 0 < lmin < lmax < inf and integer steps >= 2, {got}")
     if v.dim != 2:
         raise DimensionMismatch("plane monodromy needs a 2D polygon")
     return np.linspace(lmin, lmax, steps)
@@ -627,12 +598,7 @@ def classification_scan(
     m, e = _monodromy_product(v, ells)
     sign, mant, exp = _log2_det(_factors(v, ells))
     dets = zip(sign.tolist(), (mant + (exp - 2 * e)).tolist())
-    out = []
-    for ell, row, det in zip(ells.tolist(), m.reshape(-1, 4).tolist(), dets):
-        klass = _classify_row(row, tol, det[0])
-        derivs = tuple([x for _, x in _eigen_row(row, klass, det)]) if klass in _FIXED_CLASSES else None
-        out.append(ScanPoint(ell, klass, _tr2_over_det(row, det), derivs))
-    return out
+    return [_scan_point(ell, row, det, tol) for ell, row, det in zip(ells.tolist(), m.reshape(-1, 4).tolist(), dets)]
 
 
 def discriminant(v: Polygon, ell: float) -> float:

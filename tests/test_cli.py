@@ -266,6 +266,11 @@ class TestScanCommand:
         lmin, lmax, _ = grid.split(":")
         assert f"got lmin={float(lmin)!r} lmax={float(lmax)!r}" in capsys.readouterr().err
 
+    def test_too_few_steps_are_named(self, square_file, capsys):
+        assert main(["scan", square_file, "--grid", "1:2:1", "--json"]) == 2
+        want = "error: need 0 < lmin < lmax < inf and integer steps >= 2, got lmin=1.0 lmax=2.0 steps=1\n"
+        assert capsys.readouterr() == ("", want)
+
     def test_butterfly_scan_identity_everywhere(self, tmp_path, rng, capsys):
         path = tmp_path / "fly.json"
         save_polygon(path, random_butterfly(rng))

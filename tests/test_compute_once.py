@@ -4,6 +4,7 @@ reports derivatives without solving for eigenvectors, and the row code
 shifts cyclically by slicing instead of np.roll."""
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -15,7 +16,7 @@ from bicyclegeom.cli import main
 from bicyclegeom.fileio import save_polygon
 from bicyclegeom.geometry import _cyc
 
-from conftest import propagated_pair_3d, random_butterfly, random_hyperbolic_pair
+from conftest import propagated_pair_3d, random_butterfly, random_hyperbolic_pair, survey_cases
 
 SQUARE = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 UNDEFINED = "undefined (zero area)"
@@ -231,6 +232,60 @@ class TestTransformComputesWhatItReturns:
         assert len(calls["_log2_det"]) == 1
 
 
+class TestOneLengthReadersComputeWhatTheyReport:
+    """The seeded companion and svg --ell read angles off _branch_at, with no
+    determinant; invariants --ell reads the scan's record, with no
+    eigenvector, and reports what scan reports at the same length."""
+
+    calls = TestTransformComputesWhatItReturns.calls
+
+    def test_seeded_companion(self, calls):
+        """A seed on each fixed direction gets that branch's companion: the
+        attracting seed solves one eigenvector, the repelling one two."""
+        dirs = bg.fixed_directions(bg.polygon_monodromy(SQUARE, 1.2))
+        seeds = [SQUARE.vertex(0) + 1.2 * np.array([math.cos(fd.angle), math.sin(fd.angle)]) for fd in dirs]
+        assert len(seeds) == 2
+        for seen in calls.values():
+            seen.clear()
+        for seed in seeds:
+            w, _ = dynamics._seeded_companion(SQUARE, 1.2, seed, bg.DEFAULT_TOL)
+            assert bg.correspondence_check(SQUARE, w)
+        assert (len(calls["_log2_det"]), len(calls["_direction"])) == (0, 3)
+
+    def test_svg(self, tmp_path, calls):
+        path, out = tmp_path / "sq.json", tmp_path / "sq.svg"
+        save_polygon(path, SQUARE)
+        assert main(["svg", str(path), "--ell", "1.2", "-o", str(out)]) == 0
+        assert (len(calls["_log2_det"]), len(calls["_direction"])) == (0, 2)
+
+    def test_invariants(self, tmp_path, capsys, calls):
+        path = tmp_path / "sq.json"
+        save_polygon(path, SQUARE)
+        assert main(["invariants", str(path), "--ell", "1.2", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["polygon"]["eigenvalues_at_L"]["value"]) == 2
+        assert (len(calls["_log2_det"]), len(calls["_direction"])) == (1, 0)
+
+    def test_invariants_reports_the_scan_record(self, tmp_path, capsys):
+        """On the survey, invariants --ell L and scan from L report the same
+        class, Tr^2/det and derivatives, bit for bit."""
+        path, classes = tmp_path / "v.json", set()
+        for v, L in survey_cases():
+            save_polygon(path, v)
+            assert main(["invariants", str(path), "--ell", repr(L), "--json"]) == 0
+            rep = json.loads(capsys.readouterr().out)["polygon"]
+            assert main(["scan", str(path), "--grid", f"{L!r}:{2.0 * L!r}:2", "--json"]) == 0
+            point = json.loads(capsys.readouterr().out)["grid"][0]
+            assert point["L"] == L
+            assert rep["monodromy_class_at_L"] == point["class"]
+            assert _bits(rep["trace_sq_over_det_at_L"]["value"]) == _bits(point["trace_sq_over_det"])
+            derivatives = rep.get("eigenvalues_at_L", {"value": None})["value"]
+            assert (derivatives is None) == (point["eigenvalues"] is None)
+            if derivatives is not None:
+                assert _bits(derivatives) == _bits(point["eigenvalues"])
+            classes.add(point["class"])
+        assert {"hyperbolic", "elliptic"} <= classes
+
+
 class TestMismatchedInputs:
     """Two polygons that cannot be compared fail before any report, naming both sizes."""
 
@@ -258,8 +313,8 @@ class TestScanSkipsEigenvectors:
 
     def test_no_fixed_directions_solved(self, monkeypatch):
         calls = []
-        real = monodromy._fixed_row
-        monkeypatch.setattr(monodromy, "_fixed_row", lambda *a: calls.append(a) or real(*a))
+        real = monodromy._direction
+        monkeypatch.setattr(monodromy, "_direction", lambda *a: calls.append(a) or real(*a))
         points = bg.classification_scan(SQUARE, 0.2, 3.0, 40)
         assert sum(p.derivatives is not None for p in points) > 0
         assert calls == []

@@ -1,7 +1,9 @@
 """Propagation, the closed transformation, recutting, permutability,
 and the frame-angle difference equation."""
 
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -459,13 +461,16 @@ class TestCompanionScan:
 
     @staticmethod
     def _summary_route(v, L, branch):
-        """The companion as _seeded_companion reaches it: the full _summary_at
-        (class, Tr^2/det, both fixed directions with their derivatives) and
-        its frame reader; None where there is no isolated fixed direction."""
-        klass, _, dirs, frames = monodromy._summary_at(v, L, bg.DEFAULT_TOL)
-        if dirs is None:
+        """The companion from the public summary: fixed_directions(polygon_monodromy(v, L))
+        (both fixed directions with their derivatives) and _frames swept down a _tree of its
+        own; None where there is no isolated fixed direction."""
+        mob = bg.polygon_monodromy(v, L)
+        klass = bg.classify(mob)
+        if klass not in (bg.MonodromyClass.HYPERBOLIC, bg.MonodromyClass.PARABOLIC):
             return klass, None
+        dirs = bg.fixed_directions(mob)
         fd = dirs[0] if branch is bg.Branch.ATTRACTING else dirs[-1]
+        frames = functools.partial(monodromy._frames, monodromy._tree(v, np.array([L]))[0], len(v))
         w, _ = dynamics._companion(v, L, fd.angle, frames, branch is bg.Branch.REPELLING, bg.DEFAULT_TOL)
         return klass, bg.Polygon(w)
 
@@ -550,6 +555,14 @@ class TestCompanionScan:
             w_big, klass_big, fd_big, defect_big = dynamics._transform(big, L * scale, branch, bg.DEFAULT_TOL)
             assert w_big.vertices.tolist() == (w.vertices * scale).tolist()
             assert (klass_big, fd_big, defect_big) == (klass, fd, defect * scale)
+
+
+class TestFrameLength:
+    def test_vertex_counts_differ(self):
+        """Used to raise numpy's broadcast ValueError."""
+        square, triangle = bg.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), bg.Polygon([(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(bg.DimensionMismatch, match=re.escape("differ in shape: (4, 2) vs (3, 2)")):
+            bg.frame_length(square, triangle)
 
 
 class TestCorrespondenceCheck:

@@ -295,6 +295,12 @@ class TestPolygonType:
                 with pytest.raises(ValueError):
                     arr[0] = 5.0
 
+    def test_with_vertex_of_another_dimension(self):
+        """A space point put into a plane polygon used to raise numpy's broadcast ValueError."""
+        v = bg.Polygon([(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(bg.DimensionMismatch, match=re.escape("vertex of shape (3,) for vertices of shape (2,)")):
+            v.with_vertex(0, (1, 2, 3))
+
     def test_as_vec_rejects_scalars(self):
         with pytest.raises(bg.DimensionMismatch):
             as_vec(3.0)

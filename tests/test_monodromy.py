@@ -248,11 +248,15 @@ class TestFrames:
                 assert np.abs(np.hypot(*got.T) - 1.0).max() <= 4.0 * np.finfo(float).eps
 
     def test_summary_hands_out_the_frames_of_its_tree(self):
-        """_summary_at's frame reader is _frames on the tree the class was read from."""
+        """_branch_at's frame reader is _frames on the tree the class was read from, and its
+        direction reader gives fixed_directions(polygon_monodromy) angle for angle."""
         v, L = circle_polygon(np.random.default_rng(0), 24, 0.02), 0.95
-        *_, dirs, frames = monodromy._summary_at(v, L, bg.DEFAULT_TOL)
+        _, count, direction, frames = monodromy._branch_at(v, L, bg.DEFAULT_TOL, False)
+        dirs = bg.fixed_directions(bg.polygon_monodromy(v, L))
         levels, _ = monodromy._tree(v, np.array([L]))
+        assert count == len(dirs) == 2
         for i, fd in enumerate(dirs):
+            assert direction(i).angle == fd.angle
             assert frames(fd.angle, i > 0).tobytes() == monodromy._frames(levels, 24, fd.angle, i > 0).tobytes()
 
 
@@ -489,6 +493,16 @@ class TestLengthRange:
         with pytest.raises(ValueError, match=named):
             bg.refine_class_boundaries(SQUARE, lmin, lmax, 4)
         assert len(bg.classification_scan(SQUARE, 1e-300, 1e300, 3)) == 3  # any finite range passes
+
+    @pytest.mark.parametrize("steps", [1, 0, 3.5, 4.0], ids=repr)
+    def test_scan_and_refine_steps(self, steps):
+        """The grid check names steps: too few or not an integer (3.5 used to
+        raise numpy's TypeError from linspace, 1 to name lmin and lmax only)."""
+        named = re.escape(f"got lmin=0.5 lmax=2 steps={steps!r}")
+        with pytest.raises(ValueError, match=named):
+            bg.classification_scan(SQUARE, 0.5, 2, steps)
+        with pytest.raises(ValueError, match=named):
+            bg.refine_class_boundaries(SQUARE, 0.5, 2, steps)
 
 
 class TestScan:
